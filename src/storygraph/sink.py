@@ -2,7 +2,9 @@
 
 Every statement is fully parameterized; no node id or story text is ever
 spliced into statement text.  MERGE keys on the label plus the id property,
-so re-loading the same documents is idempotent.
+so re-loading the same documents is idempotent.  ``store`` writes up to
+``SinkConfig.batch_size`` documents per transaction, over the HTTP API or
+Bolt, and retries a rolled-back batch one document at a time.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 import requests
@@ -25,6 +29,9 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_ID_LENGTH = 4000
 
 _LABELS = {kind.value for kind in NodeKind} | {kind.value for kind in RelKind}
+_PARAM = re.compile(r"\$(\w+)")
+_HTTP_SCHEMES = ("http", "https")
+_BOLT_SCHEMES = ("bolt", "neo4j", "bolt+s", "neo4j+s")
 
 
 @dataclass
@@ -37,18 +44,20 @@ class SinkConfig:
     request_timeout: float = 60.0
     max_id_length: int = DEFAULT_MAX_ID_LENGTH
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise SinkError(f"batch_size must be at least 1, got {self.batch_size}")
+
     @classmethod
     def from_env(cls, **overrides: Any) -> "SinkConfig":
         """Environment-backed defaults: NEO4J_URI, NEO4J_USER, NEO4J_PASSWORD."""
-        config = cls(
-            uri=os.environ.get("NEO4J_URI", cls.uri),
-            user=os.environ.get("NEO4J_USER", cls.user),
-            password=os.environ.get("NEO4J_PASSWORD", cls.password),
-        )
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(config, key, value)
-        return config
+        settings = {
+            "uri": os.environ.get("NEO4J_URI", cls.uri),
+            "user": os.environ.get("NEO4J_USER", cls.user),
+            "password": os.environ.get("NEO4J_PASSWORD", cls.password),
+        }
+        settings.update((key, value) for key, value in overrides.items() if value is not None)
+        return cls(**settings)
 
 
 @dataclass(frozen=True)
@@ -124,13 +133,16 @@ def _cypher_literal(value: Any) -> str:
 
 
 def cypher_script(docs: Iterable[GraphDocument], max_id_length: int = DEFAULT_MAX_ID_LENGTH) -> str:
-    """Offline replay script with parameters inlined as escaped literals."""
+    """Offline replay script with parameters inlined as escaped literals.
+
+    Each ``$name`` of the statement template is replaced in one pass, so a
+    value that itself contains ``$name`` is never substituted again.
+    """
     lines = []
     for doc in docs:
         for statement in to_cypher(doc, max_id_length):
-            text = statement.text
-            for name, value in statement.params.items():
-                text = text.replace(f"${name}", _cypher_literal(value))
+            params = statement.params
+            text = _PARAM.sub(lambda m: _cypher_literal(params[m.group(1)]), statement.text)
             lines.append(text + ";")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -152,11 +164,17 @@ def _redact(uri: str) -> str:
     return urlunsplit(parts)
 
 
-def _store_http(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
+class _Rejected(Exception):
+    """The store rolled a transaction back; none of its documents are loaded."""
+
+
+Commit = Callable[[Sequence[CypherStatement]], tuple[int, int]]
+
+
+def _http_commit(config: SinkConfig) -> Commit:
     endpoint = f"{config.uri.rstrip('/')}/db/{config.database_name}/tx/commit"
-    summary = LoadSummary()
-    for doc in docs:
-        statements = to_cypher(doc, config.max_id_length)
+
+    def commit(statements: Sequence[CypherStatement]) -> tuple[int, int]:
         body = {
             "statements": [
                 {
@@ -188,33 +206,32 @@ def _store_http(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummar
                 f"graph store at {_redact(config.uri)} returned status "
                 f"{response.status_code}"
             )
-        data = response.json()
+        try:
+            data = response.json()
+        except ValueError:
+            data = None
+        if not isinstance(data, dict):
+            raise SinkError(
+                f"graph store at {_redact(config.uri)} sent a reply that is not "
+                f"a JSON object"
+            )
         errors = data.get("errors") or []
         if errors:
-            # The transactional endpoint rolls the whole request back, so
-            # only this document is lost.
-            summary.documents_failed += 1
-            log.warning(
-                "document for %r failed: %s",
-                doc.source_text[:60],
-                errors[0].get("message", "unknown error"),
-            )
-            continue
-        node_statements = sum(1 for s in statements if s.is_node)
-        doc_nodes_created = 0
-        doc_rels_created = 0
+            # The transactional endpoint rolls the whole request back.
+            raise _Rejected(errors[0].get("message", "unknown error"))
+        nodes_created = 0
+        rels_created = 0
         for result in data.get("results", []):
             stats = result.get("stats") or {}
-            doc_nodes_created += stats.get("nodes_created", 0)
-            doc_rels_created += stats.get("relationships_created", 0)
-        summary.nodes_created += doc_nodes_created
-        summary.rels_created += doc_rels_created
-        summary.nodes_matched += node_statements - doc_nodes_created
-        summary.documents_loaded += 1
-    return summary
+            nodes_created += stats.get("nodes_created", 0)
+            rels_created += stats.get("relationships_created", 0)
+        return nodes_created, rels_created
+
+    return commit
 
 
-def _store_bolt(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
+@contextmanager
+def _bolt_commit(config: SinkConfig) -> Iterator[Commit]:
     try:
         import neo4j
     except ImportError as exc:
@@ -223,17 +240,15 @@ def _store_bolt(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummar
             "install it or point the sink at the http endpoint"
         ) from exc
 
-    summary = LoadSummary()
     try:
         driver = neo4j.GraphDatabase.driver(config.uri, auth=(config.user, config.password))
     except Exception as exc:
         raise SinkError(f"cannot open bolt connection: {type(exc).__name__}") from exc
     try:
         with driver.session(database=config.database_name) as session:
-            for doc in docs:
-                statements = to_cypher(doc, config.max_id_length)
 
-                def load(tx, statements=statements):
+            def commit(statements: Sequence[CypherStatement]) -> tuple[int, int]:
+                def work(tx) -> tuple[int, int]:
                     nodes_created = 0
                     rels_created = 0
                     for s in statements:
@@ -243,31 +258,63 @@ def _store_bolt(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummar
                     return nodes_created, rels_created
 
                 try:
-                    nodes_created, rels_created = session.execute_write(load)
+                    return session.execute_write(work)
                 except Exception as exc:
-                    summary.documents_failed += 1
-                    log.warning(
-                        "document for %r failed: %s", doc.source_text[:60], exc
-                    )
-                    continue
-                node_statements = sum(1 for s in statements if s.is_node)
-                summary.nodes_created += nodes_created
-                summary.rels_created += rels_created
-                summary.nodes_matched += node_statements - nodes_created
-                summary.documents_loaded += 1
+                    raise _Rejected(str(exc)) from exc
+
+            yield commit
     finally:
         driver.close()
-    return summary
+
+
+def _commit_batch(
+    summary: LoadSummary,
+    commit: Commit,
+    batch: Sequence[tuple[GraphDocument, list[CypherStatement]]],
+) -> bool:
+    """Write one batch in one transaction and count it; False if rolled back."""
+    statements = [s for _, doc_statements in batch for s in doc_statements]
+    try:
+        nodes_created, rels_created = commit(statements)
+    except _Rejected as exc:
+        if len(batch) == 1:
+            summary.documents_failed += 1
+            log.warning("document for %r failed: %s", batch[0][0].source_text[:60], exc)
+        else:
+            log.info("batch of %d documents rolled back (%s); retrying each alone",
+                     len(batch), exc)
+        return False
+    summary.nodes_created += nodes_created
+    summary.rels_created += rels_created
+    summary.nodes_matched += sum(1 for s in statements if s.is_node) - nodes_created
+    summary.documents_loaded += len(batch)
+    return True
 
 
 def store(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
-    """Write documents to Neo4j, one transaction per document."""
+    """Write documents to Neo4j, one transaction per batch of documents.
+
+    Every document is rendered before anything is sent, so an id the sink
+    refuses stops the load with nothing written.  Batches hold up to
+    ``config.batch_size`` documents.  A batch the store rolls back is sent
+    again one document per transaction, so only the documents that fail on
+    their own are lost and counted in ``documents_failed``.
+    """
     scheme = urlsplit(config.uri).scheme
-    if scheme in ("http", "https"):
-        return _store_http(config, docs)
-    if scheme in ("bolt", "neo4j", "bolt+s", "neo4j+s"):
-        return _store_bolt(config, docs)
-    raise SinkError(f"unsupported graph store scheme {scheme!r}")
+    if scheme not in _HTTP_SCHEMES + _BOLT_SCHEMES:
+        raise SinkError(f"unsupported graph store scheme {scheme!r}")
+    rendered = [(doc, to_cypher(doc, config.max_id_length)) for doc in docs]
+    summary = LoadSummary()
+    writer = (
+        nullcontext(_http_commit(config)) if scheme in _HTTP_SCHEMES else _bolt_commit(config)
+    )
+    with writer as commit:
+        for start in range(0, len(rendered), config.batch_size):
+            batch = rendered[start : start + config.batch_size]
+            if not _commit_batch(summary, commit, batch) and len(batch) > 1:
+                for item in batch:
+                    _commit_batch(summary, commit, [item])
+    return summary
 
 
 def export_json(docs: Sequence[GraphDocument]) -> bytes:

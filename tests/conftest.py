@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 import threading
+import types
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -37,7 +40,8 @@ class StubHttpServer:
     """Scriptable HTTP server.
 
     Push (status, payload) pairs or callables onto ``behaviors``; each
-    request consumes one, falling back to ``default``.  Request bodies and
+    request consumes one, falling back to ``default``.  A ``bytes`` payload
+    is sent as is, any other as JSON.  Request bodies and
     selected headers are recorded for assertions.
     """
 
@@ -83,7 +87,10 @@ class StubHttpServer:
                         status, payload = behavior(body)
                     else:
                         status, payload = behavior
-                    data = json.dumps(payload).encode("utf-8")
+                    data = (
+                        payload if isinstance(payload, bytes)
+                        else json.dumps(payload).encode("utf-8")
+                    )
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
@@ -97,7 +104,9 @@ class StubHttpServer:
                 pass
 
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -157,3 +166,145 @@ def neo4j_commit_reply(statement_count: int, nodes_created: int, rels_created: i
         }
         results.append({"columns": [], "data": [], "stats": stats})
     return (200, {"results": results, "errors": []})
+
+
+_NODE_MERGE = re.compile(r"^MERGE \(n:(\w+) \{id: \$id\}\)")
+_REL_MERGE = re.compile(
+    r"^MATCH \(a:(\w+) \{id: \$source_id\}\) MATCH \(b:(\w+) \{id: \$target_id\}\) "
+    r"MERGE \(a\)-\[r:(\w+)\]->\(b\)"
+)
+
+
+class FakeStoreError(Exception):
+    pass
+
+
+class FakeGraphStore:
+    """Stateful stand-in for Neo4j that tallies MERGE keys per statement.
+
+    Nodes are keyed by (label, id) and relationships by their type and both
+    endpoint keys, as MERGE matches them.  A transaction is applied only
+    when all its statements succeed; a statement that mentions an id in
+    ``poisoned`` fails and rolls its whole transaction back.
+    ``transactions`` counts every transaction attempted.
+    """
+
+    def __init__(self, poisoned: set[str] = frozenset()) -> None:
+        self.nodes: set[tuple[str, str]] = set()
+        self.rels: set[tuple] = set()
+        self.poisoned = set(poisoned)
+        self.transactions = 0
+
+    def begin(self) -> "FakeTransaction":
+        self.transactions += 1
+        return FakeTransaction(self)
+
+    def http_reply(self, body: dict) -> tuple[int, dict]:
+        """Answer one transactional-endpoint request (a StubHttpServer behavior)."""
+        tx = self.begin()
+        results = []
+        try:
+            for statement in body["statements"]:
+                nodes, rels = tx.run(statement["statement"], statement.get("parameters", {}))
+                stats = {"nodes_created": nodes, "relationships_created": rels}
+                results.append({"columns": [], "data": [], "stats": stats})
+        except FakeStoreError as exc:
+            return (200, {"results": [], "errors": [
+                {"code": "Neo.ClientError.Statement", "message": str(exc)}
+            ]})
+        tx.commit()
+        return (200, {"results": results, "errors": []})
+
+
+class FakeTransaction:
+    def __init__(self, store: FakeGraphStore) -> None:
+        self.store = store
+        self.nodes = set(store.nodes)
+        self.rels = set(store.rels)
+
+    def run(self, text: str, params: dict) -> tuple[int, int]:
+        """Apply one statement; returns (nodes_created, relationships_created)."""
+        if self.store.poisoned & {v for v in params.values() if isinstance(v, str)}:
+            raise FakeStoreError(f"bad statement: {text[:40]}")
+        node = _NODE_MERGE.match(text)
+        rel = _REL_MERGE.match(text)
+        if node:
+            key = (node.group(1), params["id"])
+            created = key not in self.nodes
+            self.nodes.add(key)
+            return int(created), 0
+        if rel:
+            src = (rel.group(1), params["source_id"])
+            tgt = (rel.group(2), params["target_id"])
+            key = (rel.group(3), src, tgt)
+            if src not in self.nodes or tgt not in self.nodes:
+                return 0, 0
+            created = key not in self.rels
+            self.rels.add(key)
+            return 0, int(created)
+        raise FakeStoreError(f"unsupported statement: {text[:40]}")
+
+    def commit(self) -> None:
+        self.store.nodes = self.nodes
+        self.store.rels = self.rels
+
+
+@pytest.fixture()
+def graph_store(stub_server) -> FakeGraphStore:
+    """A fake store answering every request to ``stub_server``."""
+    fake = FakeGraphStore()
+    stub_server.default = fake.http_reply
+    return fake
+
+
+def fake_neo4j_module(store: FakeGraphStore) -> types.ModuleType:
+    """The slice of the ``neo4j`` driver API the sink uses, backed by ``store``."""
+
+    class Result:
+        def __init__(self, nodes: int, rels: int) -> None:
+            self.counters = types.SimpleNamespace(nodes_created=nodes, relationships_created=rels)
+
+        def consume(self) -> "Result":
+            return self
+
+    class Tx:
+        def __init__(self, tx: FakeTransaction) -> None:
+            self.tx = tx
+
+        def run(self, text: str, **params) -> Result:
+            return Result(*self.tx.run(text, params))
+
+    class Session:
+        def __init__(self, database: str) -> None:
+            self.database = database
+
+        def __enter__(self) -> "Session":
+            return self
+
+        def __exit__(self, *exc) -> None:
+            pass
+
+        def execute_write(self, work):
+            tx = store.begin()
+            result = work(Tx(tx))
+            tx.commit()
+            return result
+
+    class Driver:
+        def session(self, database: str) -> Session:
+            return Session(database)
+
+        def close(self) -> None:
+            pass
+
+    module = types.ModuleType("neo4j")
+    module.GraphDatabase = types.SimpleNamespace(driver=lambda uri, auth: Driver())
+    return module
+
+
+@pytest.fixture()
+def bolt_store(monkeypatch) -> FakeGraphStore:
+    """A fake store behind a fake ``neo4j`` driver module."""
+    fake = FakeGraphStore()
+    monkeypatch.setitem(sys.modules, "neo4j", fake_neo4j_module(fake))
+    return fake

@@ -187,13 +187,8 @@ class TestLoad:
 
     def test_load_to_stub_store(self, workspace, stub_server, capsys):
         assert run_extract() == EXIT_OK
-        stub_server.behaviors.extend(
-            [
-                neo4j_commit_reply(18, 8, 10),
-                neo4j_commit_reply(9, 4, 5),
-                neo4j_commit_reply(16, 7, 9),
-            ]
-        )
+        # All three documents (18 + 9 + 16 statements) go in one transaction.
+        stub_server.behaviors.append(neo4j_commit_reply(43, 19, 24))
         code = main(
             ["load", "--experiment", "demo", "--uri", stub_server.url,
              "--user", "neo4j", "--password", "pw"]
@@ -202,7 +197,8 @@ class TestLoad:
         out_dir = workspace / "extracted-user-stories" / "demo"
         assert (out_dir / "graph.json").exists()
         assert (out_dir / "graph.cypher").exists()
-        assert len(stub_server.requests) == 3
+        assert len(stub_server.requests) == 1
+        assert len(stub_server.requests[0]["statements"]) == 43
         out = capsys.readouterr().out
         assert "loaded 3 documents" in out
         assert "19 nodes created" in out
@@ -237,13 +233,7 @@ class TestEnvFile:
         (workspace / "creds.env").write_text(
             f"NEO4J_URI={stub_server.url}\nNEO4J_USER=alice\nNEO4J_PASSWORD=pw\n"
         )
-        stub_server.behaviors.extend(
-            [
-                neo4j_commit_reply(18, 8, 10),
-                neo4j_commit_reply(9, 4, 5),
-                neo4j_commit_reply(16, 7, 9),
-            ]
-        )
+        stub_server.behaviors.append(neo4j_commit_reply(43, 19, 24))
         code = main(
             ["--env-file", "creds.env", "load", "--experiment", "demo"]
         )

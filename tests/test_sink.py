@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT, neo4j_commit_reply
 from storygraph.errors import SinkError
@@ -31,6 +35,52 @@ from storygraph.transform import story_document
 @pytest.fixture()
 def sync_doc(sample_backlog) -> GraphDocument:
     return story_document(sample_backlog.stories[0])
+
+
+@pytest.fixture()
+def sample_docs(sample_backlog) -> list[GraphDocument]:
+    return [story_document(story) for story in sample_backlog.stories]
+
+
+def small_doc(action: str) -> GraphDocument:
+    """user -TRIGGERS-> action -TARGETS-> "<action> data"."""
+    persona = GraphNode(id="user", kind=NodeKind.PERSONA)
+    act = GraphNode(id=action, kind=NodeKind.ACTION)
+    entity = GraphNode(id=f"{action} data", kind=NodeKind.ENTITY)
+    return GraphDocument(
+        nodes=[persona, act, entity],
+        relationships=[
+            GraphRelationship(persona, act, RelKind.TRIGGERS),
+            GraphRelationship(act, entity, RelKind.TARGETS),
+        ],
+        source_text=f"As a user, I want to {action} data.",
+    )
+
+
+def decode_literals(line: str) -> tuple[str, list[str]]:
+    """Split a script line into its text with each string literal as ``?``
+    and the decoded literals, undoing ``_cypher_literal``'s escapes."""
+    escapes = {"\\": "\\", "'": "'", "n": "\n", "r": "\r"}
+    skeleton, literals = [], []
+    i = 0
+    while i < len(line):
+        if line[i] != "'":
+            skeleton.append(line[i])
+            i += 1
+            continue
+        i += 1
+        chars = []
+        while line[i] != "'":
+            if line[i] == "\\":
+                chars.append(escapes[line[i + 1]])
+                i += 2
+            else:
+                chars.append(line[i])
+                i += 1
+        literals.append("".join(chars))
+        skeleton.append("?")
+        i += 1
+    return "".join(skeleton), literals
 
 
 class TestToCypher:
@@ -108,6 +158,44 @@ class TestScript:
     def test_empty_input_is_empty_script(self):
         assert cypher_script([]) == ""
 
+    def test_parameter_name_inside_id_not_substituted_again(self):
+        doc = small_doc("shop $target_id now")
+        script = cypher_script([doc])
+        assert "MERGE (n:Action {id: 'shop $target_id now'});" in script
+        assert "MATCH (a:Action {id: 'shop $target_id now'})" in script
+        assert "MATCH (b:Action {id: 'shop $target_id now'})" in script
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(
+            st.one_of(
+                st.text(),
+                st.lists(st.sampled_from(
+                    ["$id", "$props", "$source_id", "$target_id", "'", "\\", "\n", "\r", "$", "x"]
+                )).map("".join),
+            ),
+            min_size=3, max_size=3,
+        )
+    )
+    def test_every_literal_decodes_to_its_id(self, ids):
+        persona = GraphNode(id=ids[0], kind=NodeKind.PERSONA)
+        action = GraphNode(id=ids[1], kind=NodeKind.ACTION)
+        entity = GraphNode(id=ids[2], kind=NodeKind.ENTITY)
+        doc = GraphDocument(
+            nodes=[persona, action, entity],
+            relationships=[
+                GraphRelationship(persona, action, RelKind.TRIGGERS),
+                GraphRelationship(action, entity, RelKind.TARGETS),
+            ],
+        )
+        lines = cypher_script([doc]).split("\n")[:-1]
+        statements = to_cypher(doc)
+        assert len(lines) == len(statements)
+        for line, statement in zip(lines, statements):
+            skeleton, literals = decode_literals(line)
+            assert skeleton == re.sub(r"\$\w+", "?", statement.text) + ";"
+            assert literals == list(statement.params.values())
+
 
 class TestJsonRoundTrip:
     def test_round_trip(self, sync_doc):
@@ -160,12 +248,32 @@ class TestStoreHttp:
         error_reply = (200, {"results": [], "errors": [
             {"code": "Neo.ClientError", "message": "bad statement"}
         ]})
-        stub_server.behaviors.extend([error_reply, neo4j_commit_reply(18, 8, 10)])
+        # The batch of both documents is rolled back, then each is re-sent.
+        stub_server.behaviors.extend(
+            [error_reply, error_reply, neo4j_commit_reply(18, 8, 10)]
+        )
         with caplog.at_level("WARNING"):
             summary = store(SinkConfig(uri=stub_server.url), [sync_doc, sync_doc])
         assert summary.documents_failed == 1
         assert summary.documents_loaded == 1
         assert any("bad statement" in r.message for r in caplog.records)
+        assert [len(body["statements"]) for body in stub_server.requests] == [36, 18, 18]
+
+    def test_reply_not_json(self, stub_server, sync_doc):
+        stub_server.behaviors.append((200, b"<html>proxy error</html>"))
+        config = SinkConfig(uri=stub_server.url.replace("http://", "http://neo4j:hunter2@"))
+        with pytest.raises(SinkError, match="not a JSON object") as exc_info:
+            store(config, [sync_doc])
+        assert "hunter2" not in str(exc_info.value)
+        assert stub_server.url in str(exc_info.value)
+
+    def test_reply_not_object(self, stub_server, sync_doc):
+        stub_server.behaviors.append((200, ["results"]))
+        config = SinkConfig(uri=stub_server.url.replace("http://", "http://neo4j:hunter2@"))
+        with pytest.raises(SinkError, match="not a JSON object") as exc_info:
+            store(config, [sync_doc])
+        assert "hunter2" not in str(exc_info.value)
+        assert stub_server.url in str(exc_info.value)
 
     def test_auth_failure_redacts(self, stub_server, sync_doc):
         stub_server.behaviors.append((401, {}))
@@ -194,6 +302,81 @@ class TestStoreHttp:
         store(SinkConfig(uri=stub_server.url, user="u", password="p"), [sync_doc])
         auth = stub_server.auth_headers[0]
         assert auth is not None and auth.startswith("Basic ")
+
+
+class TestBatching:
+    @pytest.mark.parametrize("batch_size", [1, 2, 100])
+    def test_summary_independent_of_batch_size(self, stub_server, graph_store,
+                                               sample_docs, batch_size):
+        # Loading the sample twice also counts matched nodes.
+        docs = sample_docs + sample_docs
+        summary = store(SinkConfig(uri=stub_server.url, batch_size=batch_size), docs)
+        assert summary == LoadSummary(
+            nodes_created=19, rels_created=24, nodes_matched=19,
+            documents_loaded=6, documents_failed=0,
+        )
+        assert len(graph_store.nodes) == 19 and len(graph_store.rels) == 24
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4, 5, 100])
+    def test_one_request_per_batch(self, stub_server, graph_store, batch_size):
+        docs = [small_doc(f"act{i}") for i in range(5)]
+        store(SinkConfig(uri=stub_server.url, batch_size=batch_size), docs)
+        assert len(stub_server.requests) == math.ceil(len(docs) / batch_size)
+        assert [len(body["statements"]) for body in stub_server.requests] == [
+            5 * len(docs[start : start + batch_size])
+            for start in range(0, len(docs), batch_size)
+        ]
+
+    def test_poisoned_document_fails_alone(self, stub_server, graph_store, caplog):
+        docs = [small_doc(f"act{i}") for i in range(5)]
+        graph_store.poisoned.add("act2")
+        with caplog.at_level("WARNING"):
+            summary = store(SinkConfig(uri=stub_server.url, batch_size=5), docs)
+
+        # Created counts equal what the store holds: nothing counted twice.
+        assert summary == LoadSummary(
+            nodes_created=9, rels_created=8, nodes_matched=3,
+            documents_loaded=4, documents_failed=1,
+        )
+        assert len(graph_store.nodes) == 9 and len(graph_store.rels) == 8
+        # One rolled-back batch, then each document alone.
+        assert len(stub_server.requests) == 1 + 5
+        warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "act2" in warnings[0]
+
+    def test_refused_id_sends_nothing(self, stub_server, graph_store):
+        docs = [small_doc(f"act{i}") for i in range(3)] + [small_doc("x" * 5000)]
+        with pytest.raises(SinkError, match="exceeds 4000"):
+            store(SinkConfig(uri=stub_server.url, batch_size=2), docs)
+        assert stub_server.requests == []
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(SinkError, match="batch_size"):
+            SinkConfig(batch_size=0)
+
+
+class TestStoreBolt:
+    @pytest.mark.parametrize("batch_size", [1, 2, 100])
+    def test_same_summary_as_http(self, bolt_store, sample_docs, batch_size):
+        docs = sample_docs + sample_docs
+        config = SinkConfig(uri="bolt://localhost:7687", batch_size=batch_size)
+        summary = store(config, docs)
+        assert summary == LoadSummary(
+            nodes_created=19, rels_created=24, nodes_matched=19,
+            documents_loaded=6, documents_failed=0,
+        )
+        assert bolt_store.transactions == math.ceil(len(docs) / batch_size)
+
+    def test_poisoned_document_fails_alone(self, bolt_store):
+        docs = [small_doc(f"act{i}") for i in range(5)]
+        bolt_store.poisoned.add("act2")
+        summary = store(SinkConfig(uri="bolt://localhost:7687", batch_size=5), docs)
+        assert summary == LoadSummary(
+            nodes_created=9, rels_created=8, nodes_matched=3,
+            documents_loaded=4, documents_failed=1,
+        )
+        assert len(bolt_store.nodes) == 9 and len(bolt_store.rels) == 8
+        assert bolt_store.transactions == 1 + 5
 
 
 class TestStoreDispatch:
