@@ -3,8 +3,8 @@
 Every statement is fully parameterized; no node id or story text is ever
 spliced into statement text.  MERGE keys on the label plus the id property,
 so re-loading the same documents is idempotent.  ``store`` writes up to
-``SinkConfig.batch_size`` documents per transaction, over the HTTP API or
-Bolt, and retries a rolled-back batch one document at a time.
+100 documents per transaction, over the HTTP API or Bolt, and retries a
+rolled-back batch one document at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .model import GraphDocument, NodeKind, RelKind, document_from_dict, documen
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_ID_LENGTH = 4000
+_BATCH_SIZE = 100
 
 _LABELS = {kind.value for kind in NodeKind} | {kind.value for kind in RelKind}
 _PARAM = re.compile(r"\$(\w+)")
@@ -40,24 +41,21 @@ class SinkConfig:
     user: str = "neo4j"
     password: str = ""
     database_name: str = "neo4j"
-    batch_size: int = 100
     request_timeout: float = 60.0
     max_id_length: int = DEFAULT_MAX_ID_LENGTH
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise SinkError(f"batch_size must be at least 1, got {self.batch_size}")
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "SinkConfig":
         """Environment-backed defaults: NEO4J_URI, NEO4J_USER, NEO4J_PASSWORD."""
-        settings = {
-            "uri": os.environ.get("NEO4J_URI", cls.uri),
-            "user": os.environ.get("NEO4J_USER", cls.user),
-            "password": os.environ.get("NEO4J_PASSWORD", cls.password),
-        }
-        settings.update((key, value) for key, value in overrides.items() if value is not None)
-        return cls(**settings)
+        config = cls(
+            uri=os.environ.get("NEO4J_URI", cls.uri),
+            user=os.environ.get("NEO4J_USER", cls.user),
+            password=os.environ.get("NEO4J_PASSWORD", cls.password),
+        )
+        for key, value in overrides.items():
+            if value is not None:
+                setattr(config, key, value)
+        return config
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,7 @@ def store(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
 
     Every document is rendered before anything is sent, so an id the sink
     refuses stops the load with nothing written.  Batches hold up to
-    ``config.batch_size`` documents.  A batch the store rolls back is sent
+    ``_BATCH_SIZE`` documents.  A batch the store rolls back is sent
     again one document per transaction, so only the documents that fail on
     their own are lost and counted in ``documents_failed``.
     """
@@ -309,8 +307,8 @@ def store(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
         nullcontext(_http_commit(config)) if scheme in _HTTP_SCHEMES else _bolt_commit(config)
     )
     with writer as commit:
-        for start in range(0, len(rendered), config.batch_size):
-            batch = rendered[start : start + config.batch_size]
+        for start in range(0, len(rendered), _BATCH_SIZE):
+            batch = rendered[start : start + _BATCH_SIZE]
             if not _commit_batch(summary, commit, batch) and len(batch) > 1:
                 for item in batch:
                     _commit_batch(summary, commit, [item])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT, neo4j_commit_reply
+from storygraph import sink
 from storygraph.errors import SinkError
 from storygraph.model import (
     GraphDocument,
@@ -307,10 +308,11 @@ class TestStoreHttp:
 class TestBatching:
     @pytest.mark.parametrize("batch_size", [1, 2, 100])
     def test_summary_independent_of_batch_size(self, stub_server, graph_store,
-                                               sample_docs, batch_size):
+                                               sample_docs, batch_size, monkeypatch):
+        monkeypatch.setattr(sink, "_BATCH_SIZE", batch_size)
         # Loading the sample twice also counts matched nodes.
         docs = sample_docs + sample_docs
-        summary = store(SinkConfig(uri=stub_server.url, batch_size=batch_size), docs)
+        summary = store(SinkConfig(uri=stub_server.url), docs)
         assert summary == LoadSummary(
             nodes_created=19, rels_created=24, nodes_matched=19,
             documents_loaded=6, documents_failed=0,
@@ -318,20 +320,23 @@ class TestBatching:
         assert len(graph_store.nodes) == 19 and len(graph_store.rels) == 24
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4, 5, 100])
-    def test_one_request_per_batch(self, stub_server, graph_store, batch_size):
+    def test_one_request_per_batch(self, stub_server, graph_store, batch_size, monkeypatch):
+        monkeypatch.setattr(sink, "_BATCH_SIZE", batch_size)
         docs = [small_doc(f"act{i}") for i in range(5)]
-        store(SinkConfig(uri=stub_server.url, batch_size=batch_size), docs)
+        store(SinkConfig(uri=stub_server.url), docs)
         assert len(stub_server.requests) == math.ceil(len(docs) / batch_size)
         assert [len(body["statements"]) for body in stub_server.requests] == [
             5 * len(docs[start : start + batch_size])
             for start in range(0, len(docs), batch_size)
         ]
 
-    def test_poisoned_document_fails_alone(self, stub_server, graph_store, caplog):
+    def test_poisoned_document_fails_alone(self, stub_server, graph_store, caplog,
+                                           monkeypatch):
+        monkeypatch.setattr(sink, "_BATCH_SIZE", 5)
         docs = [small_doc(f"act{i}") for i in range(5)]
         graph_store.poisoned.add("act2")
         with caplog.at_level("WARNING"):
-            summary = store(SinkConfig(uri=stub_server.url, batch_size=5), docs)
+            summary = store(SinkConfig(uri=stub_server.url), docs)
 
         # Created counts equal what the store holds: nothing counted twice.
         assert summary == LoadSummary(
@@ -344,33 +349,31 @@ class TestBatching:
         warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and "act2" in warnings[0]
 
-    def test_refused_id_sends_nothing(self, stub_server, graph_store):
+    def test_refused_id_sends_nothing(self, stub_server, graph_store, monkeypatch):
+        monkeypatch.setattr(sink, "_BATCH_SIZE", 2)
         docs = [small_doc(f"act{i}") for i in range(3)] + [small_doc("x" * 5000)]
         with pytest.raises(SinkError, match="exceeds 4000"):
-            store(SinkConfig(uri=stub_server.url, batch_size=2), docs)
+            store(SinkConfig(uri=stub_server.url), docs)
         assert stub_server.requests == []
-
-    def test_batch_size_below_one_rejected(self):
-        with pytest.raises(SinkError, match="batch_size"):
-            SinkConfig(batch_size=0)
 
 
 class TestStoreBolt:
     @pytest.mark.parametrize("batch_size", [1, 2, 100])
-    def test_same_summary_as_http(self, bolt_store, sample_docs, batch_size):
+    def test_same_summary_as_http(self, bolt_store, sample_docs, batch_size, monkeypatch):
+        monkeypatch.setattr(sink, "_BATCH_SIZE", batch_size)
         docs = sample_docs + sample_docs
-        config = SinkConfig(uri="bolt://localhost:7687", batch_size=batch_size)
-        summary = store(config, docs)
+        summary = store(SinkConfig(uri="bolt://localhost:7687"), docs)
         assert summary == LoadSummary(
             nodes_created=19, rels_created=24, nodes_matched=19,
             documents_loaded=6, documents_failed=0,
         )
         assert bolt_store.transactions == math.ceil(len(docs) / batch_size)
 
-    def test_poisoned_document_fails_alone(self, bolt_store):
+    def test_poisoned_document_fails_alone(self, bolt_store, monkeypatch):
+        monkeypatch.setattr(sink, "_BATCH_SIZE", 5)
         docs = [small_doc(f"act{i}") for i in range(5)]
         bolt_store.poisoned.add("act2")
-        summary = store(SinkConfig(uri="bolt://localhost:7687", batch_size=5), docs)
+        summary = store(SinkConfig(uri="bolt://localhost:7687"), docs)
         assert summary == LoadSummary(
             nodes_created=9, rels_created=8, nodes_matched=3,
             documents_loaded=4, documents_failed=1,
