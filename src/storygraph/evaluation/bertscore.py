@@ -19,13 +19,13 @@ in contextual vectors without touching the math.
 from __future__ import annotations
 
 import logging
-from typing import Protocol, Sequence
-
-import numpy as np
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..errors import EvaluationError
 from .metrics import MetricRow, f_measure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -77,22 +77,37 @@ class HttpEmbedder:
         self.request_timeout = request_timeout
 
     def embed(self, tokens: Sequence[str]) -> list[list[float]]:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         body = {"model": self.model_name, "input": list(tokens)}
-        response = requests.post(
-            self.endpoint, json=body, headers=headers, timeout=self.request_timeout
-        )
+        try:
+            response = requests.post(
+                self.endpoint, json=body, headers=headers, timeout=self.request_timeout
+            )
+        except requests.RequestException as exc:
+            raise EvaluationError(
+                f"cannot reach embeddings endpoint {self.endpoint}: {type(exc).__name__}"
+            ) from exc
         if response.status_code != 200:
             raise EvaluationError(
-                f"embeddings endpoint returned status {response.status_code}"
+                f"embeddings endpoint {self.endpoint} returned status "
+                f"{response.status_code}"
             )
-        data = response.json()
-        return [item["embedding"] for item in data["data"]]
+        try:
+            return [item["embedding"] for item in response.json()["data"]]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise EvaluationError(
+                f"embeddings endpoint {self.endpoint} sent a malformed reply: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def _unit_rows(vectors: list[list[float]], dim: int) -> np.ndarray:
+    import numpy as np
+
     matrix = np.zeros((len(vectors), dim))
     for i, vec in enumerate(vectors):
         matrix[i, : len(vec)] = vec
@@ -126,6 +141,8 @@ def bertscore(
         raise EvaluationError("token similarity is undefined for empty token lists")
     if getattr(type(embedder), "embed", None) is OneHotEmbedder.embed:
         return _one_hot_score(expected_tokens, predicted_tokens)
+    import numpy as np
+
     expected_vecs = embedder.embed(expected_tokens)
     predicted_vecs = embedder.embed(predicted_tokens)
     dim = max(

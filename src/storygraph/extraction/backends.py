@@ -13,12 +13,13 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
-
-import requests
+from typing import TYPE_CHECKING, Any
 
 from ..errors import BackendError, ConfigError, ResponseParseError
 from .config import ExtractorConfig
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +89,8 @@ class ChatHttpBackend:
         return self._request(messages, None)
 
     def _request(self, messages, tools) -> BackendReply:
+        import requests
+
         body: dict[str, Any] = {
             "model": self.config.model_name,
             "temperature": self.config.temperature,
@@ -182,6 +185,10 @@ class ReplayFixtureBackend:
         entry = self.fixture.get(story_text)
         if entry is None:
             raise BackendError(f"no fixture entry for story: {story_text[:100]!r}")
+        if not isinstance(entry, dict):
+            raise BackendError(
+                f"fixture entry is not a JSON object for story: {story_text[:100]!r}"
+            )
         return entry
 
     @staticmethod

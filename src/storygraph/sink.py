@@ -19,8 +19,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
-import requests
-
 from .errors import SinkError
 from .model import GraphDocument, NodeKind, RelKind, document_from_dict, document_to_dict
 
@@ -170,6 +168,8 @@ Commit = Callable[[Sequence[CypherStatement]], tuple[int, int]]
 
 
 def _http_commit(config: SinkConfig) -> Commit:
+    import requests
+
     endpoint = f"{config.uri.rstrip('/')}/db/{config.database_name}/tx/commit"
 
     def commit(statements: Sequence[CypherStatement]) -> tuple[int, int]:

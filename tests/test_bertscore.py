@@ -202,6 +202,31 @@ class TestHttpEmbedder:
         with pytest.raises(EvaluationError, match="status 500"):
             embedder.embed(["a"])
 
+    def test_unreachable_endpoint(self):
+        endpoint = "http://127.0.0.1:9/v1/embeddings"
+        embedder = HttpEmbedder(endpoint, request_timeout=2.0)
+        with pytest.raises(EvaluationError, match="cannot reach") as info:
+            embedder.embed(["a"])
+        assert endpoint in str(info.value)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not json",
+            {"vectors": [[1.0, 0.0]]},
+            {"data": [{"vector": [1.0, 0.0]}]},
+            {"data": "nope"},
+            [1.0, 0.0],
+        ],
+        ids=["not-json", "no-data", "no-embedding", "data-not-list", "not-object"],
+    )
+    def test_malformed_reply(self, stub_server, payload):
+        stub_server.behaviors.append((200, payload))
+        endpoint = f"{stub_server.url}/v1/embeddings"
+        with pytest.raises(EvaluationError, match="malformed reply") as info:
+            HttpEmbedder(endpoint).embed(["a"])
+        assert endpoint in str(info.value)
+
     def test_bertscore_with_contextual_vectors(self, stub_server):
         near = {
             "data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.8, 0.6]}]

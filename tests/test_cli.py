@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
 import pytest
 
-from conftest import REPLAY_FIXTURE, SAMPLE_BACKLOG, neo4j_commit_reply
+from conftest import PKG_ROOT, REPLAY_FIXTURE, SAMPLE_BACKLOG, neo4j_commit_reply
 from storygraph.cli import EXIT_BACKEND, EXIT_NO_INPUT, EXIT_OK, components_to_story, main
 from storygraph.extraction import ComponentNode, ComponentRelationship, KgComponents
 from storygraph.model import NodeKind, RelKind
@@ -223,6 +226,34 @@ class TestLoad:
 
         assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
         assert "dry run: 2 documents" in capsys.readouterr().out
+
+
+class TestStartup:
+    # A fresh interpreter: pytest plugins may import numpy or requests themselves.
+    OFFLINE_PIPELINE = """
+import sys
+from storygraph.cli import main
+for argv in (
+    ["extract", "--experiment", "rb", "--backend", "rule-based"],
+    ["evaluate", "--experiment", "rb"],
+    ["load", "--experiment", "rb", "--dry-run"],
+):
+    assert main(argv) == 0, argv
+print(sorted(name for name in ("numpy", "requests") if name in sys.modules))
+"""
+
+    def test_offline_pipeline_imports_neither_numpy_nor_requests(self, workspace):
+        done = subprocess.run(
+            [sys.executable, "-c", self.OFFLINE_PIPELINE],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (workspace / "evaluation" / "rb" / "report.json").is_file()
+        assert (workspace / "extracted-user-stories" / "rb" / "graph.cypher").is_file()
 
 
 class TestEnvFile:

@@ -358,6 +358,20 @@ class TestBatch:
         for good in (results[0], results[2]):
             assert ("user", NodeKind.PERSONA) in {(n.id, n.kind) for n in good.nodes}
 
+    def test_fixture_entry_not_an_object_fails_alone(self, replay_fixture_path, tmp_path):
+        stranger = "As a stranger, I want to hide."
+        fixture = json.loads(replay_fixture_path.read_text())
+        fixture[stranger] = "not an object"
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(fixture))
+        config = ExtractorConfig(backend="replay-fixture", fixture_path=str(path))
+        results = extract_many(config, [SYNC_TEXT, stranger, SYNC_TEXT])
+        assert isinstance(results[1], BackendError)
+        assert "not a JSON object" in str(results[1])
+        assert stranger in str(results[1])
+        for good in (results[0], results[2]):
+            assert ("user", NodeKind.PERSONA) in {(n.id, n.kind) for n in good.nodes}
+
     def test_concurrency_is_bounded(self, stub_server):
         stub_server.delay = 0.05
         stub_server.default = chat_tool_reply(MAIN_PAYLOAD)
