@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+from .atomic import write_atomic
 from .corpus import (
     AnnotatedStory,
     clean_story_text,
@@ -55,7 +56,7 @@ from .extraction import (
     make_backend,
 )
 from .model import NodeKind, RelKind, normalize_id, validate_ontology
-from .sink import SinkConfig, cypher_script, export_json, store
+from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
 from .transform import annotations_to_components, build_graph_document
 
 log = logging.getLogger(__name__)
@@ -177,9 +178,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         prompt_catalog_version=PROMPT_CATALOG_VERSION,
     )
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest.to_dict(), indent=2) + "\n")
 
     total = 0
     failed = 0
@@ -223,9 +222,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 entries[i] = story_to_dict(extracted)
 
         out_path = out_dir / f"{backlog.name}.json"
-        out_path.write_text(
-            json.dumps(entries, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        write_atomic(out_path, json.dumps(entries, indent=2, ensure_ascii=False) + "\n")
         log.info("wrote %s (%d stories)", out_path, len(entries))
 
     if usable_backlogs == 0:
@@ -365,22 +362,24 @@ def cmd_load(args: argparse.Namespace) -> int:
     if flawed:
         log.info("%d of %d documents carry ontology violations", flawed, len(docs))
 
+    config = SinkConfig.from_env(
+        uri=args.uri, user=args.user, password=args.password, database_name=args.database
+    )
+    # Rendered once: the script and the store write the same statements.
+    rendered = render(docs, config.max_id_length)
     cypher_path = extracted_dir / "graph.cypher"
-    cypher_path.write_text(cypher_script(docs), encoding="utf-8")
+    write_atomic(cypher_path, rendered_script(rendered))
     log.info("wrote %s", cypher_path)
     if args.dry_run:
         print(f"dry run: {len(docs)} documents rendered to {cypher_path}")
         return EXIT_OK
 
     json_path = extracted_dir / "graph.json"
-    json_path.write_bytes(export_json(docs))
+    write_atomic(json_path, export_json(docs))
     log.info("wrote %s", json_path)
 
-    config = SinkConfig.from_env(
-        uri=args.uri, user=args.user, password=args.password, database_name=args.database
-    )
     try:
-        summary = store(config, docs)
+        summary = store_rendered(config, rendered)
     except SinkError as exc:
         log.error("%s", exc)
         return EXIT_BACKEND

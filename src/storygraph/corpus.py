@@ -66,24 +66,38 @@ def clean_story_text(story: AnnotatedStory) -> str:
     return strip_pid_tag(story.text)
 
 
-def _string_list(value: Any, context: str) -> list[str]:
+def _list(value: Any, context: str) -> list[Any]:
     if value is None:
         return []
     if not isinstance(value, list):
         raise BacklogSchemaError(f"{context}: expected a list, got {type(value).__name__}")
-    return [str(item) for item in value]
+    return value
+
+
+def _object(value: Any, context: str) -> dict[str, Any]:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise BacklogSchemaError(f"{context}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _string_list(value: Any, context: str) -> list[str]:
+    items = _list(value, context)
+    strings = [item for item in items if isinstance(item, str)]
+    if len(strings) != len(items):
+        i, item = next((i, item) for i, item in enumerate(items) if not isinstance(item, str))
+        raise BacklogSchemaError(f"{context}[{i}]: expected a string, got {type(item).__name__}")
+    return strings
 
 
 def _pair_list(value: Any, context: str) -> list[tuple[str, str]]:
     pairs = []
-    if value is None:
-        return pairs
-    if not isinstance(value, list):
-        raise BacklogSchemaError(f"{context}: expected a list, got {type(value).__name__}")
-    for i, item in enumerate(value):
+    for i, item in enumerate(_list(value, context)):
         if not isinstance(item, list) or len(item) != 2:
             raise BacklogSchemaError(f"{context}[{i}]: expected a two-element pair")
-        pairs.append((str(item[0]), str(item[1])))
+        source, target = _string_list(item, f"{context}[{i}]")
+        pairs.append((source, target))
     return pairs
 
 
@@ -98,14 +112,15 @@ def story_from_dict(obj: dict[str, Any], index: int) -> AnnotatedStory:
         if key not in obj:
             raise BacklogSchemaError(f"story {index}: missing required key '{key}'")
 
-    action = obj["Action"] if isinstance(obj["Action"], dict) else {}
-    entity = obj["Entity"] if isinstance(obj["Entity"], dict) else {}
-    benefit_raw = obj.get("Benefit")
-    benefit = None
-    if isinstance(benefit_raw, str) and benefit_raw != "":
-        benefit = benefit_raw
-
     where = f"story {index}"
+    action = _object(obj["Action"], f"{where}: Action")
+    entity = _object(obj["Entity"], f"{where}: Entity")
+    benefit = obj.get("Benefit")
+    if benefit is not None and not isinstance(benefit, str):
+        raise BacklogSchemaError(
+            f"{where}: Benefit: expected a string or null, got {type(benefit).__name__}"
+        )
+
     return AnnotatedStory(
         pid=str(obj["PID"]),
         text=str(obj["Text"]),
@@ -114,10 +129,10 @@ def story_from_dict(obj: dict[str, Any], index: int) -> AnnotatedStory:
         secondary_actions=_string_list(action.get("Secondary Action"), f"{where}: Secondary Action"),
         primary_entities=_string_list(entity.get("Primary Entity"), f"{where}: Primary Entity"),
         secondary_entities=_string_list(entity.get("Secondary Entity"), f"{where}: Secondary Entity"),
-        benefit=benefit,
+        benefit=benefit or None,
         triggers=_pair_list(obj["Triggers"], f"{where}: Triggers"),
         targets=_pair_list(obj["Targets"], f"{where}: Targets"),
-        contains=list(obj.get("Contains", [])),
+        contains=list(_list(obj.get("Contains"), f"{where}: Contains")),
     )
 
 
@@ -225,12 +240,3 @@ def drop_invalid_stories(backlog: Backlog) -> tuple[Backlog, list[tuple[Annotate
         else:
             kept.append(story)
     return Backlog(name=backlog.name, stories=kept), skipped
-
-
-def load_corpus(directory: str | Path) -> list[Backlog]:
-    """Load every ``*.json`` backlog in a directory, sorted by file name."""
-    directory = Path(directory)
-    backlogs = []
-    for path in sorted(directory.glob("*.json")):
-        backlogs.append(load_backlog(path))
-    return backlogs

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence, Union
 
 from ..model import normalize_id
 
@@ -59,12 +59,15 @@ class CompareOptions:
 DEFAULT_OPTIONS = CompareOptions()
 
 
-def strip_qualifiers(text: str) -> str:
-    """Remove leading stop-list tokens and possessives from normalized text."""
-    tokens = normalize_id(text).split()
+def _strip_normalized(tokens: list[str]) -> str:
     while tokens and (tokens[0] in QUALIFIER_STOP_LIST or tokens[0].endswith("'s")):
         tokens.pop(0)
     return " ".join(tokens)
+
+
+def strip_qualifiers(text: str) -> str:
+    """Remove leading stop-list tokens and possessives from normalized text."""
+    return _strip_normalized(normalize_id(text).split())
 
 
 def _fold_plural(token: str) -> str:
@@ -88,6 +91,62 @@ def _contains(haystack: str, needle: str, token_boundary: bool) -> bool:
     return f" {needle} " in f" {haystack} "
 
 
+class Form(NamedTuple):
+    """What the modes compare of one element, computed once per element.
+
+    ``normalized`` serves strict and inclusive mode; ``relaxed`` is the
+    normalized text without leading qualifiers, plural-folded when the
+    options ask for it.
+    """
+
+    normalized: str
+    relaxed: str
+
+
+# A split concept (list-valued prediction) has a list of forms; a pair
+# (relationship) has a tuple of its two members' forms.
+AnyForm = Union[Form, list, tuple]
+
+
+def element_form(
+    element: str | Sequence[str], options: CompareOptions = DEFAULT_OPTIONS
+) -> Form | list:
+    """The element's forms; a split concept gives one per fragment."""
+    if isinstance(element, (list, tuple)):
+        return [element_form(item, options) for item in element]
+    normalized = normalize_id(element)
+    relaxed = _strip_normalized(normalized.split())
+    if options.fold_plurals:
+        relaxed = _fold_plurals(relaxed)
+    return Form(normalized, relaxed)
+
+
+def forms_match(
+    expected: AnyForm,
+    predicted: AnyForm,
+    mode: ComparisonMode,
+    options: CompareOptions = DEFAULT_OPTIONS,
+) -> bool:
+    """Does one predicted form satisfy one expected form?
+
+    A split concept matches only in inclusive mode, when any fragment
+    does; a pair matches when both members match.
+    """
+    if isinstance(predicted, Form):
+        if mode is ComparisonMode.STRICT:
+            return expected.normalized == predicted.normalized
+        if mode is ComparisonMode.INCLUSIVE:
+            return _contains(predicted.normalized, expected.normalized, options.token_boundary)
+        return expected.relaxed == predicted.relaxed
+    if isinstance(predicted, list):
+        return mode is ComparisonMode.INCLUSIVE and any(
+            forms_match(expected, item, mode, options) for item in predicted
+        )
+    return forms_match(expected[0], predicted[0], mode, options) and forms_match(
+        expected[1], predicted[1], mode, options
+    )
+
+
 def compare_element(
     expected: str,
     predicted: str | Sequence[str],
@@ -100,25 +159,9 @@ def compare_element(
     when any fragment contains the expected element, the other modes never
     accept it.
     """
-    if isinstance(predicted, (list, tuple)):
-        if mode is ComparisonMode.INCLUSIVE:
-            return any(
-                compare_element(expected, item, mode, options) for item in predicted
-            )
-        return False
-
-    left = normalize_id(expected)
-    right = normalize_id(predicted)
-    if mode is ComparisonMode.STRICT:
-        return left == right
-    if mode is ComparisonMode.INCLUSIVE:
-        return _contains(right, left, options.token_boundary)
-    left = strip_qualifiers(left)
-    right = strip_qualifiers(right)
-    if options.fold_plurals:
-        left = _fold_plurals(left)
-        right = _fold_plurals(right)
-    return left == right
+    return forms_match(
+        element_form(expected, options), element_form(predicted, options), mode, options
+    )
 
 
 @dataclass
@@ -133,9 +176,9 @@ class Counts:
         self.fn += other.fn
 
 
-def match_sets(
-    expected: Sequence[str],
-    predicted: Sequence[str | Sequence[str]],
+def match_forms(
+    expected: Sequence[AnyForm],
+    predicted: Sequence[AnyForm],
     mode: ComparisonMode,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> Counts:
@@ -143,13 +186,16 @@ def match_sets(
 
     Each expected element consumes the first not-yet-consumed predicted
     element it matches.  Leftover expected elements are false negatives,
-    leftover predicted ones false positives.
+    leftover predicted ones false positives.  Takes forms, so a caller
+    scoring several modes computes them once.
     """
+    if not expected or not predicted:
+        return Counts(fp=len(predicted), fn=len(expected))
     consumed = [False] * len(predicted)
     counts = Counts()
     for exp in expected:
         for i, pred in enumerate(predicted):
-            if not consumed[i] and compare_element(exp, pred, mode, options):
+            if not consumed[i] and forms_match(exp, pred, mode, options):
                 consumed[i] = True
                 counts.tp += 1
                 break
@@ -157,3 +203,18 @@ def match_sets(
             counts.fn += 1
     counts.fp = consumed.count(False)
     return counts
+
+
+def match_sets(
+    expected: Sequence[str],
+    predicted: Sequence[str | Sequence[str]],
+    mode: ComparisonMode,
+    options: CompareOptions = DEFAULT_OPTIONS,
+) -> Counts:
+    """Greedy one-to-one matching of elements (see match_forms)."""
+    return match_forms(
+        [element_form(exp, options) for exp in expected],
+        [element_form(pred, options) for pred in predicted],
+        mode,
+        options,
+    )

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from ..atomic import write_atomic
 from ..corpus import AnnotatedStory, Backlog
 from ..extraction.types import KgComponents
-from ..model import NodeKind, RelKind, normalize_id
+from ..model import NodeKind, RelKind
 from .bertscore import Embedder, OneHotEmbedder, bertscore
 from .compare import (
     DEFAULT_OPTIONS,
@@ -29,8 +30,9 @@ from .compare import (
     CompareOptions,
     ComparisonMode,
     Counts,
-    compare_element,
-    match_sets,
+    Form,
+    element_form,
+    match_forms,
 )
 from .metrics import MetricRow, counts_to_row, mean_rows
 
@@ -81,8 +83,25 @@ def predicted_lists(components: KgComponents) -> dict[str, list[str]]:
     }
 
 
-def _tokens(items: Sequence[str]) -> list[str]:
-    return normalize_id(" ".join(items)).split() if items else []
+def _tokens(forms: Sequence[Form]) -> list[str]:
+    """Tokens of the normalized elements, in order.
+
+    The same as normalizing the space-joined elements: normalization never
+    looks across whitespace.
+    """
+    return [token for form in forms for token in form.normalized.split()]
+
+
+class _StoryForms(dict):
+    """Forms of one story's elements, each distinct text computed once."""
+
+    def __init__(self, options: CompareOptions) -> None:
+        super().__init__()
+        self.options = options
+
+    def __missing__(self, element: str) -> Form:
+        form = self[element] = element_form(element, self.options)
+        return form
 
 
 def evaluate_story(
@@ -93,19 +112,30 @@ def evaluate_story(
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> dict[tuple[str, str], MetricRow | None]:
     """Score one story; None marks an undefined (no-signal) cell."""
+    return _node_rows(story, components, embedder or OneHotEmbedder(), _StoryForms(options))
+
+
+def _node_rows(
+    story: AnnotatedStory,
+    components: KgComponents,
+    embedder: Embedder,
+    forms: _StoryForms,
+) -> dict[tuple[str, str], MetricRow | None]:
     expected = expected_lists(story)
     predicted = predicted_lists(components)
     results: dict[tuple[str, str], MetricRow | None] = {}
 
     for kind in KIND_ORDER:
+        exp_forms = [forms[item] for item in expected[kind]]
+        pred_forms = [forms[item] for item in predicted[kind]]
         for mode in MODES_FOR_KIND[kind]:
-            counts = match_sets(expected[kind], predicted[kind], mode, options)
+            counts = match_forms(exp_forms, pred_forms, mode, forms.options)
             results[(kind, mode.value)] = counts_to_row(counts)
 
-        exp_tokens = _tokens(expected[kind])
-        pred_tokens = _tokens(predicted[kind])
+        exp_tokens = _tokens(exp_forms)
+        pred_tokens = _tokens(pred_forms)
         if exp_tokens and pred_tokens:
-            row = bertscore(exp_tokens, pred_tokens, embedder or OneHotEmbedder())
+            row = bertscore(exp_tokens, pred_tokens, embedder)
         else:
             row = None
         results[(kind, BERTSCORE_MODE)] = row
@@ -137,22 +167,12 @@ def match_pair_sets(
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> Counts:
     """Greedy pair matching; a pair matches when both members match."""
-    consumed = [False] * len(predicted)
-    counts = Counts()
-    for exp_src, exp_tgt in expected:
-        for i, (pred_src, pred_tgt) in enumerate(predicted):
-            if (
-                not consumed[i]
-                and compare_element(exp_src, pred_src, mode, options)
-                and compare_element(exp_tgt, pred_tgt, mode, options)
-            ):
-                consumed[i] = True
-                counts.tp += 1
-                break
-        else:
-            counts.fn += 1
-    counts.fp = consumed.count(False)
-    return counts
+    return match_forms(
+        [(element_form(src, options), element_form(tgt, options)) for src, tgt in expected],
+        [(element_form(src, options), element_form(tgt, options)) for src, tgt in predicted],
+        mode,
+        options,
+    )
 
 
 def evaluate_relations(
@@ -161,12 +181,20 @@ def evaluate_relations(
     *,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> dict[tuple[str, str], MetricRow | None]:
+    return _relation_rows(story, components, _StoryForms(options))
+
+
+def _relation_rows(
+    story: AnnotatedStory, components: KgComponents, forms: _StoryForms
+) -> dict[tuple[str, str], MetricRow | None]:
     expected = _expected_pairs(story)
     predicted = _predicted_pairs(components)
     results: dict[tuple[str, str], MetricRow | None] = {}
     for label in RELATION_ORDER:
+        exp_forms = [(forms[src], forms[tgt]) for src, tgt in expected[label]]
+        pred_forms = [(forms[src], forms[tgt]) for src, tgt in predicted[label]]
         for mode in ComparisonMode:
-            counts = match_pair_sets(expected[label], predicted[label], mode, options)
+            counts = match_forms(exp_forms, pred_forms, mode, forms.options)
             results[(label, mode.value)] = counts_to_row(counts)
     return results
 
@@ -243,11 +271,11 @@ def evaluate_backlog(
             log.warning("no extraction for story %s in backlog %s", story.pid, backlog.name)
             continue
         evaluated += 1
-        for key, row in evaluate_story(
-            story, components, embedder=shared_embedder, options=options
-        ).items():
+        # One set of forms serves the story's nodes and its pairs.
+        forms = _StoryForms(options)
+        for key, row in _node_rows(story, components, shared_embedder, forms).items():
             per_story.setdefault(key, []).append(row)
-        for key, row in evaluate_relations(story, components, options=options).items():
+        for key, row in _relation_rows(story, components, forms).items():
             per_story_rel.setdefault(key, []).append(row)
 
     node_keys = [
@@ -379,11 +407,10 @@ def write_report_files(report: ExperimentReport, out_dir: str | Path) -> tuple[P
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
-    json_path.write_text(
-        json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
+    write_atomic(
+        json_path, json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
     )
-    csv_path.write_text(report_to_csv(report), encoding="utf-8")
+    write_atomic(csv_path, report_to_csv(report))
     return json_path, csv_path
 
 

@@ -28,14 +28,6 @@ class ComponentRelationship:
     target_kind: NodeKind
     kind: RelKind
 
-    @property
-    def source(self) -> ComponentNode:
-        return ComponentNode(self.source_id, self.source_kind)
-
-    @property
-    def target(self) -> ComponentNode:
-        return ComponentNode(self.target_id, self.target_kind)
-
 
 @dataclass
 class KgComponents:

@@ -66,10 +66,14 @@ class GraphNode:
     id: str
     kind: NodeKind
     properties: dict[str, Any] = field(default_factory=dict)
+    _key: tuple[NodeKind, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", (self.kind, normalize_id(self.id)))
 
     def key(self) -> tuple[NodeKind, str]:
-        """Deduplication identity: kind plus normalized id."""
-        return (self.kind, normalize_id(self.id))
+        """Deduplication identity: kind plus normalized id, computed once."""
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,9 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
         violations.append(_violation(f"benefit cardinality {n_benefit} > 1"))
 
     story_node = by_kind[NodeKind.USERSTORY][0] if n_userstory == 1 else None
-    if story_node is not None and doc.source_text:
-        if normalize_id(story_node.id) != normalize_id(doc.source_text):
+    # Identical text needs no normalizing to match.
+    if story_node is not None and doc.source_text and story_node.id != doc.source_text:
+        if story_node.key()[1] != normalize_id(doc.source_text):
             violations.append(
                 _violation("userstory node id does not match the source text")
             )

@@ -128,19 +128,38 @@ def _cypher_literal(value: Any) -> str:
     raise SinkError(f"cannot render {type(value).__name__} as a Cypher literal")
 
 
-def cypher_script(docs: Iterable[GraphDocument], max_id_length: int = DEFAULT_MAX_ID_LENGTH) -> str:
+# A document with the statements that write it.
+Rendered = tuple[GraphDocument, list[CypherStatement]]
+
+
+def render(
+    docs: Iterable[GraphDocument], max_id_length: int = DEFAULT_MAX_ID_LENGTH
+) -> list[Rendered]:
+    """Every document's statements, rendered once for the script and the store.
+
+    An id the sink refuses raises here, before anything is written or sent.
+    """
+    return [(doc, to_cypher(doc, max_id_length)) for doc in docs]
+
+
+def rendered_script(rendered: Iterable[Rendered]) -> str:
     """Offline replay script with parameters inlined as escaped literals.
 
     Each ``$name`` of the statement template is replaced in one pass, so a
     value that itself contains ``$name`` is never substituted again.
     """
     lines = []
-    for doc in docs:
-        for statement in to_cypher(doc, max_id_length):
+    for _doc, statements in rendered:
+        for statement in statements:
             params = statement.params
             text = _PARAM.sub(lambda m: _cypher_literal(params[m.group(1)]), statement.text)
             lines.append(text + ";")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def cypher_script(docs: Iterable[GraphDocument], max_id_length: int = DEFAULT_MAX_ID_LENGTH) -> str:
+    """Offline replay script of the documents (see rendered_script)."""
+    return rendered_script(render(docs, max_id_length))
 
 
 @dataclass
@@ -268,7 +287,7 @@ def _bolt_commit(config: SinkConfig) -> Iterator[Commit]:
 def _commit_batch(
     summary: LoadSummary,
     commit: Commit,
-    batch: Sequence[tuple[GraphDocument, list[CypherStatement]]],
+    batch: Sequence[Rendered],
 ) -> bool:
     """Write one batch in one transaction and count it; False if rolled back."""
     statements = [s for _, doc_statements in batch for s in doc_statements]
@@ -289,19 +308,31 @@ def _commit_batch(
     return True
 
 
+def _check_scheme(config: SinkConfig) -> str:
+    scheme = urlsplit(config.uri).scheme
+    if scheme not in _HTTP_SCHEMES + _BOLT_SCHEMES:
+        raise SinkError(f"unsupported graph store scheme {scheme!r}")
+    return scheme
+
+
 def store(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
     """Write documents to Neo4j, one transaction per batch of documents.
 
     Every document is rendered before anything is sent, so an id the sink
-    refuses stops the load with nothing written.  Batches hold up to
-    ``_BATCH_SIZE`` documents.  A batch the store rolls back is sent
-    again one document per transaction, so only the documents that fail on
-    their own are lost and counted in ``documents_failed``.
+    refuses stops the load with nothing written.  See store_rendered.
     """
-    scheme = urlsplit(config.uri).scheme
-    if scheme not in _HTTP_SCHEMES + _BOLT_SCHEMES:
-        raise SinkError(f"unsupported graph store scheme {scheme!r}")
-    rendered = [(doc, to_cypher(doc, config.max_id_length)) for doc in docs]
+    _check_scheme(config)
+    return store_rendered(config, render(docs, config.max_id_length))
+
+
+def store_rendered(config: SinkConfig, rendered: Sequence[Rendered]) -> LoadSummary:
+    """Write rendered documents to Neo4j, one transaction per batch.
+
+    Batches hold up to ``_BATCH_SIZE`` documents.  A batch the store rolls
+    back is sent again one document per transaction, so only the documents
+    that fail on their own are lost and counted in ``documents_failed``.
+    """
+    scheme = _check_scheme(config)
     summary = LoadSummary()
     writer = (
         nullcontext(_http_commit(config)) if scheme in _HTTP_SCHEMES else _bolt_commit(config)

@@ -80,60 +80,62 @@ def build_graph_document(
 
     Model-emitted HAS_* edges are discarded (ownership is re-derived), and
     so are edges whose endpoint kinds contradict the ontology or whose
-    endpoints vanished.  Never raises; shape problems are left for
-    validate_ontology to report.
+    endpoints vanished.  Raises ValueError for an empty story text, and
+    otherwise never; shape problems are left for validate_ontology to
+    report.
+
+    The story text and each component id are normalized once, when their
+    GraphNode is built; edges find their endpoints through those keys.
     """
+    if not story_text or not story_text.strip():
+        raise ValueError("story_text must be non-empty")
+    story = GraphNode(id=story_text, kind=NodeKind.USERSTORY)
+    candidates = [GraphNode(id=cnode.id, kind=cnode.kind) for cnode in components.nodes]
+    # An endpoint spelled exactly like a node shares that node's key.
+    keys_by_spelling = {(node.kind, node.id): node.key() for node in candidates}
+
+    def endpoint_key(kind: NodeKind, node_id: str) -> tuple[NodeKind, str]:
+        key = keys_by_spelling.get((kind, node_id))
+        return key if key is not None else (kind, normalize_id(node_id))
+
     # A story node claiming to be a different story is extraction noise and
     # would make ownership ambiguous; drop it and everything touching it.
-    story_key = normalize_id(story_text)
     foreign = {
-        (node.kind, normalize_id(node.id))
-        for node in components.nodes
-        if node.kind is NodeKind.USERSTORY and normalize_id(node.id) != story_key
+        node.key()
+        for node in candidates
+        if node.kind is NodeKind.USERSTORY and node.key() != story.key()
     }
-    if foreign:
-        kept_nodes = []
-        for node in components.nodes:
-            if (node.kind, normalize_id(node.id)) in foreign:
-                if drops is not None:
-                    drops.nodes += 1
-                log.debug("dropping foreign userstory node %r", node.id)
-            else:
-                kept_nodes.append(node)
-        kept_rels = []
-        for rel in components.relationships:
-            if (rel.source_kind, normalize_id(rel.source_id)) in foreign or (
-                rel.target_kind,
-                normalize_id(rel.target_id),
-            ) in foreign:
-                if drops is not None:
-                    drops.relationships += 1
-                continue
-            kept_rels.append(rel)
-        components = KgComponents(nodes=kept_nodes, relationships=kept_rels)
-
-    enriched = enrich_with_story_node(components, story_text)
 
     nodes: list[GraphNode] = []
     index: dict[tuple[NodeKind, str], GraphNode] = {}
-    for cnode in enriched.nodes:
-        key = (cnode.kind, normalize_id(cnode.id))
-        if key in index:
+    for node in candidates:
+        key = node.key()
+        if key in foreign:
+            if drops is not None:
+                drops.nodes += 1
+            log.debug("dropping foreign userstory node %r", node.id)
             continue
-        node = GraphNode(id=cnode.id, kind=cnode.kind)
-        index[key] = node
-        nodes.append(node)
+        if key not in index:
+            index[key] = node
+            nodes.append(node)
+    if story.key() not in index:
+        index[story.key()] = story
+        nodes.insert(0, story)
 
     relationships: list[GraphRelationship] = []
     seen_rels: set[tuple[RelKind, tuple[NodeKind, str], tuple[NodeKind, str]]] = set()
-    for rel in enriched.relationships:
+    for rel in components.relationships:
+        src_key = endpoint_key(rel.source_kind, rel.source_id)
+        tgt_key = endpoint_key(rel.target_kind, rel.target_id)
+        if src_key in foreign or tgt_key in foreign:
+            if drops is not None:
+                drops.relationships += 1
+            continue
         if rel.kind in HAS_RELS:
             # Ownership is inferred below; a model's own claim is redundant
             # at best and wrong at worst.
             log.debug("discarding model-emitted %s edge", rel.kind.value)
             continue
-        src_key = (rel.source_kind, normalize_id(rel.source_id))
-        tgt_key = (rel.target_kind, normalize_id(rel.target_id))
         source = index.get(src_key)
         target = index.get(tgt_key)
         if source is None or target is None:
@@ -155,11 +157,12 @@ def build_graph_document(
         seen_rels.add(dedup_key)
         relationships.append(GraphRelationship(source=source, target=target, kind=rel.kind))
 
-    deduped_components = [ComponentNode(node.id, node.kind) for node in nodes]
-    for inferred in create_logical_rels(deduped_components):
-        source = index[(inferred.source_kind, normalize_id(inferred.source_id))]
-        target = index[(inferred.target_kind, normalize_id(inferred.target_id))]
-        relationships.append(GraphRelationship(source=source, target=target, kind=inferred.kind))
+    story_node = index[story.key()]
+    for node in nodes:
+        if node.kind is not NodeKind.USERSTORY:
+            relationships.append(
+                GraphRelationship(source=story_node, target=node, kind=HAS_REL_FOR_KIND[node.kind])
+            )
 
     return GraphDocument(nodes=nodes, relationships=relationships, source_text=story_text)
 

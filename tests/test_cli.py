@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -217,6 +218,34 @@ class TestLoad:
     def test_missing_experiment(self, workspace):
         assert main(["load", "--experiment", "ghost"]) == EXIT_NO_INPUT
 
+    def test_documents_rendered_once(self, workspace, stub_server, monkeypatch):
+        import storygraph.sink as sink
+
+        rendered = []
+        original = sink.to_cypher
+        monkeypatch.setattr(
+            sink, "to_cypher", lambda doc, *a: rendered.append(doc) or original(doc, *a)
+        )
+        assert run_extract() == EXIT_OK
+        stub_server.behaviors.append(neo4j_commit_reply(43, 19, 24))
+        code = main(["load", "--experiment", "demo", "--uri", stub_server.url])
+        assert code == EXIT_OK
+        assert len(rendered) == 3
+        script = workspace / "extracted-user-stories" / "demo" / "graph.cypher"
+        assert script.read_text().count("\n") == len(stub_server.requests[0]["statements"])
+
+    def test_over_long_id_stops_load_before_anything_is_sent(self, workspace, stub_server):
+        assert run_extract() == EXIT_OK
+        extracted = workspace / "extracted-user-stories" / "demo" / "sample.json"
+        entries = json.loads(extracted.read_text())
+        entries[2]["Persona"] = ["x" * 5000]
+        extracted.write_text(json.dumps(entries))
+        code = main(["load", "--experiment", "demo", "--uri", stub_server.url])
+        assert code != EXIT_OK
+        assert stub_server.requests == []
+        assert not (extracted.parent / "graph.cypher").exists()
+        assert not (extracted.parent / "graph.json").exists()
+
     def test_error_entries_not_loaded(self, workspace, capsys):
         assert run_extract() == EXIT_OK
         extracted = workspace / "extracted-user-stories" / "demo" / "sample.json"
@@ -226,6 +255,68 @@ class TestLoad:
 
         assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
         assert "dry run: 2 documents" in capsys.readouterr().out
+
+
+class TestOutputsUnchanged:
+    """SHA-256 of each output of extract -> evaluate -> load --dry-run on
+    sample_corpus, recorded before identity keys and compare forms were
+    computed once; the outputs must not move by a byte."""
+
+    GOLDEN = {
+        "rule-based": {
+            "extracted-user-stories/g/sample.json":
+                "f581c4ff19d867ccf268e5962a3e5481dfbc646f9e9edffa6ea01e43f3cc571f",
+            "evaluation/g/report.json":
+                "296ab5660684e97f2a3947fb119698f004be6cb84482d0c7046cdd16d12f1650",
+            "evaluation/g/report.csv":
+                "781aa1190dc3c91f4f751a780062c15876ef29cfc0dd633bdaa4429abdb880a3",
+            "extracted-user-stories/g/graph.cypher":
+                "2e88486fa91e2646618a0a70db822dd18cedd921fe970ac5f37c94b3e7ddf378",
+        },
+        "replay-fixture": {
+            "extracted-user-stories/g/sample.json":
+                "899e1e4770f41facf2ed9640e4d13df1d94d098b64e0b01081a0ea23ceb78314",
+            "evaluation/g/report.json":
+                "b61843df8a6d9ac49847e901ee116d37489d576b7f0d3a6cfc19d3c74b4601fe",
+            "evaluation/g/report.csv":
+                "00ace5819f1c9169545bdc3ec52c2bf9027826e15ba1922254962456d2421b0c",
+            "extracted-user-stories/g/graph.cypher":
+                "d88c6227ff5663b14bc54a1d1a3e77cca159dde07fd9ca78e40e886340c55f91",
+        },
+    }
+
+    @pytest.mark.parametrize("backend", sorted(GOLDEN))
+    def test_pipeline_outputs_match_golden_hashes(self, workspace, backend):
+        argv = ["extract", "--experiment", "g", "--backend", backend]
+        if backend == "replay-fixture":
+            argv += ["--fixture", str(REPLAY_FIXTURE)]
+        assert main(argv) == EXIT_OK
+        assert main(["evaluate", "--experiment", "g"]) == EXIT_OK
+        assert main(["load", "--experiment", "g", "--dry-run"]) == EXIT_OK
+        hashes = {
+            name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()
+            for name in self.GOLDEN[backend]
+        }
+        assert hashes == self.GOLDEN[backend]
+
+
+class TestAtomicOutputs:
+    def test_failed_rewrite_keeps_previous_report(self, workspace, monkeypatch):
+        import storygraph.atomic as atomic
+
+        assert run_extract() == EXIT_OK
+        assert main(["evaluate", "--experiment", "demo"]) == EXIT_OK
+        out_dir = workspace / "evaluation" / "demo"
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+        def crash(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(atomic.os, "replace", crash)
+        with pytest.raises(OSError, match="disk went away"):
+            main(["evaluate", "--experiment", "demo", "--fold-plurals"])
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+        json.loads(before["report.json"])
 
 
 class TestStartup:

@@ -11,9 +11,11 @@ from storygraph.evaluation import (
     CompareOptions,
     Counts,
     compare_element,
+    match_pair_sets,
     match_sets,
     strip_qualifiers,
 )
+from storygraph.evaluation.compare import Form, element_form, match_forms
 
 STRICT = ComparisonMode.STRICT
 INCLUSIVE = ComparisonMode.INCLUSIVE
@@ -179,3 +181,77 @@ class TestMatchSets:
 def test_strict_match_implies_inclusive(expected, predicted):
     if compare_element(expected, predicted, STRICT):
         assert compare_element(expected, predicted, INCLUSIVE)
+
+
+# -- precomputed forms against the pairwise matcher ---------------------------
+
+WORDS = ["the", "my", "user's", "page", "pages", "web page", "webpage", "data", "Data  set"]
+words = st.sampled_from(WORDS)
+elements = st.one_of(words, st.lists(words, max_size=3))
+options = st.builds(CompareOptions, fold_plurals=st.booleans(), token_boundary=st.booleans())
+
+
+def reference_greedy(expected, predicted, matches) -> Counts:
+    """Greedy matching in list order, one pairwise comparison at a time."""
+    consumed = [False] * len(predicted)
+    counts = Counts()
+    for exp in expected:
+        for i, pred in enumerate(predicted):
+            if not consumed[i] and matches(exp, pred):
+                consumed[i] = True
+                counts.tp += 1
+                break
+        else:
+            counts.fn += 1
+    counts.fp = consumed.count(False)
+    return counts
+
+
+@given(
+    st.lists(words, max_size=5),
+    st.lists(elements, max_size=5),
+    st.sampled_from(list(ComparisonMode)),
+    options,
+)
+def test_form_matching_equals_pairwise_greedy(expected, predicted, mode, opts):
+    reference = reference_greedy(
+        expected, predicted, lambda e, p: compare_element(e, p, mode, opts)
+    )
+    forms = match_forms(
+        [element_form(e, opts) for e in expected],
+        [element_form(p, opts) for p in predicted],
+        mode,
+        opts,
+    )
+    assert forms == reference
+    assert match_sets(expected, predicted, mode, opts) == reference
+
+
+@given(
+    st.lists(st.tuples(words, words), max_size=4),
+    st.lists(st.tuples(words, words), max_size=4),
+    st.sampled_from(list(ComparisonMode)),
+    options,
+)
+def test_pair_form_matching_equals_pairwise_greedy(expected, predicted, mode, opts):
+    def both(e, p):
+        return compare_element(e[0], p[0], mode, opts) and compare_element(e[1], p[1], mode, opts)
+
+    reference = reference_greedy(expected, predicted, both)
+    def pair_forms(pairs):
+        return [(element_form(src, opts), element_form(tgt, opts)) for src, tgt in pairs]
+
+    forms = match_forms(pair_forms(expected), pair_forms(predicted), mode, opts)
+    assert forms == reference
+    assert match_pair_sets(expected, predicted, mode, opts) == reference
+
+
+def test_element_form_normalizes_once(monkeypatch):
+    import storygraph.evaluation.compare as compare
+
+    calls = []
+    original = compare.normalize_id
+    monkeypatch.setattr(compare, "normalize_id", lambda text: calls.append(text) or original(text))
+    form = element_form("The  Web Pages", CompareOptions(fold_plurals=True))
+    assert form == Form("the web pages", "web page")
+    assert calls == ["The  Web Pages"]

@@ -112,6 +112,36 @@ class TestParse:
         assert story.contains == payload
         assert story_to_dict(story)["Contains"] == payload
 
+    @pytest.mark.parametrize(
+        "overrides,where",
+        [
+            ({"Contains": 5}, r"story 4: Contains: expected a list, got int"),
+            ({"Contains": "abc"}, r"story 4: Contains: expected a list, got str"),
+            ({"Persona": [{"a": 1}]}, r"story 4: Persona\[0\]: expected a string, got dict"),
+            ({"Action": {"Primary Action": ["sync", 3]}},
+             r"story 4: Primary Action\[1\]: expected a string, got int"),
+            ({"Entity": {"Secondary Entity": [None]}},
+             r"story 4: Secondary Entity\[0\]: expected a string, got NoneType"),
+            ({"Triggers": [["user", ["sync"]]]},
+             r"story 4: Triggers\[0\]\[1\]: expected a string, got list"),
+            ({"Targets": [[1.5, "data"]]},
+             r"story 4: Targets\[0\]\[0\]: expected a string, got float"),
+            ({"Action": ["sync"]}, r"story 4: Action: expected an object, got list"),
+            ({"Entity": "data"}, r"story 4: Entity: expected an object, got str"),
+            ({"Benefit": 7}, r"story 4: Benefit: expected a string or null, got int"),
+            ({"Benefit": ["I save time"]}, r"story 4: Benefit: expected a string or null, got list"),
+        ],
+    )
+    def test_wrong_value_type_names_key_and_index(self, overrides, where):
+        with pytest.raises(BacklogSchemaError, match=where):
+            story_from_dict(minimal_story_dict(**overrides), 4)
+
+    def test_null_values_are_absent(self):
+        story = story_from_dict(
+            minimal_story_dict(Action=None, Entity=None, Benefit=None, Contains=None), 0
+        )
+        assert (story.actions, story.entities, story.benefit, story.contains) == ([], [], None, [])
+
     def test_accepts_file_object(self):
         with open(SAMPLE_BACKLOG, "rb") as fh:
             backlog = parse_backlog_file(fh, name="sample")
@@ -194,6 +224,38 @@ stories = st.builds(
     targets=st.lists(st.tuples(story_texts, story_texts), max_size=2),
     contains=st.lists(st.one_of(story_texts, st.integers()), max_size=3),
 )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+FIELDS = ("PID", "Text", "Persona", "Action", "Entity", "Benefit", "Triggers", "Targets",
+          "Contains", "Action.Primary Action", "Action.Secondary Action",
+          "Entity.Primary Entity", "Entity.Secondary Entity")
+
+
+@given(st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=4))
+def test_any_json_value_in_any_field_gives_story_or_schema_error(replacements):
+    obj = minimal_story_dict()
+    for name, value in replacements.items():
+        parent, _, child = name.partition(".")
+        if child and isinstance(obj[parent], dict):
+            obj[parent][child] = value
+        elif not child:
+            obj[parent] = value
+    try:
+        story = story_from_dict(obj, 0)
+    except BacklogSchemaError:
+        return
+    for item in story.personas + story.actions + story.entities:
+        assert isinstance(item, str)
+    for pair in story.triggers + story.targets:
+        assert all(isinstance(member, str) for member in pair)
+    assert story.benefit is None or isinstance(story.benefit, str)
+    assert isinstance(story.contains, list)
 
 
 class TestRoundTrip:

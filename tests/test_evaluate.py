@@ -7,6 +7,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from storygraph.corpus import AnnotatedStory, Backlog
 from storygraph.evaluation import (
@@ -24,6 +26,9 @@ from storygraph.evaluation import (
     strict_f_table,
     write_report_files,
 )
+from storygraph.evaluation.compare import element_form
+from storygraph.evaluation.report import _tokens
+from storygraph.model import normalize_id
 from storygraph.transform import annotations_to_components
 
 TOL = 1e-9
@@ -111,6 +116,13 @@ class TestEvaluateStory:
         evaluate_story(story, annotations_to_components(story),
                        embedder=CountingEmbedder())
         assert CountingEmbedder.calls > 0
+
+
+@given(st.lists(st.text(alphabet=st.sampled_from("aΣσςΑ İ'\t\u2000."), max_size=6), max_size=4))
+def test_tokens_from_forms_equal_tokens_of_joined_text(items):
+    """Lowercasing never looks across whitespace, so per-element forms suffice."""
+    joined = normalize_id(" ".join(items)).split() if items else []
+    assert _tokens([element_form(item) for item in items]) == joined
 
 
 class TestRelations:

@@ -80,6 +80,25 @@ class TestNormalizeId:
         assert "  " not in normalize_id(text)
 
 
+class TestNodeKey:
+    @given(st.text(), st.sampled_from(list(NodeKind)))
+    def test_key_is_kind_and_normalized_id(self, node_id, kind):
+        assert n(node_id, kind).key() == (kind, normalize_id(node_id))
+
+    def test_key_left_out_of_equality_and_repr(self):
+        assert n("User", NodeKind.PERSONA) == GraphNode(id="User", kind=NodeKind.PERSONA)
+        assert "_key" not in repr(n("User", NodeKind.PERSONA))
+
+    def test_validation_normalizes_nothing(self, monkeypatch):
+        import storygraph.model as model
+
+        doc = sync_document()
+        calls = []
+        monkeypatch.setattr(model, "normalize_id", lambda text: calls.append(text) or text)
+        assert validate_ontology(doc) == []
+        assert calls == []
+
+
 class TestKindLookup:
     @pytest.mark.parametrize("name,kind", [
         ("Persona", NodeKind.PERSONA),

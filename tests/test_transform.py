@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT
 from storygraph.errors import TransformError
@@ -14,6 +16,10 @@ from storygraph.extraction import (
 )
 from storygraph.model import (
     HAS_RELS,
+    REL_ENDPOINT_KINDS,
+    GraphDocument,
+    GraphNode,
+    GraphRelationship,
     NodeKind,
     RelKind,
     normalize_id,
@@ -222,6 +228,114 @@ class TestBuildDocument:
         for rel in doc.relationships:
             assert id(rel.source) in node_ids
             assert id(rel.target) in node_ids
+
+
+def reference_document(
+    components: KgComponents, story_text: str, drops: DropCounts
+) -> GraphDocument:
+    """Assembly spelled out step by step, normalizing at every lookup."""
+    def key(kind, node_id):
+        return (kind, normalize_id(node_id))
+
+    story_key = normalize_id(story_text)
+    foreign = {
+        key(c.kind, c.id) for c in components.nodes
+        if c.kind is NodeKind.USERSTORY and normalize_id(c.id) != story_key
+    }
+    kept = [c for c in components.nodes if key(c.kind, c.id) not in foreign]
+    drops.nodes += len(components.nodes) - len(kept)
+    rels = []
+    for rel in components.relationships:
+        if key(rel.source_kind, rel.source_id) in foreign or key(
+            rel.target_kind, rel.target_id
+        ) in foreign:
+            drops.relationships += 1
+        else:
+            rels.append(rel)
+    enriched = enrich_with_story_node(KgComponents(kept, rels), story_text)
+    index = {}
+    for c in enriched.nodes:
+        index.setdefault(key(c.kind, c.id), GraphNode(id=c.id, kind=c.kind))
+    nodes = list(index.values())
+    out, seen = [], set()
+    for rel in enriched.relationships:
+        if rel.kind in HAS_RELS:
+            continue
+        src_key, tgt_key = key(rel.source_kind, rel.source_id), key(rel.target_kind, rel.target_id)
+        source, target = index.get(src_key), index.get(tgt_key)
+        if source is None or target is None or (
+            (source.kind, target.kind) != REL_ENDPOINT_KINDS[rel.kind]
+        ):
+            drops.relationships += 1
+        elif (rel.kind, src_key, tgt_key) not in seen:
+            seen.add((rel.kind, src_key, tgt_key))
+            out.append(GraphRelationship(source=source, target=target, kind=rel.kind))
+    for inferred in create_logical_rels([ComponentNode(n.id, n.kind) for n in nodes]):
+        out.append(GraphRelationship(
+            source=index[key(inferred.source_kind, inferred.source_id)],
+            target=index[key(inferred.target_kind, inferred.target_id)],
+            kind=inferred.kind,
+        ))
+    return GraphDocument(nodes=nodes, relationships=out, source_text=story_text)
+
+
+# Few spellings, so that duplicates, case variants and story look-alikes occur.
+spellings = st.sampled_from(["user", "User ", "sync", "SYNC", SYNC_TEXT, SYNC_TEXT.upper(), "other"])
+kinds = st.sampled_from(list(NodeKind))
+component_nodes = st.builds(ComponentNode, spellings, kinds)
+rel_kinds = st.sampled_from(list(RelKind))
+# Mostly edges whose endpoint kinds fit the ontology, so that they survive.
+component_rels = rel_kinds.flatmap(
+    lambda kind: st.builds(
+        ComponentRelationship,
+        spellings,
+        st.just(REL_ENDPOINT_KINDS[kind][0]) | kinds,
+        spellings,
+        st.just(REL_ENDPOINT_KINDS[kind][1]) | kinds,
+        st.just(kind),
+    )
+)
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=300)
+    @given(st.lists(component_nodes, max_size=10), st.lists(component_rels, max_size=6))
+    def test_same_document_and_drops(self, nodes, rels):
+        components = KgComponents(nodes=nodes, relationships=rels)
+        drops, reference_drops = DropCounts(), DropCounts()
+        doc = build_graph_document(components, SYNC_TEXT, drops=drops)
+        assert doc == reference_document(components, SYNC_TEXT, reference_drops)
+        assert drops == reference_drops
+
+    def test_endpoint_spelled_unlike_its_node_is_resolved(self):
+        components = KgComponents(
+            nodes=[ComponentNode("user", NodeKind.PERSONA), ComponentNode("sync", NodeKind.ACTION)],
+            relationships=[ComponentRelationship(
+                " User", NodeKind.PERSONA, "SYNC", NodeKind.ACTION, RelKind.TRIGGERS
+            )],
+        )
+        drops = DropCounts()
+        doc = build_graph_document(components, SYNC_TEXT, drops=drops)
+        triggers = [r for r in doc.relationships if r.kind is RelKind.TRIGGERS]
+        assert [(r.source.id, r.target.id) for r in triggers] == [("user", "sync")]
+        assert drops == DropCounts()
+
+    def test_each_id_normalized_once(self, monkeypatch):
+        import storygraph.model as model
+        import storygraph.transform as transform
+
+        calls = []
+        original = model.normalize_id
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(model, "normalize_id", counting)
+        monkeypatch.setattr(transform, "normalize_id", counting)
+        components = sync_components()
+        build_graph_document(components, SYNC_TEXT)
+        assert sorted(calls) == sorted([SYNC_TEXT] + [c.id for c in components.nodes])
 
 
 class TestRoundTrip:
