@@ -66,37 +66,54 @@ def clean_story_text(story: AnnotatedStory) -> str:
     return strip_pid_tag(story.text)
 
 
-def _list(value: Any, context: str) -> list[Any]:
+# The helpers below name the offending key as "story <index>: <key>", and
+# format that context only when they raise.
+
+
+def _list(value: Any, index: int, key: str) -> list[Any]:
     if value is None:
         return []
     if not isinstance(value, list):
-        raise BacklogSchemaError(f"{context}: expected a list, got {type(value).__name__}")
+        raise BacklogSchemaError(
+            f"story {index}: {key}: expected a list, got {type(value).__name__}"
+        )
     return value
 
 
-def _object(value: Any, context: str) -> dict[str, Any]:
+def _object(value: Any, index: int, key: str) -> dict[str, Any]:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise BacklogSchemaError(f"{context}: expected an object, got {type(value).__name__}")
+        raise BacklogSchemaError(
+            f"story {index}: {key}: expected an object, got {type(value).__name__}"
+        )
     return value
 
 
-def _string_list(value: Any, context: str) -> list[str]:
-    items = _list(value, context)
+def _string_error(items: list[Any], index: int, key: str) -> BacklogSchemaError:
+    """The error naming the first item of ``items`` that is not a string."""
+    i, item = next((i, item) for i, item in enumerate(items) if not isinstance(item, str))
+    return BacklogSchemaError(
+        f"story {index}: {key}[{i}]: expected a string, got {type(item).__name__}"
+    )
+
+
+def _string_list(value: Any, index: int, key: str) -> list[str]:
+    items = _list(value, index, key)
     strings = [item for item in items if isinstance(item, str)]
     if len(strings) != len(items):
-        i, item = next((i, item) for i, item in enumerate(items) if not isinstance(item, str))
-        raise BacklogSchemaError(f"{context}[{i}]: expected a string, got {type(item).__name__}")
+        raise _string_error(items, index, key)
     return strings
 
 
-def _pair_list(value: Any, context: str) -> list[tuple[str, str]]:
+def _pair_list(value: Any, index: int, key: str) -> list[tuple[str, str]]:
     pairs = []
-    for i, item in enumerate(_list(value, context)):
+    for i, item in enumerate(_list(value, index, key)):
         if not isinstance(item, list) or len(item) != 2:
-            raise BacklogSchemaError(f"{context}[{i}]: expected a two-element pair")
-        source, target = _string_list(item, f"{context}[{i}]")
+            raise BacklogSchemaError(f"story {index}: {key}[{i}]: expected a two-element pair")
+        source, target = item
+        if not (isinstance(source, str) and isinstance(target, str)):
+            raise _string_error(item, index, f"{key}[{i}]")
         pairs.append((source, target))
     return pairs
 
@@ -112,27 +129,26 @@ def story_from_dict(obj: dict[str, Any], index: int) -> AnnotatedStory:
         if key not in obj:
             raise BacklogSchemaError(f"story {index}: missing required key '{key}'")
 
-    where = f"story {index}"
-    action = _object(obj["Action"], f"{where}: Action")
-    entity = _object(obj["Entity"], f"{where}: Entity")
+    action = _object(obj["Action"], index, "Action")
+    entity = _object(obj["Entity"], index, "Entity")
     benefit = obj.get("Benefit")
     if benefit is not None and not isinstance(benefit, str):
         raise BacklogSchemaError(
-            f"{where}: Benefit: expected a string or null, got {type(benefit).__name__}"
+            f"story {index}: Benefit: expected a string or null, got {type(benefit).__name__}"
         )
 
     return AnnotatedStory(
         pid=str(obj["PID"]),
         text=str(obj["Text"]),
-        personas=_string_list(obj["Persona"], f"{where}: Persona"),
-        primary_actions=_string_list(action.get("Primary Action"), f"{where}: Primary Action"),
-        secondary_actions=_string_list(action.get("Secondary Action"), f"{where}: Secondary Action"),
-        primary_entities=_string_list(entity.get("Primary Entity"), f"{where}: Primary Entity"),
-        secondary_entities=_string_list(entity.get("Secondary Entity"), f"{where}: Secondary Entity"),
+        personas=_string_list(obj["Persona"], index, "Persona"),
+        primary_actions=_string_list(action.get("Primary Action"), index, "Primary Action"),
+        secondary_actions=_string_list(action.get("Secondary Action"), index, "Secondary Action"),
+        primary_entities=_string_list(entity.get("Primary Entity"), index, "Primary Entity"),
+        secondary_entities=_string_list(entity.get("Secondary Entity"), index, "Secondary Entity"),
         benefit=benefit or None,
-        triggers=_pair_list(obj["Triggers"], f"{where}: Triggers"),
-        targets=_pair_list(obj["Targets"], f"{where}: Targets"),
-        contains=list(_list(obj.get("Contains"), f"{where}: Contains")),
+        triggers=_pair_list(obj["Triggers"], index, "Triggers"),
+        targets=_pair_list(obj["Targets"], index, "Targets"),
+        contains=list(_list(obj.get("Contains"), index, "Contains")),
     )
 
 

@@ -28,6 +28,11 @@ class ComparisonMode(str, Enum):
     RELAXED = "relaxed"
 
 
+# forms_match runs once per compared pair; reading a member off the Enum
+# class costs several times a module global.
+_STRICT = ComparisonMode.STRICT
+_INCLUSIVE = ComparisonMode.INCLUSIVE
+
 # Leading tokens the relaxed mode peels off. Versioned: results are only
 # comparable across runs that used the same list.
 QUALIFIER_STOP_LIST_VERSION = "1"
@@ -133,13 +138,13 @@ def forms_match(
     does; a pair matches when both members match.
     """
     if isinstance(predicted, Form):
-        if mode is ComparisonMode.STRICT:
+        if mode is _STRICT:
             return expected.normalized == predicted.normalized
-        if mode is ComparisonMode.INCLUSIVE:
+        if mode is _INCLUSIVE:
             return _contains(predicted.normalized, expected.normalized, options.token_boundary)
         return expected.relaxed == predicted.relaxed
     if isinstance(predicted, list):
-        return mode is ComparisonMode.INCLUSIVE and any(
+        return mode is _INCLUSIVE and any(
             forms_match(expected, item, mode, options) for item in predicted
         )
     return forms_match(expected[0], predicted[0], mode, options) and forms_match(
@@ -176,33 +181,44 @@ class Counts:
         self.fn += other.fn
 
 
+def count_matches(
+    expected: Sequence[AnyForm],
+    predicted: Sequence[AnyForm],
+    mode: ComparisonMode,
+    options: CompareOptions = DEFAULT_OPTIONS,
+) -> int:
+    """Greedy one-to-one matching in list order; the number of matched pairs.
+
+    Each expected element consumes the first not-yet-consumed predicted
+    element it matches.  Takes forms, so a caller scoring several modes
+    computes them once.
+    """
+    if not expected or not predicted:
+        return 0
+    free = list(predicted)  # a consumed slot becomes None
+    matched = 0
+    for exp in expected:
+        for i, pred in enumerate(free):
+            if pred is not None and forms_match(exp, pred, mode, options):
+                free[i] = None
+                matched += 1
+                break
+    return matched
+
+
 def match_forms(
     expected: Sequence[AnyForm],
     predicted: Sequence[AnyForm],
     mode: ComparisonMode,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> Counts:
-    """Greedy one-to-one matching in list order.
+    """Greedy one-to-one matching (see count_matches) as counts.
 
-    Each expected element consumes the first not-yet-consumed predicted
-    element it matches.  Leftover expected elements are false negatives,
-    leftover predicted ones false positives.  Takes forms, so a caller
-    scoring several modes computes them once.
+    Leftover expected elements are false negatives, leftover predicted ones
+    false positives.
     """
-    if not expected or not predicted:
-        return Counts(fp=len(predicted), fn=len(expected))
-    consumed = [False] * len(predicted)
-    counts = Counts()
-    for exp in expected:
-        for i, pred in enumerate(predicted):
-            if not consumed[i] and forms_match(exp, pred, mode, options):
-                consumed[i] = True
-                counts.tp += 1
-                break
-        else:
-            counts.fn += 1
-    counts.fp = consumed.count(False)
-    return counts
+    tp = count_matches(expected, predicted, mode, options)
+    return Counts(tp=tp, fp=len(predicted) - tp, fn=len(expected) - tp)
 
 
 def match_sets(

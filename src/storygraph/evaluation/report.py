@@ -6,7 +6,8 @@ and the benefit (when annotated) against Benefit nodes.  The benefit is a
 full clause, so the relaxed mode is never applied to it.  Relationships are
 scored as pairs where both members must match under the active mode.
 
-Backlog results are arithmetic means over the defined per-story rows.
+Backlog results are arithmetic means over the defined per-story rows, added
+left to right.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..atomic import write_atomic
 from ..corpus import AnnotatedStory, Backlog
@@ -31,10 +32,11 @@ from .compare import (
     ComparisonMode,
     Counts,
     Form,
+    count_matches,
     element_form,
     match_forms,
 )
-from .metrics import MetricRow, counts_to_row, mean_rows
+from .metrics import MetricRow, Scores, left_sum, mean_scores, scores
 
 log = logging.getLogger(__name__)
 
@@ -74,13 +76,16 @@ def expected_lists(story: AnnotatedStory) -> dict[str, list[str]]:
     }
 
 
+_KIND_OF_NODE = {NodeKind(kind): kind for kind in KIND_ORDER}
+
+
 def predicted_lists(components: KgComponents) -> dict[str, list[str]]:
-    return {
-        "Persona": components.nodes_of_kind(NodeKind.PERSONA),
-        "Action": components.nodes_of_kind(NodeKind.ACTION),
-        "Entity": components.nodes_of_kind(NodeKind.ENTITY),
-        "Benefit": components.nodes_of_kind(NodeKind.BENEFIT),
-    }
+    lists: dict[str, list[str]] = {kind: [] for kind in KIND_ORDER}
+    for node in components.nodes:
+        kind = _KIND_OF_NODE.get(node.kind)
+        if kind is not None:
+            lists[kind].append(node.id)
+    return lists
 
 
 def _tokens(forms: Sequence[Form]) -> list[str]:
@@ -112,34 +117,57 @@ def evaluate_story(
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> dict[tuple[str, str], MetricRow | None]:
     """Score one story; None marks an undefined (no-signal) cell."""
-    return _node_rows(story, components, embedder or OneHotEmbedder(), _StoryForms(options))
+    cells = _node_scores(story, components, embedder or OneHotEmbedder(), _StoryForms(options))
+    return {key: _row(cell) for key, cell in cells}
 
 
-def _node_rows(
+def _row(cell: Scores | None) -> MetricRow | None:
+    return None if cell is None else MetricRow(*cell)
+
+
+# Per node kind, its (mode, cell key) pairs and its token-similarity key;
+# per relation, its (mode, cell key) pairs.  Built once, in report order.
+_NODE_CELLS = tuple(
+    (
+        kind,
+        tuple((mode, (kind, mode.value)) for mode in MODES_FOR_KIND[kind]),
+        (kind, BERTSCORE_MODE),
+    )
+    for kind in KIND_ORDER
+)
+_RELATION_CELLS = tuple(
+    (label, tuple((mode, (label, mode.value)) for mode in ComparisonMode))
+    for label in RELATION_ORDER
+)
+
+Cell = tuple[tuple[str, str], Scores | None]
+
+
+def _node_scores(
     story: AnnotatedStory,
     components: KgComponents,
     embedder: Embedder,
     forms: _StoryForms,
-) -> dict[tuple[str, str], MetricRow | None]:
+) -> Iterator[Cell]:
+    """Each node cell's key and scores, None when undefined, in report order."""
     expected = expected_lists(story)
     predicted = predicted_lists(components)
-    results: dict[tuple[str, str], MetricRow | None] = {}
+    options = forms.options
 
-    for kind in KIND_ORDER:
+    for kind, modes, similarity_key in _NODE_CELLS:
         exp_forms = [forms[item] for item in expected[kind]]
         pred_forms = [forms[item] for item in predicted[kind]]
-        for mode in MODES_FOR_KIND[kind]:
-            counts = match_forms(exp_forms, pred_forms, mode, forms.options)
-            results[(kind, mode.value)] = counts_to_row(counts)
+        for mode, key in modes:
+            tp = count_matches(exp_forms, pred_forms, mode, options)
+            yield key, scores(tp, len(pred_forms) - tp, len(exp_forms) - tp)
 
         exp_tokens = _tokens(exp_forms)
         pred_tokens = _tokens(pred_forms)
         if exp_tokens and pred_tokens:
             row = bertscore(exp_tokens, pred_tokens, embedder)
+            yield similarity_key, (row.precision, row.recall, row.f_measure)
         else:
-            row = None
-        results[(kind, BERTSCORE_MODE)] = row
-    return results
+            yield similarity_key, None
 
 
 def _expected_pairs(story: AnnotatedStory) -> dict[str, list[tuple[str, str]]]:
@@ -149,14 +177,15 @@ def _expected_pairs(story: AnnotatedStory) -> dict[str, list[tuple[str, str]]]:
     }
 
 
+_LABEL_OF_RELATION = {RelKind(label): label for label in RELATION_ORDER}
+
+
 def _predicted_pairs(components: KgComponents) -> dict[str, list[tuple[str, str]]]:
-    pairs: dict[str, list[tuple[str, str]]] = {
-        RelKind.TRIGGERS.value: [],
-        RelKind.TARGETS.value: [],
-    }
+    pairs: dict[str, list[tuple[str, str]]] = {label: [] for label in RELATION_ORDER}
     for rel in components.relationships:
-        if rel.kind.value in pairs:
-            pairs[rel.kind.value].append((rel.source_id, rel.target_id))
+        label = _LABEL_OF_RELATION.get(rel.kind)
+        if label is not None:
+            pairs[label].append((rel.source_id, rel.target_id))
     return pairs
 
 
@@ -181,22 +210,23 @@ def evaluate_relations(
     *,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> dict[tuple[str, str], MetricRow | None]:
-    return _relation_rows(story, components, _StoryForms(options))
+    cells = _relation_scores(story, components, _StoryForms(options))
+    return {key: _row(cell) for key, cell in cells}
 
 
-def _relation_rows(
+def _relation_scores(
     story: AnnotatedStory, components: KgComponents, forms: _StoryForms
-) -> dict[tuple[str, str], MetricRow | None]:
+) -> Iterator[Cell]:
+    """Each relation cell's key and scores, None when undefined, in report order."""
     expected = _expected_pairs(story)
     predicted = _predicted_pairs(components)
-    results: dict[tuple[str, str], MetricRow | None] = {}
-    for label in RELATION_ORDER:
+    options = forms.options
+    for label, modes in _RELATION_CELLS:
         exp_forms = [(forms[src], forms[tgt]) for src, tgt in expected[label]]
         pred_forms = [(forms[src], forms[tgt]) for src, tgt in predicted[label]]
-        for mode in ComparisonMode:
-            counts = match_forms(exp_forms, pred_forms, mode, forms.options)
-            results[(label, mode.value)] = counts_to_row(counts)
-    return results
+        for mode, key in modes:
+            tp = count_matches(exp_forms, pred_forms, mode, options)
+            yield key, scores(tp, len(pred_forms) - tp, len(exp_forms) - tp)
 
 
 @dataclass
@@ -221,33 +251,51 @@ class BacklogReport:
     omitted: list[str] = field(default_factory=list)
 
 
-def _aggregate(
-    backlog_name: str,
-    per_story: dict[tuple[str, str], list[MetricRow | None]],
-    key_order: Sequence[tuple[str, str]],
-) -> tuple[list[ReportRow], list[str]]:
-    rows = []
-    omitted = []
-    for kind, mode in key_order:
-        cells = per_story.get((kind, mode), [])
-        defined = [cell for cell in cells if cell is not None]
-        mean = mean_rows(defined)
-        if mean is None:
-            omitted.append(f"{kind}/{mode}")
-            continue
-        rows.append(
-            ReportRow(
-                backlog=backlog_name,
-                kind=kind,
-                mode=mode,
-                precision=mean.precision,
-                recall=mean.recall,
-                f_measure=mean.f_measure,
-                stories_counted=len(defined),
-                stories_undefined=len(cells) - len(defined),
+class _Running:
+    """Per cell key, in report order: the defined per-story scores and the
+    count of undefined ones."""
+
+    def __init__(self, keys: Sequence[tuple[str, str]]) -> None:
+        self.defined: dict[tuple[str, str], list[Scores]] = {key: [] for key in keys}
+        self.undefined = dict.fromkeys(keys, 0)
+
+    def add(self, cells: Iterator[Cell]) -> None:
+        for key, cell in cells:
+            if cell is None:
+                self.undefined[key] += 1
+            else:
+                self.defined[key].append(cell)
+
+    def rows(self, backlog_name: str) -> tuple[list[ReportRow], list[str]]:
+        """The mean row of each key with a defined cell; the others as omitted."""
+        rows = []
+        omitted = []
+        for (kind, mode), defined in self.defined.items():
+            if not defined:
+                omitted.append(f"{kind}/{mode}")
+                continue
+            precision, recall, f = mean_scores(defined)
+            rows.append(
+                ReportRow(
+                    backlog=backlog_name,
+                    kind=kind,
+                    mode=mode,
+                    precision=precision,
+                    recall=recall,
+                    f_measure=f,
+                    stories_counted=len(defined),
+                    stories_undefined=self.undefined[(kind, mode)],
+                )
             )
-        )
-    return rows, omitted
+        return rows, omitted
+
+
+_NODE_KEYS = [
+    (kind, mode)
+    for kind in KIND_ORDER
+    for mode in [m.value for m in MODES_FOR_KIND[kind]] + [BERTSCORE_MODE]
+]
+_RELATION_KEYS = [(label, mode.value) for label in RELATION_ORDER for mode in ComparisonMode]
 
 
 def evaluate_backlog(
@@ -258,8 +306,8 @@ def evaluate_backlog(
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> BacklogReport:
     """Score every story that has an extraction; others count as skipped."""
-    per_story: dict[tuple[str, str], list[MetricRow | None]] = {}
-    per_story_rel: dict[tuple[str, str], list[MetricRow | None]] = {}
+    nodes = _Running(_NODE_KEYS)
+    relations = _Running(_RELATION_KEYS)
     evaluated = 0
     skipped = 0
     shared_embedder = embedder or OneHotEmbedder()
@@ -273,21 +321,11 @@ def evaluate_backlog(
         evaluated += 1
         # One set of forms serves the story's nodes and its pairs.
         forms = _StoryForms(options)
-        for key, row in _node_rows(story, components, shared_embedder, forms).items():
-            per_story.setdefault(key, []).append(row)
-        for key, row in _relation_rows(story, components, forms).items():
-            per_story_rel.setdefault(key, []).append(row)
+        nodes.add(_node_scores(story, components, shared_embedder, forms))
+        relations.add(_relation_scores(story, components, forms))
 
-    node_keys = [
-        (kind, mode)
-        for kind in KIND_ORDER
-        for mode in [m.value for m in MODES_FOR_KIND[kind]] + [BERTSCORE_MODE]
-    ]
-    rel_keys = [
-        (label, mode.value) for label in RELATION_ORDER for mode in ComparisonMode
-    ]
-    rows, omitted = _aggregate(backlog.name, per_story, node_keys)
-    relation_rows, rel_omitted = _aggregate(backlog.name, per_story_rel, rel_keys)
+    rows, omitted = nodes.rows(backlog.name)
+    relation_rows, rel_omitted = relations.rows(backlog.name)
     return BacklogReport(
         backlog=backlog.name,
         rows=rows,
@@ -324,9 +362,9 @@ class ExperimentReport:
                     backlog="(average)",
                     kind=key[0],
                     mode=key[1],
-                    precision=sum(r.precision for r in rows) / n,
-                    recall=sum(r.recall for r in rows) / n,
-                    f_measure=sum(r.f_measure for r in rows) / n,
+                    precision=left_sum(r.precision for r in rows) / n,
+                    recall=left_sum(r.recall for r in rows) / n,
+                    f_measure=left_sum(r.f_measure for r in rows) / n,
                     stories_counted=sum(r.stories_counted for r in rows),
                     stories_undefined=sum(r.stories_undefined for r in rows),
                 )

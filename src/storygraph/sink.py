@@ -15,6 +15,7 @@ import os
 import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit, urlunsplit
@@ -71,6 +72,27 @@ def _check_label(label: str) -> str:
     return label
 
 
+# Statement texts, built (and their labels checked) once per label
+# combination; to_cypher hands out the same string for every statement of
+# that shape.
+@cache
+def _node_template(kind: NodeKind, with_props: bool) -> str:
+    text = f"MERGE (n:{_check_label(kind.value)} {{id: $id}})"
+    return text + " SET n += $props" if with_props else text
+
+
+@cache
+def _relationship_template(
+    source: NodeKind, target: NodeKind, kind: RelKind, with_props: bool
+) -> str:
+    text = (
+        f"MATCH (a:{_check_label(source.value)} {{id: $source_id}}) "
+        f"MATCH (b:{_check_label(target.value)} {{id: $target_id}}) "
+        f"MERGE (a)-[r:{_check_label(kind.value)}]->(b)"
+    )
+    return text + " SET r = $props" if with_props else text
+
+
 def to_cypher(
     doc: GraphDocument, max_id_length: int = DEFAULT_MAX_ID_LENGTH
 ) -> list[CypherStatement]:
@@ -86,27 +108,18 @@ def to_cypher(
                 f"node id exceeds {max_id_length} characters "
                 f"({len(node.id)}): {node.id[:60]!r}..."
             )
-        label = _check_label(node.kind.value)
-        text = f"MERGE (n:{label} {{id: $id}})"
         params: dict[str, Any] = {"id": node.id}
         if node.properties:
-            text += " SET n += $props"
             params["props"] = dict(node.properties)
+        text = _node_template(node.kind, bool(node.properties))
         statements.append(CypherStatement(text=text, params=params, is_node=True))
 
     for rel in doc.relationships:
-        src_label = _check_label(rel.source.kind.value)
-        tgt_label = _check_label(rel.target.kind.value)
-        rel_type = _check_label(rel.kind.value)
-        text = (
-            f"MATCH (a:{src_label} {{id: $source_id}}) "
-            f"MATCH (b:{tgt_label} {{id: $target_id}}) "
-            f"MERGE (a)-[r:{rel_type}]->(b)"
-        )
-        params = {"source_id": rel.source.id, "target_id": rel.target.id}
+        source, target = rel.source, rel.target
+        params = {"source_id": source.id, "target_id": target.id}
         if rel.properties:
-            text += " SET r = $props"
             params["props"] = dict(rel.properties)
+        text = _relationship_template(source.kind, target.kind, rel.kind, bool(rel.properties))
         statements.append(CypherStatement(text=text, params=params))
     return statements
 
@@ -142,18 +155,32 @@ def render(
     return [(doc, to_cypher(doc, max_id_length)) for doc in docs]
 
 
+def _script_format(text: str) -> tuple[str, list[str]]:
+    """A statement text as a ``%`` format of its fixed text, plus the names of
+    its ``$name`` parameters in order."""
+    pieces = _PARAM.split(text)
+    fixed = [piece.replace("%", "%%") for piece in pieces[0::2]]
+    return "%s".join(fixed) + ";", pieces[1::2]
+
+
 def rendered_script(rendered: Iterable[Rendered]) -> str:
     """Offline replay script with parameters inlined as escaped literals.
 
-    Each ``$name`` of the statement template is replaced in one pass, so a
-    value that itself contains ``$name`` is never substituted again.
+    Each distinct statement text is split into fixed text and ``$name``
+    slots once.  Literals are then formatted into the slots in one pass, so
+    a value that itself contains ``$name`` is never substituted again.
     """
+    formats: dict[str, tuple[str, list[str]]] = {}
     lines = []
     for _doc, statements in rendered:
         for statement in statements:
+            text = statement.text
+            split = formats.get(text)
+            if split is None:
+                split = formats[text] = _script_format(text)
+            line, names = split
             params = statement.params
-            text = _PARAM.sub(lambda m: _cypher_literal(params[m.group(1)]), statement.text)
-            lines.append(text + ";")
+            lines.append(line % tuple([_cypher_literal(params[name]) for name in names]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -56,6 +56,11 @@ class TestMetrics:
     def test_mean_of_nothing_is_none(self):
         assert mean_rows([]) is None
 
+    def test_mean_adds_left_to_right(self):
+        """The built-in sum of Python 3.12+ would give 0.1 here."""
+        mean = mean_rows([MetricRow(0.1, 0.1, 0.1)] * 10)
+        assert mean.precision == mean.recall == mean.f_measure == 0.09999999999999999
+
     @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
     def test_bounds_and_harmonic_mean(self, tp, fp, fn):
         counts = Counts(tp, fp, fn)

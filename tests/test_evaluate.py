@@ -7,16 +7,25 @@ import io
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storygraph.corpus import AnnotatedStory, Backlog
 from storygraph.evaluation import (
     BERTSCORE_MODE,
     CSV_COLUMNS,
+    KIND_ORDER,
+    BacklogReport,
+    CompareOptions,
     ComparisonMode,
+    Counts,
     ExperimentReport,
+    MetricRow,
     OneHotEmbedder,
+    ReportRow,
+    bertscore,
+    compare_element,
+    counts_to_row,
     evaluate_backlog,
     evaluate_relations,
     evaluate_story,
@@ -27,8 +36,9 @@ from storygraph.evaluation import (
     write_report_files,
 )
 from storygraph.evaluation.compare import element_form
-from storygraph.evaluation.report import _tokens
-from storygraph.model import normalize_id
+from storygraph.evaluation.report import MODES_FOR_KIND, _tokens
+from storygraph.extraction import ComponentNode, ComponentRelationship, KgComponents
+from storygraph.model import NodeKind, RelKind, normalize_id
 from storygraph.transform import annotations_to_components
 
 TOL = 1e-9
@@ -269,3 +279,175 @@ class TestReportOutput:
             ExperimentReport(experiment="demo", backlogs=[backlog_report])
         )
         assert "-" in table.splitlines()[2]
+
+
+# -- backlog scores against a cell-by-cell oracle -----------------------------
+
+ORACLE_WORDS = ["user", "the user", "Users", "admin", "page", "web page", "pages",
+                "my data", "data", "Data  set", "sync"]
+oracle_words = st.sampled_from(ORACLE_WORDS)
+word_lists = st.lists(oracle_words, max_size=3)
+word_pairs = st.lists(st.tuples(oracle_words, oracle_words), max_size=3)
+
+
+@st.composite
+def oracle_stories(draw, pid: str) -> AnnotatedStory:
+    return AnnotatedStory(
+        pid=pid,
+        text=f"{pid} As a user, I want to sync data.",
+        personas=draw(word_lists),
+        primary_actions=draw(word_lists),
+        secondary_actions=draw(word_lists),
+        primary_entities=draw(word_lists),
+        secondary_entities=draw(word_lists),
+        benefit=draw(st.one_of(st.none(), oracle_words, st.just("I see my web page"))),
+        # Members need not be among the story's nodes.
+        triggers=draw(word_pairs),
+        targets=draw(word_pairs),
+    )
+
+
+@st.composite
+def oracle_components(draw) -> KgComponents:
+    kinds = [NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY, NodeKind.BENEFIT]
+    nodes = [
+        ComponentNode(draw(oracle_words), draw(st.sampled_from(kinds)))
+        for _ in range(draw(st.integers(0, 7)))
+    ]
+    relationships = [
+        ComponentRelationship(src, NodeKind.PERSONA, tgt, NodeKind.ACTION, kind)
+        for kind in (RelKind.TRIGGERS, RelKind.TARGETS, RelKind.HAS_PERSONA)
+        for src, tgt in draw(word_pairs)
+    ]
+    return KgComponents(nodes=nodes, relationships=relationships)
+
+
+@st.composite
+def oracle_backlogs(draw) -> tuple[Backlog, dict[str, KgComponents]]:
+    stories = [draw(oracle_stories(f"#S{i}#")) for i in range(draw(st.integers(0, 4)))]
+    extractions = {}
+    for story in stories:
+        kind = draw(st.sampled_from(["self", "drawn", "missing"]))
+        if kind == "self":
+            extractions[story.pid] = annotations_to_components(story)
+        elif kind == "drawn":
+            extractions[story.pid] = draw(oracle_components())
+    return Backlog(name="b", stories=stories), extractions
+
+
+def oracle_greedy(expected, predicted, matches) -> Counts:
+    consumed = [False] * len(predicted)
+    counts = Counts()
+    for exp in expected:
+        for i, pred in enumerate(predicted):
+            if not consumed[i] and matches(exp, pred):
+                consumed[i] = True
+                counts.tp += 1
+                break
+        else:
+            counts.fn += 1
+    counts.fp = consumed.count(False)
+    return counts
+
+
+def oracle_mean(values: list[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def oracle_report(backlog, extractions, options) -> BacklogReport:
+    """Every story's cells as MetricRows from counts_to_row, then the means."""
+    cells: dict[tuple[str, str], list] = {}
+    report = BacklogReport(backlog=backlog.name)
+    for story in backlog.stories:
+        components = extractions.get(story.pid)
+        if components is None:
+            report.stories_skipped += 1
+            continue
+        report.stories_evaluated += 1
+        expected = {
+            "Persona": story.personas,
+            "Action": story.primary_actions + story.secondary_actions,
+            "Entity": story.primary_entities + story.secondary_entities,
+            "Benefit": [story.benefit] if story.benefit else [],
+        }
+        predicted = {kind: [n.id for n in components.nodes if n.kind is NodeKind(kind)]
+                     for kind in KIND_ORDER}
+        for kind in KIND_ORDER:
+            for mode in MODES_FOR_KIND[kind]:
+                counts = oracle_greedy(
+                    expected[kind], predicted[kind],
+                    lambda e, p: compare_element(e, p, mode, options),
+                )
+                cells.setdefault((kind, mode.value), []).append(counts_to_row(counts))
+            exp_tokens = normalize_id(" ".join(expected[kind])).split()
+            pred_tokens = normalize_id(" ".join(predicted[kind])).split()
+            row = (bertscore(exp_tokens, pred_tokens, OneHotEmbedder())
+                   if exp_tokens and pred_tokens else None)
+            cells.setdefault((kind, BERTSCORE_MODE), []).append(row)
+        for label, exp_pairs in (("TRIGGERS", story.triggers), ("TARGETS", story.targets)):
+            pred_pairs = [(r.source_id, r.target_id) for r in components.relationships
+                          if r.kind.value == label]
+            for mode in ComparisonMode:
+                counts = oracle_greedy(
+                    exp_pairs, pred_pairs,
+                    lambda e, p: all(compare_element(a, b, mode, options)
+                                     for a, b in zip(e, p)),
+                )
+                cells.setdefault((label, mode.value), []).append(counts_to_row(counts))
+
+    node_keys = [(kind, mode) for kind in KIND_ORDER
+                 for mode in [m.value for m in MODES_FOR_KIND[kind]] + [BERTSCORE_MODE]]
+    relation_keys = [(label, mode.value) for label in ("TRIGGERS", "TARGETS")
+                     for mode in ComparisonMode]
+    for keys, target in ((node_keys, report.rows), (relation_keys, report.relation_rows)):
+        for kind, mode in keys:
+            rows = cells.get((kind, mode), [])
+            defined = [row for row in rows if row is not None]
+            if not defined:
+                report.omitted.append(f"{kind}/{mode}")
+                continue
+            target.append(ReportRow(
+                backlog=backlog.name, kind=kind, mode=mode,
+                precision=oracle_mean([row.precision for row in defined]),
+                recall=oracle_mean([row.recall for row in defined]),
+                f_measure=oracle_mean([row.f_measure for row in defined]),
+                stories_counted=len(defined),
+                stories_undefined=len(rows) - len(defined),
+            ))
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_backlogs(), st.builds(CompareOptions, fold_plurals=st.booleans(),
+                                    token_boundary=st.booleans()))
+def test_backlog_report_equals_cell_by_cell_oracle(backlog_and_extractions, options):
+    backlog, extractions = backlog_and_extractions
+    report = evaluate_backlog(backlog, extractions, options=options)
+    assert report == oracle_report(backlog, extractions, options)
+
+
+def test_story_rows_equal_backlog_of_one(sample_backlog):
+    """evaluate_story and evaluate_relations wrap the same cells as evaluate_backlog."""
+    story = sample_backlog.stories[0]
+    components = annotations_to_components(story)
+    components.nodes = components.nodes[1:]
+    report = evaluate_backlog(Backlog(name="one", stories=[story]), {story.pid: components})
+    cells = {**evaluate_story(story, components), **evaluate_relations(story, components)}
+    for row in report.rows + report.relation_rows:
+        assert cells[(row.kind, row.mode)] == MetricRow(row.precision, row.recall, row.f_measure)
+    assert {key for key, cell in cells.items() if cell is None} == {
+        tuple(item.split("/")) for item in report.omitted
+    }
+
+
+def test_average_rows_add_left_to_right():
+    """The built-in sum of Python 3.12+ would give 0.1 here."""
+    rows = [ReportRow("b", "Persona", STRICT, 0.1, 0.1, 0.1, 1, 0)]
+    report = ExperimentReport(
+        experiment="x", backlogs=[BacklogReport(backlog=str(i), rows=rows) for i in range(10)]
+    )
+    (average,) = report.average_rows()
+    assert average.precision == average.recall == average.f_measure == 0.09999999999999999

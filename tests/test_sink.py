@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,122 @@ class TestScript:
             skeleton, literals = decode_literals(line)
             assert skeleton == re.sub(r"\$\w+", "?", statement.text) + ";"
             assert literals == list(statement.params.values())
+
+
+# -- templates and the split-once script against the per-statement oracle -----
+
+ORACLE_PARAM = re.compile(r"\$(\w+)")
+
+
+def oracle_statements(doc: GraphDocument) -> list[CypherStatement]:
+    """Statements as formatted one at a time from their labels."""
+    statements = []
+    for node in doc.nodes:
+        text = f"MERGE (n:{node.kind.value} {{id: $id}})"
+        params = {"id": node.id}
+        if node.properties:
+            text += " SET n += $props"
+            params["props"] = dict(node.properties)
+        statements.append(CypherStatement(text=text, params=params, is_node=True))
+    for rel in doc.relationships:
+        text = (
+            f"MATCH (a:{rel.source.kind.value} {{id: $source_id}}) "
+            f"MATCH (b:{rel.target.kind.value} {{id: $target_id}}) "
+            f"MERGE (a)-[r:{rel.kind.value}]->(b)"
+        )
+        params = {"source_id": rel.source.id, "target_id": rel.target.id}
+        if rel.properties:
+            text += " SET r = $props"
+            params["props"] = dict(rel.properties)
+        statements.append(CypherStatement(text=text, params=params))
+    return statements
+
+
+def oracle_script(statements: list[CypherStatement]) -> str:
+    """One regex substitution per statement."""
+    lines = []
+    for statement in statements:
+        params = statement.params
+        lines.append(
+            ORACLE_PARAM.sub(lambda m: sink._cypher_literal(params[m.group(1)]), statement.text)
+            + ";"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+awkward_text = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.sampled_from(
+        ["$id", "$source_id", "$target_id", "$props", "$", "%", "%s", "'", '"', "\\",
+         "\r", "\n", "é", "日本", "x", " "]
+    ), max_size=6).map("".join),
+)
+property_values = st.one_of(
+    awkward_text, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False)
+)
+properties = st.one_of(
+    st.just({}),
+    st.dictionaries(st.sampled_from(["source", "score", "note"]), property_values,
+                    min_size=1, max_size=2),
+)
+
+
+@st.composite
+def awkward_docs(draw) -> GraphDocument:
+    nodes = [
+        GraphNode(id=draw(awkward_text), kind=draw(st.sampled_from(list(NodeKind))),
+                  properties=draw(properties))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    relationships = []
+    if nodes:
+        for _ in range(draw(st.integers(0, 4))):
+            relationships.append(GraphRelationship(
+                draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
+                draw(st.sampled_from(list(RelKind))), draw(properties),
+            ))
+    return GraphDocument(nodes=nodes, relationships=relationships, source_text="t")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(awkward_docs(), max_size=3))
+def test_script_equals_per_statement_substitution(docs):
+    rendered = sink.render(docs)
+    expected = [statement for doc in docs for statement in oracle_statements(doc)]
+    assert [statement for _doc, statements in rendered for statement in statements] == expected
+    assert sink.rendered_script(rendered) == oracle_script(expected)
+
+
+def test_script_of_hand_built_statements():
+    """Statements not built by to_cypher render the same way."""
+    statements = [
+        CypherStatement("RETURN 100% AS x, $a AS a, $a AS b", {"a": "$a %s"}),
+        CypherStatement("RETURN 1"),
+    ]
+    script = sink.rendered_script([(GraphDocument(), statements)])
+    assert script == oracle_script(statements)
+    assert script == "RETURN 100% AS x, '$a %s' AS a, '$a %s' AS b;\nRETURN 1;\n"
+
+
+class Rogue(str, Enum):
+    LABEL = "Entity {id: 'x'}) DETACH DELETE n //"
+
+
+@pytest.mark.parametrize("where", ["node", "source", "target", "relationship"])
+def test_non_ontology_label_refused(where):
+    good = GraphNode(id="a", kind=NodeKind.ENTITY)
+    rogue = GraphNode(id="b", kind=Rogue.LABEL)
+    if where == "node":
+        doc = GraphDocument(nodes=[rogue])
+    elif where == "relationship":
+        doc = GraphDocument(relationships=[GraphRelationship(good, good, Rogue.LABEL)])
+    else:
+        ends = (rogue, good) if where == "source" else (good, rogue)
+        doc = GraphDocument(relationships=[GraphRelationship(*ends, RelKind.TARGETS)])
+    # Refused on every call: a refused template is never kept.
+    for _ in range(2):
+        with pytest.raises(SinkError, match="illegal label"):
+            to_cypher(doc)
 
 
 class TestJsonRoundTrip:
