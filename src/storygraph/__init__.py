@@ -1,6 +1,6 @@
 """Knowledge graphs from agile user stories.
 
-Pipeline: parse annotated backlogs, extract graph components per story,
+Pipeline: parse annotated backlogs, extract a graph document per story,
 assemble ontology-shaped documents, score them against the annotations, and
 persist them to a graph store.
 """
@@ -15,7 +15,6 @@ from .errors import (
     SinkError,
     StoryGraphError,
     TemplateError,
-    TransformError,
 )
 from .model import (
     GraphDocument,
@@ -40,7 +39,6 @@ __all__ = [
     "SinkError",
     "StoryGraphError",
     "TemplateError",
-    "TransformError",
     "GraphDocument",
     "GraphNode",
     "GraphRelationship",

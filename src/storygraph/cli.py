@@ -51,11 +51,10 @@ from .extraction import (
     PROMPT_CATALOG_VERSION,
     DropCounts,
     ExtractorConfig,
-    KgComponents,
     extract_many,
     make_backend,
 )
-from .model import NodeKind, RelKind, normalize_id, validate_ontology
+from .model import GraphDocument, GraphNode, NodeKind, RelKind, validate_ontology
 from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
 from .transform import annotations_to_components, build_graph_document
 
@@ -93,44 +92,43 @@ def _backlog_files(directory: Path) -> list[Path]:
     )
 
 
-def components_to_story(
-    pid: str, text: str, components: KgComponents
-) -> AnnotatedStory:
-    """Cast extracted components into the annotation schema.
+def components_to_story(pid: str, text: str, doc: GraphDocument) -> AnnotatedStory:
+    """Cast an extracted document into the annotation schema.
 
     Primary actions are the ones the persona triggers; primary entities are
-    what those actions target.  Everything else is secondary.
+    what those actions target.  Everything else is secondary.  Ids compare
+    by their normalized form, ignoring kind.
     """
-    personas = components.nodes_of_kind(NodeKind.PERSONA)
-    actions = components.nodes_of_kind(NodeKind.ACTION)
-    entities = components.nodes_of_kind(NodeKind.ENTITY)
-    benefits = components.nodes_of_kind(NodeKind.BENEFIT)
+    by_kind: dict[NodeKind, list[GraphNode]] = {kind: [] for kind in NodeKind}
+    for node in doc.nodes:
+        by_kind[node.kind].append(node)
 
     triggers = []
     targets = []
-    for rel in components.relationships:
+    for rel in doc.relationships:
         if rel.kind is RelKind.TRIGGERS:
-            triggers.append((rel.source_id, rel.target_id))
+            triggers.append(rel)
         elif rel.kind is RelKind.TARGETS:
-            targets.append((rel.source_id, rel.target_id))
+            targets.append(rel)
 
-    primary_action_keys = {normalize_id(action) for _, action in triggers}
+    primary_action_keys = {rel.target.key()[1] for rel in triggers}
     primary_entity_keys = {
-        normalize_id(entity)
-        for action, entity in targets
-        if normalize_id(action) in primary_action_keys
+        rel.target.key()[1] for rel in targets if rel.source.key()[1] in primary_action_keys
     }
+    actions = by_kind[NodeKind.ACTION]
+    entities = by_kind[NodeKind.ENTITY]
+    benefits = by_kind[NodeKind.BENEFIT]
     return AnnotatedStory(
         pid=pid,
         text=text,
-        personas=personas,
-        primary_actions=[a for a in actions if normalize_id(a) in primary_action_keys],
-        secondary_actions=[a for a in actions if normalize_id(a) not in primary_action_keys],
-        primary_entities=[e for e in entities if normalize_id(e) in primary_entity_keys],
-        secondary_entities=[e for e in entities if normalize_id(e) not in primary_entity_keys],
-        benefit=benefits[0] if benefits else None,
-        triggers=triggers,
-        targets=targets,
+        personas=[node.id for node in by_kind[NodeKind.PERSONA]],
+        primary_actions=[a.id for a in actions if a.key()[1] in primary_action_keys],
+        secondary_actions=[a.id for a in actions if a.key()[1] not in primary_action_keys],
+        primary_entities=[e.id for e in entities if e.key()[1] in primary_entity_keys],
+        secondary_entities=[e.id for e in entities if e.key()[1] not in primary_entity_keys],
+        benefit=benefits[0].id if benefits else None,
+        triggers=[(rel.source.id, rel.target.id) for rel in triggers],
+        targets=[(rel.source.id, rel.target.id) for rel in targets],
     )
 
 
@@ -245,12 +243,12 @@ def _error_entry(story: AnnotatedStory, message: str) -> dict[str, Any]:
     return entry
 
 
-def _read_extractions(path: Path) -> tuple[dict[str, KgComponents], int]:
-    """Extraction file -> components per PID, plus the error-entry count."""
+def _read_extractions(path: Path) -> tuple[dict[str, GraphDocument], int]:
+    """Extraction file -> document per PID, plus the error-entry count."""
     payload = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(payload, list):
         raise BacklogSchemaError(f"{path.name}: expected a JSON array")
-    extractions: dict[str, KgComponents] = {}
+    extractions: dict[str, GraphDocument] = {}
     errors = 0
     for i, item in enumerate(payload):
         if isinstance(item, dict) and "Error" in item:

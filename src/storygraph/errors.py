@@ -32,7 +32,7 @@ class BackendError(StoryGraphError):
 
 
 class ResponseParseError(StoryGraphError):
-    """Backend response could not be converted into graph components.
+    """Backend response could not be converted into a graph document.
 
     The unparsed payload is kept on ``raw`` so callers can log it.
     """
@@ -40,10 +40,6 @@ class ResponseParseError(StoryGraphError):
     def __init__(self, message: str, raw: str | None = None):
         super().__init__(message)
         self.raw = raw
-
-
-class TransformError(StoryGraphError):
-    """Graph assembly precondition violated."""
 
 
 class EvaluationError(StoryGraphError):

@@ -1,10 +1,14 @@
-"""Score extracted components against annotated stories and write reports.
+"""Score extracted graph documents against annotated stories and write reports.
 
 Node kinds are scored independently: personas against Persona nodes,
 primary plus secondary actions against Action nodes, likewise entities,
 and the benefit (when annotated) against Benefit nodes.  The benefit is a
 full clause, so the relaxed mode is never applied to it.  Relationships are
 scored as pairs where both members must match under the active mode.
+
+The annotated side is read through ``transform.story_elements``, the
+projection that also builds the documents of read-back extractions, so
+ground truth scores 1.0 against itself.
 
 Backlog results are arithmetic means over the defined per-story rows, added
 left to right.
@@ -22,8 +26,8 @@ from typing import Iterator, Mapping, Sequence
 
 from ..atomic import write_atomic
 from ..corpus import AnnotatedStory, Backlog
-from ..extraction.types import KgComponents
-from ..model import NodeKind, RelKind
+from ..model import GraphDocument, NodeKind, RelKind
+from ..transform import story_elements
 from .bertscore import Embedder, OneHotEmbedder, bertscore
 from .compare import (
     DEFAULT_OPTIONS,
@@ -67,25 +71,38 @@ CSV_COLUMNS = (
 )
 
 
-def expected_lists(story: AnnotatedStory) -> dict[str, list[str]]:
-    return {
-        "Persona": list(story.personas),
-        "Action": story.actions,
-        "Entity": story.entities,
-        "Benefit": [story.benefit] if story.benefit else [],
-    }
-
-
 _KIND_OF_NODE = {NodeKind(kind): kind for kind in KIND_ORDER}
+_LABEL_OF_RELATION = {RelKind(label): label for label in RELATION_ORDER}
+
+# Per node kind its ids, per relation label its (source id, target id) pairs.
+Lists = dict[str, list[str]]
+Pairs = dict[str, list[tuple[str, str]]]
 
 
-def predicted_lists(components: KgComponents) -> dict[str, list[str]]:
-    lists: dict[str, list[str]] = {kind: [] for kind in KIND_ORDER}
-    for node in components.nodes:
+def _expected(story: AnnotatedStory) -> tuple[Lists, Pairs]:
+    keys, triggers, targets = story_elements(story)
+    lists: Lists = {"Persona": [], "Action": [], "Entity": [], "Benefit": []}
+    for kind, node_id in keys:
+        lists[_KIND_OF_NODE[kind]].append(node_id)
+    return lists, {"TRIGGERS": triggers, "TARGETS": targets}
+
+
+def predicted_lists(doc: GraphDocument) -> Lists:
+    lists: Lists = {kind: [] for kind in KIND_ORDER}
+    for node in doc.nodes:
         kind = _KIND_OF_NODE.get(node.kind)
         if kind is not None:
             lists[kind].append(node.id)
     return lists
+
+
+def _predicted_pairs(doc: GraphDocument) -> Pairs:
+    pairs: Pairs = {label: [] for label in RELATION_ORDER}
+    for rel in doc.relationships:
+        label = _LABEL_OF_RELATION.get(rel.kind)
+        if label is not None:
+            pairs[label].append((rel.source.id, rel.target.id))
+    return pairs
 
 
 def _tokens(forms: Sequence[Form]) -> list[str]:
@@ -111,13 +128,16 @@ class _StoryForms(dict):
 
 def evaluate_story(
     story: AnnotatedStory,
-    components: KgComponents,
+    doc: GraphDocument,
     *,
     embedder: Embedder | None = None,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> dict[tuple[str, str], MetricRow | None]:
     """Score one story; None marks an undefined (no-signal) cell."""
-    cells = _node_scores(story, components, embedder or OneHotEmbedder(), _StoryForms(options))
+    expected, _pairs = _expected(story)
+    cells = _node_scores(
+        expected, predicted_lists(doc), embedder or OneHotEmbedder(), _StoryForms(options)
+    )
     return {key: _row(cell) for key, cell in cells}
 
 
@@ -144,14 +164,9 @@ Cell = tuple[tuple[str, str], Scores | None]
 
 
 def _node_scores(
-    story: AnnotatedStory,
-    components: KgComponents,
-    embedder: Embedder,
-    forms: _StoryForms,
+    expected: Lists, predicted: Lists, embedder: Embedder, forms: _StoryForms
 ) -> Iterator[Cell]:
     """Each node cell's key and scores, None when undefined, in report order."""
-    expected = expected_lists(story)
-    predicted = predicted_lists(components)
     options = forms.options
 
     for kind, modes, similarity_key in _NODE_CELLS:
@@ -168,25 +183,6 @@ def _node_scores(
             yield similarity_key, (row.precision, row.recall, row.f_measure)
         else:
             yield similarity_key, None
-
-
-def _expected_pairs(story: AnnotatedStory) -> dict[str, list[tuple[str, str]]]:
-    return {
-        RelKind.TRIGGERS.value: list(story.triggers),
-        RelKind.TARGETS.value: list(story.targets),
-    }
-
-
-_LABEL_OF_RELATION = {RelKind(label): label for label in RELATION_ORDER}
-
-
-def _predicted_pairs(components: KgComponents) -> dict[str, list[tuple[str, str]]]:
-    pairs: dict[str, list[tuple[str, str]]] = {label: [] for label in RELATION_ORDER}
-    for rel in components.relationships:
-        label = _LABEL_OF_RELATION.get(rel.kind)
-        if label is not None:
-            pairs[label].append((rel.source_id, rel.target_id))
-    return pairs
 
 
 def match_pair_sets(
@@ -206,20 +202,17 @@ def match_pair_sets(
 
 def evaluate_relations(
     story: AnnotatedStory,
-    components: KgComponents,
+    doc: GraphDocument,
     *,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> dict[tuple[str, str], MetricRow | None]:
-    cells = _relation_scores(story, components, _StoryForms(options))
+    _lists, expected = _expected(story)
+    cells = _relation_scores(expected, _predicted_pairs(doc), _StoryForms(options))
     return {key: _row(cell) for key, cell in cells}
 
 
-def _relation_scores(
-    story: AnnotatedStory, components: KgComponents, forms: _StoryForms
-) -> Iterator[Cell]:
+def _relation_scores(expected: Pairs, predicted: Pairs, forms: _StoryForms) -> Iterator[Cell]:
     """Each relation cell's key and scores, None when undefined, in report order."""
-    expected = _expected_pairs(story)
-    predicted = _predicted_pairs(components)
     options = forms.options
     for label, modes in _RELATION_CELLS:
         exp_forms = [(forms[src], forms[tgt]) for src, tgt in expected[label]]
@@ -300,7 +293,7 @@ _RELATION_KEYS = [(label, mode.value) for label in RELATION_ORDER for mode in Co
 
 def evaluate_backlog(
     backlog: Backlog,
-    extractions: Mapping[str, KgComponents],
+    extractions: Mapping[str, GraphDocument],
     *,
     embedder: Embedder | None = None,
     options: CompareOptions = DEFAULT_OPTIONS,
@@ -313,16 +306,17 @@ def evaluate_backlog(
     shared_embedder = embedder or OneHotEmbedder()
 
     for story in backlog.stories:
-        components = extractions.get(story.pid)
-        if components is None:
+        doc = extractions.get(story.pid)
+        if doc is None:
             skipped += 1
             log.warning("no extraction for story %s in backlog %s", story.pid, backlog.name)
             continue
         evaluated += 1
+        expected, expected_pairs = _expected(story)
         # One set of forms serves the story's nodes and its pairs.
         forms = _StoryForms(options)
-        nodes.add(_node_scores(story, components, shared_embedder, forms))
-        relations.add(_relation_scores(story, components, forms))
+        nodes.add(_node_scores(expected, predicted_lists(doc), shared_embedder, forms))
+        relations.add(_relation_scores(expected_pairs, _predicted_pairs(doc), forms))
 
     rows, omitted = nodes.rows(backlog.name)
     relation_rows, rel_omitted = relations.rows(backlog.name)

@@ -1,4 +1,4 @@
-"""Story-to-components extraction: prompts, backends, parsers."""
+"""Story-to-graph extraction: prompts, backends, parsers."""
 
 from .backends import BackendReply, ChatHttpBackend, ReplayFixtureBackend
 from .config import KNOWN_BACKENDS, ExtractorConfig
@@ -23,13 +23,7 @@ from .prompts import (
     validate_template,
 )
 from .rule_based import rule_based_extract
-from .types import (
-    ComponentNode,
-    ComponentRelationship,
-    DropCounts,
-    ExtractionRecord,
-    KgComponents,
-)
+from .types import DropCounts, ExtractionRecord
 
 __all__ = [
     "BackendReply",
@@ -56,9 +50,6 @@ __all__ = [
     "render_prompt",
     "validate_template",
     "rule_based_extract",
-    "ComponentNode",
-    "ComponentRelationship",
     "DropCounts",
     "ExtractionRecord",
-    "KgComponents",
 ]

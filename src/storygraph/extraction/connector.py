@@ -12,18 +12,17 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import ResponseParseError, StoryGraphError
-from ..model import NodeKind
+from ..model import GraphDocument, GraphNode, NodeKind
 from .backends import BackendReply, ChatHttpBackend, ReplayFixtureBackend
 from .config import ExtractorConfig
 from .parsing import (
-    components_from_records,
-    extract_first_json,
     parse_benefit_response,
     parse_structured_response,
+    parse_unstructured_response,
 )
 from .prompts import benefit_prompt, main_prompt, render_prompt
 from .rule_based import rule_based_extract
-from .types import ComponentNode, DropCounts, KgComponents
+from .types import DropCounts
 
 log = logging.getLogger(__name__)
 
@@ -38,54 +37,37 @@ def make_backend(config: ExtractorConfig):
     return None
 
 
-def _parse_main_reply(reply: BackendReply, drops: DropCounts | None) -> KgComponents:
+def _parse_main_reply(reply: BackendReply, drops: DropCounts | None) -> GraphDocument:
     if reply.structured is not None:
         return parse_structured_response(reply.structured, drops)
-    raw = reply.content or ""
-    obj = extract_first_json(raw)
-    if isinstance(obj, dict) and ("nodes" in obj or "relationships" in obj):
-        return parse_structured_response(obj, drops)
-    if isinstance(obj, dict):
-        obj = [obj]
-    if not isinstance(obj, list):
-        raise ResponseParseError(
-            f"main response JSON is a {type(obj).__name__}, expected records or a graph",
-            raw=raw,
-        )
-    return components_from_records(obj, drops, raw=raw)
+    return parse_unstructured_response(reply.content or "", drops)
 
 
 def _merge_benefit(
-    components: KgComponents, benefit: str | None, drops: DropCounts | None
-) -> KgComponents:
-    """Reduce to at most one Benefit node.
+    doc: GraphDocument, benefit: str | None, drops: DropCounts | None
+) -> GraphDocument:
+    """Reduce to at most one Benefit node, placed last.
 
-    The benefit chain's answer wins; main-chain benefit nodes survive only
-    when that chain stayed silent.  Edges touching a removed benefit node
-    go with it.
+    The benefit chain's answer wins; the first main-chain benefit node
+    survives only when that chain stayed silent.  Edges touching a
+    main-chain benefit node go, even when that node survives.
     """
-    main_benefits = [n for n in components.nodes if n.kind is NodeKind.BENEFIT]
-    final = benefit if benefit else (main_benefits[0].id if main_benefits else None)
+    main_benefits = [n for n in doc.nodes if n.kind is NodeKind.BENEFIT]
+    nodes = [n for n in doc.nodes if n.kind is not NodeKind.BENEFIT]
+    rels = [
+        rel for rel in doc.relationships
+        if rel.source.kind is not NodeKind.BENEFIT and rel.target.kind is not NodeKind.BENEFIT
+    ]
+    if drops is not None:
+        drops.relationships += len(doc.relationships) - len(rels)
+        if main_benefits:
+            drops.nodes += len(main_benefits) - (0 if benefit else 1)
 
-    nodes = [n for n in components.nodes if n.kind is not NodeKind.BENEFIT]
-    removed = {(n.kind, n.id) for n in main_benefits}
-    rels = []
-    for rel in components.relationships:
-        if (rel.source_kind, rel.source_id) in removed or (
-            rel.target_kind,
-            rel.target_id,
-        ) in removed:
-            if drops is not None:
-                drops.relationships += 1
-            continue
-        rels.append(rel)
-    if drops is not None and main_benefits:
-        extra = len(main_benefits) - (0 if benefit else 1)
-        drops.nodes += max(extra, 0)
-
-    if final:
-        nodes.append(ComponentNode(final, NodeKind.BENEFIT))
-    return KgComponents(nodes=nodes, relationships=rels)
+    if benefit:
+        nodes.append(GraphNode(benefit, NodeKind.BENEFIT))
+    elif main_benefits:
+        nodes.append(main_benefits[0])
+    return GraphDocument(nodes=nodes, relationships=rels)
 
 
 def extract_components(
@@ -94,8 +76,12 @@ def extract_components(
     *,
     backend=None,
     drops: DropCounts | None = None,
-) -> KgComponents:
-    """Run the full extraction conversation for one story."""
+) -> GraphDocument:
+    """Run the full extraction conversation for one story.
+
+    Every relationship endpoint of the returned document is one of its
+    nodes.
+    """
     if not story_text or not story_text.strip():
         raise ValueError("story_text must be non-empty")
     config.validate()
@@ -107,20 +93,20 @@ def extract_components(
     main_messages = render_prompt(main_prompt(config.supports_function_calls), story_text)
     reply = backend.run_main(story_text, main_messages)
     try:
-        components = _parse_main_reply(reply, drops)
+        doc = _parse_main_reply(reply, drops)
     except ResponseParseError:
         if not config.retry_parse_errors:
             raise
         log.warning("main response unparseable, re-asking once")
         reply = backend.run_main(story_text, main_messages)
-        components = _parse_main_reply(reply, drops)
+        doc = _parse_main_reply(reply, drops)
 
     benefit_messages = render_prompt(benefit_prompt(), story_text)
     breply = backend.run_benefit(story_text, benefit_messages)
     benefit = parse_benefit_response(
         breply.structured if breply.structured is not None else breply.content
     )
-    return _merge_benefit(components, benefit, drops)
+    return _merge_benefit(doc, benefit, drops)
 
 
 def extract_many(
@@ -128,31 +114,31 @@ def extract_many(
     story_texts: list[str],
     *,
     drops: DropCounts | None = None,
-) -> list[KgComponents | StoryGraphError]:
+) -> list[GraphDocument | StoryGraphError]:
     """Extract a batch, bounding in-flight requests.
 
     Results line up with the input order.  A story that fails with a
-    toolchain error contributes the exception instead of components, so one
+    toolchain error contributes the exception instead of a document, so one
     bad story never sinks the batch.
     """
     config.validate()
     backend = make_backend(config)
 
-    def one(text: str) -> tuple[KgComponents, DropCounts]:
+    def one(text: str) -> tuple[GraphDocument, DropCounts]:
         local = DropCounts()
         result = extract_components(config, text, backend=backend, drops=local)
         return result, local
 
-    results: list[KgComponents | StoryGraphError] = []
+    results: list[GraphDocument | StoryGraphError] = []
     with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
         futures = [pool.submit(one, text) for text in story_texts]
         for future in futures:
             try:
-                components, local = future.result()
+                doc, local = future.result()
             except StoryGraphError as exc:
                 results.append(exc)
                 continue
             if drops is not None:
                 drops.merge(local)
-            results.append(components)
+            results.append(doc)
     return results

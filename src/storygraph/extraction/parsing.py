@@ -1,9 +1,9 @@
-"""Turn backend replies into graph components.
+"""Turn backend replies into graph documents.
 
 Two reply shapes exist: the structured payload produced through function
 calls ({"nodes": [...], "relationships": [...]}) and the free-text reply of
 models without function-call support, which is expected to carry a JSON list
-of head-relation-tail records somewhere in the prose.
+of head-relation-tail records, or a graph object, somewhere in the prose.
 
 Unknown node kinds and relationship kinds are dropped rather than failing
 the whole story; the caller can observe how much was lost through the
@@ -20,11 +20,15 @@ from typing import Any
 from ..errors import ResponseParseError
 from ..model import (
     REL_ENDPOINT_KINDS,
+    GraphDocument,
+    GraphNode,
+    GraphRelationship,
     NodeKind,
+    RelKind,
     node_kind_from_name,
     rel_kind_from_name,
 )
-from .types import ComponentNode, ComponentRelationship, DropCounts, KgComponents
+from .types import DropCounts
 
 log = logging.getLogger(__name__)
 
@@ -55,33 +59,35 @@ def extract_first_json(raw: str) -> Any:
     raise ResponseParseError("no JSON value found in response", raw=raw)
 
 
-class _ComponentBuilder:
-    """Accumulates nodes and relationships, keeping the endpoint invariant."""
+class _DocumentBuilder:
+    """Accumulates nodes, one per exact (kind, id), and edges between them."""
 
     def __init__(self) -> None:
-        self.nodes: list[ComponentNode] = []
-        self._seen: set[tuple[NodeKind, str]] = set()
-        self.relationships: list[ComponentRelationship] = []
+        self.nodes: dict[tuple[NodeKind, str], GraphNode] = {}
+        self.relationships: list[GraphRelationship] = []
 
-    def add_node(self, node_id: str, kind: NodeKind) -> None:
-        key = (kind, node_id)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.nodes.append(ComponentNode(node_id, kind))
+    def add_node(self, node_id: str, kind: NodeKind) -> GraphNode:
+        node = self.nodes.get((kind, node_id))
+        if node is None:
+            node = self.nodes[(kind, node_id)] = GraphNode(node_id, kind)
+        return node
 
-    def add_relationship(self, rel: ComponentRelationship) -> None:
-        self.add_node(rel.source_id, rel.source_kind)
-        self.add_node(rel.target_id, rel.target_kind)
-        self.relationships.append(rel)
+    def add_relationship(
+        self, source_id: str, source_kind: NodeKind,
+        target_id: str, target_kind: NodeKind, kind: RelKind,
+    ) -> None:
+        """An edge asserts both of its ends: missing endpoints become nodes."""
+        source = self.add_node(source_id, source_kind)
+        target = self.add_node(target_id, target_kind)
+        self.relationships.append(GraphRelationship(source, target, kind))
 
-    def build(self) -> KgComponents:
-        return KgComponents(nodes=self.nodes, relationships=self.relationships)
+    def build(self) -> GraphDocument:
+        return GraphDocument(nodes=list(self.nodes.values()), relationships=self.relationships)
 
 
 def parse_structured_response(
     payload: dict[str, Any], drops: DropCounts | None = None
-) -> KgComponents:
+) -> GraphDocument:
     """Parse a function-call payload of nodes and relationships.
 
     A payload carrying neither key is rejected: it cannot be a graph.
@@ -100,7 +106,7 @@ def parse_structured_response(
             raw=json.dumps(payload),
         )
 
-    builder = _ComponentBuilder()
+    builder = _DocumentBuilder()
     for item in payload.get("nodes") or []:
         if not isinstance(item, dict):
             drops.nodes += 1
@@ -130,22 +136,20 @@ def parse_structured_response(
         expected_src, expected_tgt = REL_ENDPOINT_KINDS[rel_kind]
         source_kind = node_kind_from_name(str(item.get("source_type", ""))) or expected_src
         target_kind = node_kind_from_name(str(item.get("target_type", ""))) or expected_tgt
-        builder.add_relationship(
-            ComponentRelationship(source_id, source_kind, target_id, target_kind, rel_kind)
-        )
+        builder.add_relationship(source_id, source_kind, target_id, target_kind, rel_kind)
     return builder.build()
 
 
 def components_from_records(
     items: list[Any], drops: DropCounts | None = None, raw: str | None = None
-) -> KgComponents:
-    """Convert head-relation-tail record dicts into components.
+) -> GraphDocument:
+    """Convert head-relation-tail record dicts into a graph document.
 
     A record naming an unknown node type loses that node and the edge with
     it; an unknown relation keeps both nodes but loses the edge.
     """
     drops = drops if drops is not None else DropCounts()
-    builder = _ComponentBuilder()
+    builder = _DocumentBuilder()
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             drops.relationships += 1
@@ -178,22 +182,27 @@ def components_from_records(
             log.debug("dropping record with unknown parts: %r", item)
             drops.relationships += 1
             continue
-        builder.add_relationship(
-            ComponentRelationship(head_id, head_kind, tail_id, tail_kind, rel_kind)
-        )
+        builder.add_relationship(head_id, head_kind, tail_id, tail_kind, rel_kind)
     return builder.build()
 
 
 def parse_unstructured_response(
     raw: str, drops: DropCounts | None = None
-) -> KgComponents:
-    """Parse a free-text reply expected to contain record JSON."""
+) -> GraphDocument:
+    """Parse a free-text reply by its first JSON value.
+
+    An object carrying "nodes" or "relationships" is a graph payload; any
+    other object is a single record; a list holds records.
+    """
     obj = extract_first_json(raw)
     if isinstance(obj, dict):
+        if "nodes" in obj or "relationships" in obj:
+            return parse_structured_response(obj, drops)
         obj = [obj]
     if not isinstance(obj, list):
         raise ResponseParseError(
-            f"expected a JSON list of records, got {type(obj).__name__}", raw=raw
+            f"main response JSON is a {type(obj).__name__}, expected records or a graph",
+            raw=raw,
         )
     return components_from_records(obj, drops, raw=raw)
 

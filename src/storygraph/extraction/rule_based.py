@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import re
 
-from ..model import NodeKind, RelKind
-from .types import ComponentNode, ComponentRelationship, KgComponents
+from ..model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
 
 _PERSONA = re.compile(r"^\s*As an?\s+(.+?)\s*,", re.IGNORECASE)
 _BENEFIT = re.compile(r"\b(?:so that|in order to)\s+", re.IGNORECASE)
@@ -30,15 +29,15 @@ def _entity_phrase(fragment: str) -> str:
     return " ".join(tokens).strip(".,;:").strip()
 
 
-def rule_based_extract(story_text: str) -> KgComponents:
-    nodes: list[ComponentNode] = []
-    rels: list[ComponentRelationship] = []
+def rule_based_extract(story_text: str) -> GraphDocument:
+    nodes: list[GraphNode] = []
+    rels: list[GraphRelationship] = []
 
     persona = None
     match = _PERSONA.match(story_text)
     if match:
-        persona = match.group(1).strip()
-        nodes.append(ComponentNode(persona, NodeKind.PERSONA))
+        persona = GraphNode(match.group(1).strip(), NodeKind.PERSONA)
+        nodes.append(persona)
 
     benefit = None
     benefit_match = _BENEFIT.search(story_text)
@@ -50,25 +49,18 @@ def rule_based_extract(story_text: str) -> KgComponents:
     action = None
     want_match = _WANT.search(story_text)
     if want_match and want_match.start() < want_end:
-        action = want_match.group(1)
-        nodes.append(ComponentNode(action, NodeKind.ACTION))
-        entity = _entity_phrase(story_text[want_match.end() : want_end])
-        if entity:
-            nodes.append(ComponentNode(entity, NodeKind.ENTITY))
-            rels.append(
-                ComponentRelationship(
-                    action, NodeKind.ACTION, entity, NodeKind.ENTITY, RelKind.TARGETS
-                )
-            )
+        action = GraphNode(want_match.group(1), NodeKind.ACTION)
+        nodes.append(action)
+        entity_id = _entity_phrase(story_text[want_match.end() : want_end])
+        if entity_id:
+            entity = GraphNode(entity_id, NodeKind.ENTITY)
+            nodes.append(entity)
+            rels.append(GraphRelationship(action, entity, RelKind.TARGETS))
 
-    if persona and action:
-        rels.insert(
-            0,
-            ComponentRelationship(
-                persona, NodeKind.PERSONA, action, NodeKind.ACTION, RelKind.TRIGGERS
-            ),
-        )
+    # A persona that strips to nothing is kept as a node but triggers nothing.
+    if persona and persona.id and action:
+        rels.insert(0, GraphRelationship(persona, action, RelKind.TRIGGERS))
     if benefit:
-        nodes.append(ComponentNode(benefit, NodeKind.BENEFIT))
+        nodes.append(GraphNode(benefit, NodeKind.BENEFIT))
 
-    return KgComponents(nodes=nodes, relationships=rels)
+    return GraphDocument(nodes=nodes, relationships=rels)

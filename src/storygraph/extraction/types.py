@@ -1,49 +1,15 @@
-"""Value types passed between the extraction pipeline stages."""
+"""Extraction's own value types: the few-shot record and the drop tally.
+
+Extraction output itself is a ``model.GraphDocument``, the one graph type
+shared by every stage.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..model import NodeKind, RelKind, normalize_id
+from dataclasses import dataclass
 
 RECORD_NODE_TYPES = frozenset({"Persona", "Action", "Entity", "Benefit"})
 RECORD_RELATIONS = frozenset({"TRIGGERS", "TARGETS"})
-
-
-@dataclass(frozen=True)
-class ComponentNode:
-    """A bare extracted node before document assembly."""
-
-    id: str
-    kind: NodeKind
-
-
-@dataclass(frozen=True)
-class ComponentRelationship:
-    """An extracted edge, endpoints addressed by id and kind."""
-
-    source_id: str
-    source_kind: NodeKind
-    target_id: str
-    target_kind: NodeKind
-    kind: RelKind
-
-
-@dataclass
-class KgComponents:
-    """Raw extraction output for one story.
-
-    Invariant: every relationship endpoint also appears in ``nodes``.
-    """
-
-    nodes: list[ComponentNode] = field(default_factory=list)
-    relationships: list[ComponentRelationship] = field(default_factory=list)
-
-    def node_keys(self) -> set[tuple[NodeKind, str]]:
-        return {(node.kind, normalize_id(node.id)) for node in self.nodes}
-
-    def nodes_of_kind(self, kind: NodeKind) -> list[str]:
-        return [node.id for node in self.nodes if node.kind is kind]
 
 
 @dataclass(frozen=True)

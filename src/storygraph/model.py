@@ -1,8 +1,13 @@
 """Graph vocabulary for user-story knowledge graphs.
 
-Defines the node and relationship kinds, the document container, identity
-normalization, and the ontology validator.  Validation reports violations as
-data instead of raising so callers can decide how strict to be.
+Defines the node and relationship kinds, the one graph type every stage
+passes on (``GraphNode``, ``GraphRelationship``, ``GraphDocument``),
+identity normalization, and the ontology validator.  A relationship's
+endpoints are node objects, normally the very objects in its document's
+node list.  A node computes its identity key on the first ``key()`` call
+and stores it, so code that never keys a node, such as scoring, never pays
+for it.  Validation reports violations as data instead of raising so
+callers can decide how strict to be.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any
 
 
 class NodeKind(str, Enum):
@@ -66,14 +71,17 @@ class GraphNode:
     id: str
     kind: NodeKind
     properties: dict[str, Any] = field(default_factory=dict)
-    _key: tuple[NodeKind, str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (self.kind, normalize_id(self.id)))
+    # Not a field: set on the instance by the first key() call.
+    _key = None
 
     def key(self) -> tuple[NodeKind, str]:
         """Deduplication identity: kind plus normalized id, computed once."""
-        return self._key
+        key = self._key
+        if key is None:
+            key = (self.kind, normalize_id(self.id))
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass(frozen=True)
@@ -292,19 +300,3 @@ def document_from_dict(payload: dict[str, Any]) -> GraphDocument:
         relationships=relationships,
         source_text=str(payload.get("source", "")),
     )
-
-
-def dedup_nodes(nodes: Iterable[GraphNode]) -> list[GraphNode]:
-    """Drop nodes whose (kind, normalized id) was already seen.
-
-    The first occurrence wins, keeping its original casing.
-    """
-    seen: set[tuple[NodeKind, str]] = set()
-    kept = []
-    for node in nodes:
-        key = node.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(node)
-    return kept

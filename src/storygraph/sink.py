@@ -30,6 +30,7 @@ _BATCH_SIZE = 100
 
 _LABELS = {kind.value for kind in NodeKind} | {kind.value for kind in RelKind}
 _PARAM = re.compile(r"\$(\w+)")
+_PROPERTY_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HTTP_SCHEMES = ("http", "https")
 _BOLT_SCHEMES = ("bolt", "neo4j", "bolt+s", "neo4j+s")
 
@@ -72,6 +73,20 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _check_property_key(key: Any) -> str:
+    # The offline script writes map keys bare, so only plain identifiers
+    # may reach it.
+    if not isinstance(key, str) or not _PROPERTY_KEY.fullmatch(key):
+        raise SinkError(f"illegal property key {key!r}")
+    return key
+
+
+def _checked_properties(properties: dict[str, Any]) -> dict[str, Any]:
+    for key in properties:
+        _check_property_key(key)
+    return dict(properties)
+
+
 # Statement texts, built (and their labels checked) once per label
 # combination; to_cypher hands out the same string for every statement of
 # that shape.
@@ -99,7 +114,8 @@ def to_cypher(
     """One MERGE per node, then one per relationship.
 
     Ids beyond max_id_length are refused: they are almost certainly runaway
-    model output and would bloat the MERGE key index.
+    model output and would bloat the MERGE key index.  So are property keys
+    that are not plain identifiers.
     """
     statements = []
     for node in doc.nodes:
@@ -110,7 +126,7 @@ def to_cypher(
             )
         params: dict[str, Any] = {"id": node.id}
         if node.properties:
-            params["props"] = dict(node.properties)
+            params["props"] = _checked_properties(node.properties)
         text = _node_template(node.kind, bool(node.properties))
         statements.append(CypherStatement(text=text, params=params, is_node=True))
 
@@ -118,7 +134,7 @@ def to_cypher(
         source, target = rel.source, rel.target
         params = {"source_id": source.id, "target_id": target.id}
         if rel.properties:
-            params["props"] = dict(rel.properties)
+            params["props"] = _checked_properties(rel.properties)
         text = _relationship_template(source.kind, target.kind, rel.kind, bool(rel.properties))
         statements.append(CypherStatement(text=text, params=params))
     return statements
@@ -136,7 +152,9 @@ def _cypher_literal(value: Any) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, dict):
-        inner = ", ".join(f"{k}: {_cypher_literal(v)}" for k, v in value.items())
+        inner = ", ".join(
+            f"{_check_property_key(k)}: {_cypher_literal(v)}" for k, v in value.items()
+        )
         return "{" + inner + "}"
     raise SinkError(f"cannot render {type(value).__name__} as a Cypher literal")
 
@@ -150,7 +168,8 @@ def render(
 ) -> list[Rendered]:
     """Every document's statements, rendered once for the script and the store.
 
-    An id the sink refuses raises here, before anything is written or sent.
+    An id or property key the sink refuses raises here, before anything is
+    written or sent.
     """
     return [(doc, to_cypher(doc, max_id_length)) for doc in docs]
 

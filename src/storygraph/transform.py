@@ -1,18 +1,19 @@
-"""Assemble extracted components into an ontology-shaped graph document.
+"""Assemble graph documents into ontology-shaped ones.
 
-The story node and the ownership (HAS_*) edges are never asked of a model:
-the story node is the input itself and ownership follows from node
-existence, so both are derived here.
+Every stage passes the one graph type of ``model``: extraction returns a
+``GraphDocument`` whose edges join its own node objects, and an annotated
+story is projected into the same shape.  ``build_graph_document`` adds what
+is never asked of a model: the story node is the input itself and the
+ownership (HAS_*) edges follow from node existence, so both are derived
+here.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Sequence
 
 from .corpus import AnnotatedStory, clean_story_text
-from .errors import TransformError
-from .extraction.types import ComponentNode, ComponentRelationship, DropCounts, KgComponents
+from .extraction.types import DropCounts
 from .model import (
     HAS_REL_FOR_KIND,
     HAS_RELS,
@@ -22,61 +23,21 @@ from .model import (
     GraphRelationship,
     NodeKind,
     RelKind,
-    normalize_id,
 )
 
 log = logging.getLogger(__name__)
 
-
-def enrich_with_story_node(components: KgComponents, story_text: str) -> KgComponents:
-    """Prepend the story's own node unless an equivalent one exists."""
-    if not story_text or not story_text.strip():
-        raise ValueError("story_text must be non-empty")
-    story_key = normalize_id(story_text)
-    for node in components.nodes:
-        if node.kind is NodeKind.USERSTORY and normalize_id(node.id) == story_key:
-            return KgComponents(
-                nodes=list(components.nodes),
-                relationships=list(components.relationships),
-            )
-    story_node = ComponentNode(story_text, NodeKind.USERSTORY)
-    return KgComponents(
-        nodes=[story_node] + list(components.nodes),
-        relationships=list(components.relationships),
-    )
-
-
-def create_logical_rels(nodes: Sequence[ComponentNode]) -> list[ComponentRelationship]:
-    """Derive one ownership edge per satellite node, in node order."""
-    stories = [node for node in nodes if node.kind is NodeKind.USERSTORY]
-    if len(stories) != 1:
-        raise TransformError(
-            f"expected exactly one userstory node, found {len(stories)}"
-        )
-    story = stories[0]
-    rels = []
-    for node in nodes:
-        if node.kind is NodeKind.USERSTORY:
-            continue
-        rels.append(
-            ComponentRelationship(
-                story.id,
-                NodeKind.USERSTORY,
-                node.id,
-                node.kind,
-                HAS_REL_FOR_KIND[node.kind],
-            )
-        )
-    return rels
+# Enum member lookups cost more than a global read on the per-story paths.
+_PERSONA, _ACTION, _ENTITY = NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY
 
 
 def build_graph_document(
-    components: KgComponents,
+    doc: GraphDocument,
     story_text: str,
     *,
     drops: DropCounts | None = None,
 ) -> GraphDocument:
-    """Full assembly: enrich, dedup, rewire, infer ownership.
+    """Full assembly: add the story node, dedup, rewire, infer ownership.
 
     Model-emitted HAS_* edges are discarded (ownership is re-derived), and
     so are edges whose endpoint kinds contradict the ontology or whose
@@ -84,31 +45,24 @@ def build_graph_document(
     otherwise never; shape problems are left for validate_ontology to
     report.
 
-    The story text and each component id are normalized once, when their
-    GraphNode is built; edges find their endpoints through those keys.
+    The incoming nodes are kept as they are, the first of each identity key
+    winning; each edge is attached to the kept nodes of its endpoints' keys.
     """
     if not story_text or not story_text.strip():
         raise ValueError("story_text must be non-empty")
     story = GraphNode(id=story_text, kind=NodeKind.USERSTORY)
-    candidates = [GraphNode(id=cnode.id, kind=cnode.kind) for cnode in components.nodes]
-    # An endpoint spelled exactly like a node shares that node's key.
-    keys_by_spelling = {(node.kind, node.id): node.key() for node in candidates}
-
-    def endpoint_key(kind: NodeKind, node_id: str) -> tuple[NodeKind, str]:
-        key = keys_by_spelling.get((kind, node_id))
-        return key if key is not None else (kind, normalize_id(node_id))
-
+    story_key = story.key()
     # A story node claiming to be a different story is extraction noise and
     # would make ownership ambiguous; drop it and everything touching it.
     foreign = {
         node.key()
-        for node in candidates
-        if node.kind is NodeKind.USERSTORY and node.key() != story.key()
+        for node in doc.nodes
+        if node.kind is NodeKind.USERSTORY and node.key() != story_key
     }
 
     nodes: list[GraphNode] = []
     index: dict[tuple[NodeKind, str], GraphNode] = {}
-    for node in candidates:
+    for node in doc.nodes:
         key = node.key()
         if key in foreign:
             if drops is not None:
@@ -118,15 +72,15 @@ def build_graph_document(
         if key not in index:
             index[key] = node
             nodes.append(node)
-    if story.key() not in index:
-        index[story.key()] = story
+    if story_key not in index:
+        index[story_key] = story
         nodes.insert(0, story)
 
     relationships: list[GraphRelationship] = []
     seen_rels: set[tuple[RelKind, tuple[NodeKind, str], tuple[NodeKind, str]]] = set()
-    for rel in components.relationships:
-        src_key = endpoint_key(rel.source_kind, rel.source_id)
-        tgt_key = endpoint_key(rel.target_kind, rel.target_id)
+    for rel in doc.relationships:
+        src_key = rel.source.key()
+        tgt_key = rel.target.key()
         if src_key in foreign or tgt_key in foreign:
             if drops is not None:
                 drops.relationships += 1
@@ -155,9 +109,11 @@ def build_graph_document(
         if dedup_key in seen_rels:
             continue
         seen_rels.add(dedup_key)
-        relationships.append(GraphRelationship(source=source, target=target, kind=rel.kind))
+        if source is not rel.source or target is not rel.target:
+            rel = GraphRelationship(source, target, rel.kind, rel.properties)
+        relationships.append(rel)
 
-    story_node = index[story.key()]
+    story_node = index[story_key]
     for node in nodes:
         if node.kind is not NodeKind.USERSTORY:
             relationships.append(
@@ -167,60 +123,57 @@ def build_graph_document(
     return GraphDocument(nodes=nodes, relationships=relationships, source_text=story_text)
 
 
-def document_components(doc: GraphDocument) -> KgComponents:
-    """Project a document back onto bare components (inverse of assembly)."""
-    nodes = [ComponentNode(node.id, node.kind) for node in doc.nodes]
-    rels = [
-        ComponentRelationship(
-            rel.source.id, rel.source.kind, rel.target.id, rel.target.kind, rel.kind
-        )
-        for rel in doc.relationships
-    ]
-    return KgComponents(nodes=nodes, relationships=rels)
+def story_elements(
+    story: AnnotatedStory,
+) -> tuple[list[tuple[NodeKind, str]], list[tuple[str, str]], list[tuple[str, str]]]:
+    """The one projection of an annotated story onto graph elements.
 
+    Returns the nodes as (kind, id), then the TRIGGERS and the TARGETS
+    pairs.  Nodes come in the order personas, actions, entities, benefit,
+    then the endpoints of each trigger and each target, since an edge
+    asserts both of its ends.  Exact duplicates and empty ids are skipped,
+    and so is a pair with an empty member.
 
-def annotations_to_components(story: AnnotatedStory) -> KgComponents:
-    """Express ground-truth annotations as if they were extractor output.
-
-    Feeding annotations through the same assembly path keeps evaluation and
-    loading honest: both sides of a comparison take the identical route.
+    Ground truth and read-back extractions both pass through here, so a
+    story scores 1.0 against itself.
     """
-    nodes: list[ComponentNode] = []
-    seen: set[tuple[NodeKind, str]] = set()
-
-    def add(node_id: str, kind: NodeKind) -> None:
-        key = (kind, node_id)
-        if node_id and key not in seen:
-            seen.add(key)
-            nodes.append(ComponentNode(node_id, kind))
-
+    # A dict keeps first-seen order; assigning an existing key keeps its place.
+    nodes: dict[tuple[NodeKind, str], None] = {}
     for persona in story.personas:
-        add(persona, NodeKind.PERSONA)
-    for action in story.actions:
-        add(action, NodeKind.ACTION)
-    for entity in story.entities:
-        add(entity, NodeKind.ENTITY)
+        nodes[_PERSONA, persona] = None
+    for action in story.primary_actions + story.secondary_actions:
+        nodes[_ACTION, action] = None
+    for entity in story.primary_entities + story.secondary_entities:
+        nodes[_ENTITY, entity] = None
     if story.benefit:
-        add(story.benefit, NodeKind.BENEFIT)
-
-    rels = []
+        nodes[NodeKind.BENEFIT, story.benefit] = None
     for persona, action in story.triggers:
-        add(persona, NodeKind.PERSONA)
-        add(action, NodeKind.ACTION)
-        rels.append(
-            ComponentRelationship(
-                persona, NodeKind.PERSONA, action, NodeKind.ACTION, RelKind.TRIGGERS
-            )
-        )
+        nodes[_PERSONA, persona] = nodes[_ACTION, action] = None
     for action, entity in story.targets:
-        add(action, NodeKind.ACTION)
-        add(entity, NodeKind.ENTITY)
-        rels.append(
-            ComponentRelationship(
-                action, NodeKind.ACTION, entity, NodeKind.ENTITY, RelKind.TARGETS
-            )
-        )
-    return KgComponents(nodes=nodes, relationships=rels)
+        nodes[_ACTION, action] = nodes[_ENTITY, entity] = None
+    return (
+        [key for key in nodes if key[1]],
+        [pair for pair in story.triggers if pair[0] and pair[1]],
+        [pair for pair in story.targets if pair[0] and pair[1]],
+    )
+
+
+def annotations_to_components(story: AnnotatedStory) -> GraphDocument:
+    """Express annotations as if they were extractor output.
+
+    The nodes are those of ``story_elements``; each edge joins two of them.
+    """
+    keys, triggers, targets = story_elements(story)
+    index = {key: GraphNode(key[1], key[0]) for key in keys}
+    rels = [
+        GraphRelationship(index[_PERSONA, persona], index[_ACTION, action], RelKind.TRIGGERS)
+        for persona, action in triggers
+    ]
+    rels += [
+        GraphRelationship(index[_ACTION, action], index[_ENTITY, entity], RelKind.TARGETS)
+        for action, entity in targets
+    ]
+    return GraphDocument(nodes=list(index.values()), relationships=rels)
 
 
 def story_document(story: AnnotatedStory, *, drops: DropCounts | None = None) -> GraphDocument:

@@ -15,8 +15,7 @@ import pytest
 
 from conftest import PKG_ROOT, REPLAY_FIXTURE, SAMPLE_BACKLOG, neo4j_commit_reply
 from storygraph.cli import EXIT_BACKEND, EXIT_NO_INPUT, EXIT_OK, components_to_story, main
-from storygraph.extraction import ComponentNode, ComponentRelationship, KgComponents
-from storygraph.model import NodeKind, RelKind
+from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
 
 
 @pytest.fixture()
@@ -365,24 +364,22 @@ class TestEnvFile:
 
 class TestComponentsToStory:
     def test_primary_secondary_split(self):
-        components = KgComponents(
-            nodes=[
-                ComponentNode("user", NodeKind.PERSONA),
-                ComponentNode("sync", NodeKind.ACTION),
-                ComponentNode("access", NodeKind.ACTION),
-                ComponentNode("data", NodeKind.ENTITY),
-                ComponentNode("info", NodeKind.ENTITY),
-            ],
+        user, sync, access, data, info = (
+            GraphNode("user", NodeKind.PERSONA),
+            GraphNode("sync", NodeKind.ACTION),
+            GraphNode("access", NodeKind.ACTION),
+            GraphNode("data", NodeKind.ENTITY),
+            GraphNode("info", NodeKind.ENTITY),
+        )
+        doc = GraphDocument(
+            nodes=[user, sync, access, data, info],
             relationships=[
-                ComponentRelationship("user", NodeKind.PERSONA, "sync",
-                                      NodeKind.ACTION, RelKind.TRIGGERS),
-                ComponentRelationship("sync", NodeKind.ACTION, "data",
-                                      NodeKind.ENTITY, RelKind.TARGETS),
-                ComponentRelationship("access", NodeKind.ACTION, "info",
-                                      NodeKind.ENTITY, RelKind.TARGETS),
+                GraphRelationship(user, sync, RelKind.TRIGGERS),
+                GraphRelationship(sync, data, RelKind.TARGETS),
+                GraphRelationship(access, info, RelKind.TARGETS),
             ],
         )
-        story = components_to_story("#P#", "#P# text", components)
+        story = components_to_story("#P#", "#P# text", doc)
         assert story.primary_actions == ["sync"]
         assert story.secondary_actions == ["access"]
         assert story.primary_entities == ["data"]
@@ -390,11 +387,10 @@ class TestComponentsToStory:
         assert story.triggers == [("user", "sync")]
 
     def test_no_relations_means_all_secondary(self):
-        components = KgComponents(
-            nodes=[ComponentNode("read", NodeKind.ACTION),
-                   ComponentNode("book", NodeKind.ENTITY)]
+        doc = GraphDocument(
+            nodes=[GraphNode("read", NodeKind.ACTION), GraphNode("book", NodeKind.ENTITY)]
         )
-        story = components_to_story("#P#", "#P# text", components)
+        story = components_to_story("#P#", "#P# text", doc)
         assert story.primary_actions == []
         assert story.secondary_actions == ["read"]
         assert story.secondary_entities == ["book"]

@@ -7,10 +7,10 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from storygraph.corpus import AnnotatedStory, Backlog
+from storygraph.corpus import AnnotatedStory, Backlog, drop_invalid_stories
 from storygraph.evaluation import (
     BERTSCORE_MODE,
     CSV_COLUMNS,
@@ -37,8 +37,7 @@ from storygraph.evaluation import (
 )
 from storygraph.evaluation.compare import element_form
 from storygraph.evaluation.report import MODES_FOR_KIND, _tokens
-from storygraph.extraction import ComponentNode, ComponentRelationship, KgComponents
-from storygraph.model import NodeKind, RelKind, normalize_id
+from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind, normalize_id
 from storygraph.transform import annotations_to_components
 
 TOL = 1e-9
@@ -99,10 +98,7 @@ class TestEvaluateStory:
     def test_hallucinated_benefit_scores_zero(self):
         story = story_no_benefit()
         components = annotations_to_components(story)
-        from storygraph.extraction import ComponentNode
-        from storygraph.model import NodeKind
-
-        components.nodes.append(ComponentNode("made up", NodeKind.BENEFIT))
+        components.nodes.append(GraphNode("made up", NodeKind.BENEFIT))
         results = evaluate_story(story, components)
         row = results[("Benefit", STRICT)]
         assert row is not None
@@ -284,7 +280,7 @@ class TestReportOutput:
 # -- backlog scores against a cell-by-cell oracle -----------------------------
 
 ORACLE_WORDS = ["user", "the user", "Users", "admin", "page", "web page", "pages",
-                "my data", "data", "Data  set", "sync"]
+                "my data", "data", "Data  set", "sync", ""]
 oracle_words = st.sampled_from(ORACLE_WORDS)
 word_lists = st.lists(oracle_words, max_size=3)
 word_pairs = st.lists(st.tuples(oracle_words, oracle_words), max_size=3)
@@ -308,22 +304,22 @@ def oracle_stories(draw, pid: str) -> AnnotatedStory:
 
 
 @st.composite
-def oracle_components(draw) -> KgComponents:
+def oracle_components(draw) -> GraphDocument:
     kinds = [NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY, NodeKind.BENEFIT]
     nodes = [
-        ComponentNode(draw(oracle_words), draw(st.sampled_from(kinds)))
+        GraphNode(draw(oracle_words), draw(st.sampled_from(kinds)))
         for _ in range(draw(st.integers(0, 7)))
     ]
     relationships = [
-        ComponentRelationship(src, NodeKind.PERSONA, tgt, NodeKind.ACTION, kind)
+        GraphRelationship(GraphNode(src, NodeKind.PERSONA), GraphNode(tgt, NodeKind.ACTION), kind)
         for kind in (RelKind.TRIGGERS, RelKind.TARGETS, RelKind.HAS_PERSONA)
         for src, tgt in draw(word_pairs)
     ]
-    return KgComponents(nodes=nodes, relationships=relationships)
+    return GraphDocument(nodes=nodes, relationships=relationships)
 
 
 @st.composite
-def oracle_backlogs(draw) -> tuple[Backlog, dict[str, KgComponents]]:
+def oracle_backlogs(draw) -> tuple[Backlog, dict[str, GraphDocument]]:
     stories = [draw(oracle_stories(f"#S{i}#")) for i in range(draw(st.integers(0, 4)))]
     extractions = {}
     for story in stories:
@@ -357,6 +353,29 @@ def oracle_mean(values: list[float]) -> float:
     return total / len(values)
 
 
+def oracle_expected(story: AnnotatedStory):
+    """Ground truth as the README states it: the annotated nodes, then each
+    trigger's and target's endpoints, without exact duplicates or empty ids;
+    the pairs without those that have an empty member."""
+    lists = {kind: [] for kind in KIND_ORDER}
+    items = [("Persona", p) for p in story.personas]
+    items += [("Action", a) for a in story.primary_actions + story.secondary_actions]
+    items += [("Entity", e) for e in story.primary_entities + story.secondary_entities]
+    items += [("Benefit", story.benefit)]
+    for persona, action in story.triggers:
+        items += [("Persona", persona), ("Action", action)]
+    for action, entity in story.targets:
+        items += [("Action", action), ("Entity", entity)]
+    for kind, item in items:
+        if item and item not in lists[kind]:
+            lists[kind].append(item)
+    pairs = {
+        label: [(a, b) for a, b in source if a and b]
+        for label, source in (("TRIGGERS", story.triggers), ("TARGETS", story.targets))
+    }
+    return lists, pairs
+
+
 def oracle_report(backlog, extractions, options) -> BacklogReport:
     """Every story's cells as MetricRows from counts_to_row, then the means."""
     cells: dict[tuple[str, str], list] = {}
@@ -367,12 +386,7 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
             report.stories_skipped += 1
             continue
         report.stories_evaluated += 1
-        expected = {
-            "Persona": story.personas,
-            "Action": story.primary_actions + story.secondary_actions,
-            "Entity": story.primary_entities + story.secondary_entities,
-            "Benefit": [story.benefit] if story.benefit else [],
-        }
+        expected, expected_pairs = oracle_expected(story)
         predicted = {kind: [n.id for n in components.nodes if n.kind is NodeKind(kind)]
                      for kind in KIND_ORDER}
         for kind in KIND_ORDER:
@@ -387,8 +401,8 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
             row = (bertscore(exp_tokens, pred_tokens, OneHotEmbedder())
                    if exp_tokens and pred_tokens else None)
             cells.setdefault((kind, BERTSCORE_MODE), []).append(row)
-        for label, exp_pairs in (("TRIGGERS", story.triggers), ("TARGETS", story.targets)):
-            pred_pairs = [(r.source_id, r.target_id) for r in components.relationships
+        for label, exp_pairs in expected_pairs.items():
+            pred_pairs = [(r.source.id, r.target.id) for r in components.relationships
                           if r.kind.value == label]
             for mode in ComparisonMode:
                 counts = oracle_greedy(
@@ -451,3 +465,61 @@ def test_average_rows_add_left_to_right():
     )
     (average,) = report.average_rows()
     assert average.precision == average.recall == average.f_measure == 0.09999999999999999
+
+
+# -- ground truth against itself ---------------------------------------------
+
+
+@st.composite
+def annotated_stories(draw, pid: str) -> AnnotatedStory:
+    """Stories with repeated, empty and case-variant items, and pairs whose
+    target is not among the annotated nodes; most pass validation."""
+    personas = draw(word_lists)
+    primary_actions = draw(word_lists)
+    secondary_actions = draw(word_lists)
+    triggers = []
+    if personas and primary_actions:
+        triggers = draw(st.lists(
+            st.tuples(st.sampled_from(personas), st.sampled_from(primary_actions)), max_size=3
+        ))
+    actions = primary_actions + secondary_actions
+    targets = []
+    if actions:
+        targets = draw(st.lists(st.tuples(st.sampled_from(actions), oracle_words), max_size=3))
+    return AnnotatedStory(
+        pid=pid,
+        text=f"{pid} As a user, I want to sync data.",
+        personas=personas,
+        primary_actions=primary_actions,
+        secondary_actions=secondary_actions,
+        primary_entities=draw(word_lists),
+        secondary_entities=draw(word_lists),
+        benefit=draw(st.one_of(st.none(), oracle_words)),
+        triggers=triggers,
+        targets=targets,
+    )
+
+
+# A repeated persona, and a Targets entity missing from Entity.
+REPEATS_AND_UNLISTED_TARGET = AnnotatedStory(
+    pid="#D01#",
+    text="#D01# As a user, I want to pay by cash.",
+    personas=["user", "user"],
+    primary_actions=["pay"],
+    triggers=[("user", "pay")],
+    targets=[("pay", "cash")],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[annotated_stories(f"#S{i}#") for i in range(n)])
+), st.builds(CompareOptions, fold_plurals=st.booleans(), token_boundary=st.booleans()))
+@example(stories=(REPEATS_AND_UNLISTED_TARGET,), options=CompareOptions())
+def test_valid_ground_truth_scores_one_against_itself(stories, options):
+    backlog, _skipped = drop_invalid_stories(Backlog(name="b", stories=list(stories)))
+    extractions = {story.pid: annotations_to_components(story) for story in backlog.stories}
+    report = evaluate_backlog(backlog, extractions, options=options)
+    assert report.stories_evaluated == len(backlog.stories)
+    for row in report.rows + report.relation_rows:
+        assert (row.precision, row.recall, row.f_measure) == (1.0, 1.0, 1.0), (row.kind, row.mode)

@@ -15,6 +15,7 @@ from storygraph.extraction import (
     extract_components,
     extract_many,
     make_backend,
+    parse_unstructured_response,
 )
 from storygraph.model import NodeKind, RelKind
 
@@ -229,6 +230,10 @@ class TestChatHttp:
             extract_components(config, SYNC_TEXT)
 
 
+def benefit_ids(doc):
+    return [n.id for n in doc.nodes if n.kind is NodeKind.BENEFIT]
+
+
 class TestBenefitMerge:
     def test_benefit_chain_wins(self, stub_server):
         payload = dict(MAIN_PAYLOAD)
@@ -240,9 +245,7 @@ class TestBenefitMerge:
         )
         config = http_config(stub_server, supports_function_calls=True)
         components = extract_components(config, SYNC_TEXT)
-        assert components.nodes_of_kind(NodeKind.BENEFIT) == [
-            "I can access my information from anywhere"
-        ]
+        assert benefit_ids(components) == ["I can access my information from anywhere"]
 
     def test_main_benefit_survives_silent_chain(self, stub_server):
         payload = dict(MAIN_PAYLOAD)
@@ -252,7 +255,7 @@ class TestBenefitMerge:
         stub_server.behaviors.extend([chat_tool_reply(payload), chat_content_reply("''")])
         config = http_config(stub_server, supports_function_calls=True)
         components = extract_components(config, SYNC_TEXT)
-        assert components.nodes_of_kind(NodeKind.BENEFIT) == ["main guess"]
+        assert benefit_ids(components) == ["main guess"]
 
     def test_edges_on_replaced_benefit_dropped(self, stub_server):
         payload = {
@@ -272,14 +275,43 @@ class TestBenefitMerge:
         assert len(components.relationships) == 2
         assert drops.relationships == 1
         assert all(
-            r.target_kind is not NodeKind.BENEFIT for r in components.relationships
+            r.target.kind is not NodeKind.BENEFIT for r in components.relationships
         )
 
     def test_no_benefit_anywhere(self, stub_server):
         stub_server.behaviors.extend([chat_tool_reply(MAIN_PAYLOAD), chat_content_reply("''")])
         config = http_config(stub_server, supports_function_calls=True)
         components = extract_components(config, SYNC_TEXT)
-        assert components.nodes_of_kind(NodeKind.BENEFIT) == []
+        assert benefit_ids(components) == []
+
+
+# One record reply and one graph-shaped reply, each in prose and each
+# carrying a fragment that gets dropped.
+FREE_TEXT_REPLIES = {
+    "As a customer, I want to pay by cash.": "Here it is: " + json.dumps({
+        "text": "As a customer, I want to pay by cash.", "head": "customer",
+        "head_type": "Persona", "relation": "KNOWS", "tail": "pay", "tail_type": "Action",
+    }),
+    "As a user, I want to sync my data.": "```json\n" + json.dumps({
+        "nodes": [{"id": "user", "type": "Persona"}, {"id": "x", "type": "Concept"}],
+        "relationships": [{"source": "user", "target": "sync", "type": "TRIGGERS"}],
+    }) + "\n```",
+}
+
+
+@pytest.mark.parametrize("story_text", sorted(FREE_TEXT_REPLIES))
+def test_free_text_reply_parses_alike_through_extraction_and_parser(tmp_path, story_text):
+    raw = FREE_TEXT_REPLIES[story_text]
+    fixture = tmp_path / "replay.json"
+    fixture.write_text(json.dumps(
+        {story_text: {"main_response": raw, "benefit_response": "''"}}
+    ))
+    config = ExtractorConfig(backend="replay-fixture", fixture_path=str(fixture))
+    extracted_drops, parsed_drops = DropCounts(), DropCounts()
+    extracted = extract_components(config, story_text, drops=extracted_drops)
+    parsed = parse_unstructured_response(raw, parsed_drops)
+    assert extracted == parsed
+    assert extracted.nodes and extracted_drops == parsed_drops != DropCounts()
 
 
 class TestReplayBackend:

@@ -16,7 +16,6 @@ from storygraph.model import (
     GraphRelationship,
     NodeKind,
     RelKind,
-    dedup_nodes,
     document_from_dict,
     document_to_dict,
     node_kind_from_name,
@@ -89,10 +88,25 @@ class TestNodeKey:
         assert n("User", NodeKind.PERSONA) == GraphNode(id="User", kind=NodeKind.PERSONA)
         assert "_key" not in repr(n("User", NodeKind.PERSONA))
 
+    def test_key_computed_on_first_call_and_stored(self, monkeypatch):
+        import storygraph.model as model
+
+        calls = []
+        original = model.normalize_id
+        monkeypatch.setattr(model, "normalize_id", lambda text: calls.append(text) or original(text))
+        node = n("Library  Database", NodeKind.ENTITY)
+        assert calls == []
+        assert node.key() == (NodeKind.ENTITY, "library database")
+        assert node.key() is node.key()
+        assert calls == ["Library  Database"]
+
     def test_validation_normalizes_nothing(self, monkeypatch):
         import storygraph.model as model
 
         doc = sync_document()
+        # Assembly keys every node before validation sees it.
+        for node in doc.nodes:
+            node.key()
         calls = []
         monkeypatch.setattr(model, "normalize_id", lambda text: calls.append(text) or text)
         assert validate_ontology(doc) == []
@@ -124,17 +138,6 @@ class TestKindLookup:
 
     def test_has_map_covers_satellites(self):
         assert set(HAS_REL_FOR_KIND) == set(NodeKind) - {NodeKind.USERSTORY}
-
-
-class TestDedupNodes:
-    def test_first_seen_casing_kept(self):
-        nodes = [n("Library Database", NodeKind.ENTITY), n("library  database", NodeKind.ENTITY)]
-        kept = dedup_nodes(nodes)
-        assert [node.id for node in kept] == ["Library Database"]
-
-    def test_same_id_different_kind_kept(self):
-        nodes = [n("sync", NodeKind.ACTION), n("sync", NodeKind.ENTITY)]
-        assert len(dedup_nodes(nodes)) == 2
 
 
 class TestValidateOntology:

@@ -47,7 +47,7 @@ class TestStructured:
             ("current information", NodeKind.ENTITY),
             ("anywhere", NodeKind.ENTITY),
         ]
-        assert [(r.source_id, r.target_id, r.kind) for r in components.relationships] == [
+        assert [(r.source.id, r.target.id, r.kind) for r in components.relationships] == [
             ("user", "sync", RelKind.TRIGGERS),
             ("sync", "data", RelKind.TARGETS),
             ("access", "current information", RelKind.TARGETS),
@@ -113,10 +113,10 @@ class TestStructured:
 
     def test_endpoints_always_in_nodes(self):
         components = parse_structured_response(sync_payload())
-        keys = components.node_keys()
+        nodes = {id(n) for n in components.nodes}
         for rel in components.relationships:
-            assert (rel.source_kind, rel.source_id) in keys
-            assert (rel.target_kind, rel.target_id) in keys
+            assert id(rel.source) in nodes
+            assert id(rel.target) in nodes
 
 
 class TestExtractFirstJson:

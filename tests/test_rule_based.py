@@ -15,6 +15,10 @@ def kinds(components):
     return {(n.id, n.kind) for n in components.nodes}
 
 
+def ids_of_kind(components, kind):
+    return [n.id for n in components.nodes if n.kind is kind]
+
+
 def test_sync_story_components():
     components = rule_based_extract(SYNC_TEXT)
     got = kinds(components)
@@ -26,21 +30,21 @@ def test_sync_story_components():
 def test_triggers_comes_first():
     components = rule_based_extract(SYNC_TEXT)
     assert components.relationships[0].kind is RelKind.TRIGGERS
-    assert components.relationships[0].source_id == "user"
-    assert components.relationships[0].target_id == "sync"
+    assert components.relationships[0].source.id == "user"
+    assert components.relationships[0].target.id == "sync"
 
 
 def test_targets_edge_points_at_entity():
     components = rule_based_extract(SYNC_TEXT)
     targets = [r for r in components.relationships if r.kind is RelKind.TARGETS]
     assert len(targets) == 1
-    assert targets[0].source_id == "sync"
-    assert targets[0].target_kind is NodeKind.ENTITY
+    assert targets[0].source.id == "sync"
+    assert targets[0].target.kind is NodeKind.ENTITY
 
 
 def test_no_benefit_clause():
     components = rule_based_extract("As a customer, I want to pay by cash.")
-    assert not components.nodes_of_kind(NodeKind.BENEFIT)
+    assert not ids_of_kind(components, NodeKind.BENEFIT)
     got = kinds(components)
     assert ("customer", NodeKind.PERSONA) in got
     assert ("pay", NodeKind.ACTION) in got
@@ -50,7 +54,7 @@ def test_no_benefit_clause():
 def test_in_order_to_marker():
     text = "As an editor, I want to review drafts in order to keep quality high."
     components = rule_based_extract(text)
-    assert components.nodes_of_kind(NodeKind.BENEFIT) == ["keep quality high"]
+    assert ids_of_kind(components, NodeKind.BENEFIT) == ["keep quality high"]
     assert ("editor", NodeKind.PERSONA) in kinds(components)
 
 
@@ -62,8 +66,8 @@ def test_be_able_to_is_skipped():
 
 def test_at_most_one_persona_and_benefit():
     components = rule_based_extract(SYNC_TEXT)
-    assert len(components.nodes_of_kind(NodeKind.PERSONA)) == 1
-    assert len(components.nodes_of_kind(NodeKind.BENEFIT)) <= 1
+    assert len(ids_of_kind(components, NodeKind.PERSONA)) == 1
+    assert len(ids_of_kind(components, NodeKind.BENEFIT)) <= 1
 
 
 def test_unparseable_text_yields_empty_components():
@@ -74,7 +78,7 @@ def test_unparseable_text_yields_empty_components():
 
 def test_endpoints_are_nodes():
     components = rule_based_extract(SYNC_TEXT)
-    keys = components.node_keys()
+    nodes = {id(n) for n in components.nodes}
     for rel in components.relationships:
-        assert (rel.source_kind, rel.source_id) in keys
-        assert (rel.target_kind, rel.target_id) in keys
+        assert id(rel.source) in nodes
+        assert id(rel.target) in nodes

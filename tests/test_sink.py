@@ -315,6 +315,30 @@ def test_non_ontology_label_refused(where):
             to_cypher(doc)
 
 
+@pytest.mark.parametrize("key", ["x}) DETACH DELETE n //", "a b", "1x", "", 1])
+@pytest.mark.parametrize("where", ["node", "relationship"])
+def test_property_key_that_is_not_an_identifier_refused(where, key):
+    node = GraphNode(id="a", kind=NodeKind.ENTITY)
+    if where == "node":
+        doc = GraphDocument(nodes=[GraphNode(id="a", kind=NodeKind.ENTITY, properties={key: 1})])
+    else:
+        doc = GraphDocument(relationships=[
+            GraphRelationship(node, node, RelKind.TARGETS, properties={key: 1})
+        ])
+    # Refused when rendering, before the script is written or the store called.
+    with pytest.raises(SinkError, match="illegal property key"):
+        sink.render([doc])
+    with pytest.raises(SinkError, match="illegal property key"):
+        cypher_script([doc])
+
+
+def test_plain_identifier_property_keys_rendered_bare():
+    doc = GraphDocument(
+        nodes=[GraphNode(id="a", kind=NodeKind.ENTITY, properties={"_Score1": 1, "note": "n"})]
+    )
+    assert cypher_script([doc]) == "MERGE (n:Entity {id: 'a'}) SET n += {_Score1: 1, note: 'n'};\n"
+
+
 class TestJsonRoundTrip:
     def test_round_trip(self, sync_doc):
         docs = import_json(export_json([sync_doc]))

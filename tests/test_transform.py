@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT
-from storygraph.errors import TransformError
-from storygraph.extraction import (
-    ComponentNode,
-    ComponentRelationship,
-    DropCounts,
-    KgComponents,
-)
+from storygraph.cli import components_to_story
+from storygraph.corpus import AnnotatedStory
+from storygraph.extraction import DropCounts
 from storygraph.model import (
+    HAS_REL_FOR_KIND,
     HAS_RELS,
     REL_ENDPOINT_KINDS,
     GraphDocument,
@@ -28,62 +25,65 @@ from storygraph.model import (
 from storygraph.transform import (
     annotations_to_components,
     build_graph_document,
-    create_logical_rels,
-    document_components,
-    enrich_with_story_node,
     story_document,
+    story_elements,
 )
 
 
-def sync_components() -> KgComponents:
-    nodes = [
-        ComponentNode("user", NodeKind.PERSONA),
-        ComponentNode("sync", NodeKind.ACTION),
-        ComponentNode("access", NodeKind.ACTION),
-        ComponentNode("data", NodeKind.ENTITY),
-        ComponentNode("current information", NodeKind.ENTITY),
-        ComponentNode("anywhere", NodeKind.ENTITY),
-        ComponentNode("I can access my information from anywhere", NodeKind.BENEFIT),
+def sync_components() -> GraphDocument:
+    """An extraction of SYNC_TEXT: edges join the document's own nodes."""
+    user, sync, access, data, info, anywhere, benefit = nodes = [
+        GraphNode("user", NodeKind.PERSONA),
+        GraphNode("sync", NodeKind.ACTION),
+        GraphNode("access", NodeKind.ACTION),
+        GraphNode("data", NodeKind.ENTITY),
+        GraphNode("current information", NodeKind.ENTITY),
+        GraphNode("anywhere", NodeKind.ENTITY),
+        GraphNode("I can access my information from anywhere", NodeKind.BENEFIT),
     ]
     rels = [
-        ComponentRelationship("user", NodeKind.PERSONA, "sync", NodeKind.ACTION,
-                              RelKind.TRIGGERS),
-        ComponentRelationship("sync", NodeKind.ACTION, "data", NodeKind.ENTITY,
-                              RelKind.TARGETS),
-        ComponentRelationship("access", NodeKind.ACTION, "current information",
-                              NodeKind.ENTITY, RelKind.TARGETS),
+        GraphRelationship(user, sync, RelKind.TRIGGERS),
+        GraphRelationship(sync, data, RelKind.TARGETS),
+        GraphRelationship(access, info, RelKind.TARGETS),
     ]
-    return KgComponents(nodes=nodes, relationships=rels)
+    return GraphDocument(nodes=nodes, relationships=rels)
+
+
+def node_of(doc: GraphDocument, node_id: str) -> GraphNode:
+    return next(node for node in doc.nodes if node.id == node_id)
 
 
 class TestEnrich:
+    """The story-node step of assembly."""
+
     def test_prepends_story_node(self):
-        enriched = enrich_with_story_node(sync_components(), SYNC_TEXT)
-        assert enriched.nodes[0] == ComponentNode(SYNC_TEXT, NodeKind.USERSTORY)
-        assert len(enriched.nodes) == 8
+        doc = build_graph_document(sync_components(), SYNC_TEXT)
+        assert doc.nodes[0] == GraphNode(SYNC_TEXT, NodeKind.USERSTORY)
+        assert len(doc.nodes) == 8
 
     def test_existing_story_node_not_duplicated(self):
         components = sync_components()
-        components.nodes.append(ComponentNode(SYNC_TEXT.upper(), NodeKind.USERSTORY))
-        enriched = enrich_with_story_node(components, SYNC_TEXT)
-        stories = [n for n in enriched.nodes if n.kind is NodeKind.USERSTORY]
+        components.nodes.append(GraphNode(SYNC_TEXT.upper(), NodeKind.USERSTORY))
+        doc = build_graph_document(components, SYNC_TEXT)
+        stories = [n for n in doc.nodes if n.kind is NodeKind.USERSTORY]
         assert len(stories) == 1
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            enrich_with_story_node(sync_components(), " ")
+            build_graph_document(sync_components(), " ")
 
     def test_input_not_mutated(self):
         components = sync_components()
-        before = list(components.nodes)
-        enrich_with_story_node(components, SYNC_TEXT)
-        assert components.nodes == before
+        nodes, rels = list(components.nodes), list(components.relationships)
+        build_graph_document(components, SYNC_TEXT)
+        assert components.nodes == nodes
+        assert components.relationships == rels
 
 
 class TestLogicalRels:
     def test_one_edge_per_satellite_in_node_order(self):
-        enriched = enrich_with_story_node(sync_components(), SYNC_TEXT)
-        rels = create_logical_rels(enriched.nodes)
+        doc = build_graph_document(sync_components(), SYNC_TEXT)
+        rels = [r for r in doc.relationships if r.kind in HAS_RELS]
         assert [r.kind for r in rels] == [
             RelKind.HAS_PERSONA,
             RelKind.HAS_ACTION,
@@ -93,23 +93,11 @@ class TestLogicalRels:
             RelKind.HAS_ENTITY,
             RelKind.HAS_BENEFIT,
         ]
-        assert all(r.source_id == SYNC_TEXT for r in rels)
-        assert [r.target_id for r in rels] == [
+        assert all(r.source is doc.nodes[0] for r in rels)
+        assert [r.target.id for r in rels] == [
             "user", "sync", "access", "data", "current information", "anywhere",
             "I can access my information from anywhere",
         ]
-
-    def test_no_story_node_is_an_error(self):
-        with pytest.raises(TransformError, match="found 0"):
-            create_logical_rels(sync_components().nodes)
-
-    def test_two_story_nodes_is_an_error(self):
-        nodes = [
-            ComponentNode("a", NodeKind.USERSTORY),
-            ComponentNode("b", NodeKind.USERSTORY),
-        ]
-        with pytest.raises(TransformError, match="found 2"):
-            create_logical_rels(nodes)
 
 
 class TestBuildDocument:
@@ -132,16 +120,24 @@ class TestBuildDocument:
         assert all(k in HAS_RELS for k in kinds[first_has:])
         assert all(k not in HAS_RELS for k in kinds[:first_has])
 
+    def test_incoming_nodes_and_edges_kept_as_they_are(self):
+        components = sync_components()
+        doc = build_graph_document(components, SYNC_TEXT)
+        assert all(a is b for a, b in zip(doc.nodes[1:], components.nodes))
+        assert all(
+            a is b for a, b in zip(doc.relationships, components.relationships)
+        )
+
     def test_duplicate_nodes_keep_first_casing(self):
         components = sync_components()
-        components.nodes.append(ComponentNode("USER", NodeKind.PERSONA))
+        components.nodes.append(GraphNode("USER", NodeKind.PERSONA))
         doc = build_graph_document(components, SYNC_TEXT)
         personas = [n for n in doc.nodes if n.kind is NodeKind.PERSONA]
         assert [n.id for n in personas] == ["user"]
 
     def test_same_id_different_kind_kept_apart(self):
         components = sync_components()
-        components.nodes.append(ComponentNode("sync", NodeKind.ENTITY))
+        components.nodes.append(GraphNode("sync", NodeKind.ENTITY))
         doc = build_graph_document(components, SYNC_TEXT)
         syncs = [n for n in doc.nodes if normalize_id(n.id) == "sync"]
         assert {n.kind for n in syncs} == {NodeKind.ACTION, NodeKind.ENTITY}
@@ -149,8 +145,8 @@ class TestBuildDocument:
     def test_model_has_edges_discarded(self):
         components = sync_components()
         components.relationships.append(
-            ComponentRelationship(SYNC_TEXT, NodeKind.USERSTORY, "user",
-                                  NodeKind.PERSONA, RelKind.HAS_PERSONA)
+            GraphRelationship(GraphNode(SYNC_TEXT, NodeKind.USERSTORY),
+                              node_of(components, "user"), RelKind.HAS_PERSONA)
         )
         doc = build_graph_document(components, SYNC_TEXT)
         has_persona = [r for r in doc.relationships if r.kind is RelKind.HAS_PERSONA]
@@ -159,8 +155,8 @@ class TestBuildDocument:
     def test_dangling_endpoint_dropped_and_counted(self):
         components = sync_components()
         components.relationships.append(
-            ComponentRelationship("ghost", NodeKind.ACTION, "data", NodeKind.ENTITY,
-                                  RelKind.TARGETS)
+            GraphRelationship(GraphNode("ghost", NodeKind.ACTION),
+                              node_of(components, "data"), RelKind.TARGETS)
         )
         drops = DropCounts()
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
@@ -170,8 +166,8 @@ class TestBuildDocument:
     def test_wrong_endpoint_kinds_dropped(self):
         components = sync_components()
         components.relationships.append(
-            ComponentRelationship("data", NodeKind.ENTITY, "sync", NodeKind.ACTION,
-                                  RelKind.TRIGGERS)
+            GraphRelationship(node_of(components, "data"), node_of(components, "sync"),
+                              RelKind.TRIGGERS)
         )
         drops = DropCounts()
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
@@ -188,10 +184,10 @@ class TestBuildDocument:
 
     def test_foreign_story_node_dropped_with_edges(self):
         components = sync_components()
-        components.nodes.append(ComponentNode("some other story", NodeKind.USERSTORY))
+        other = GraphNode("some other story", NodeKind.USERSTORY)
+        components.nodes.append(other)
         components.relationships.append(
-            ComponentRelationship("some other story", NodeKind.USERSTORY, "user",
-                                  NodeKind.PERSONA, RelKind.TRIGGERS)
+            GraphRelationship(other, node_of(components, "user"), RelKind.TRIGGERS)
         )
         drops = DropCounts()
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
@@ -202,21 +198,21 @@ class TestBuildDocument:
 
     def test_matching_story_node_adopted(self):
         components = sync_components()
-        components.nodes.insert(0, ComponentNode(SYNC_TEXT, NodeKind.USERSTORY))
+        components.nodes.insert(0, GraphNode(SYNC_TEXT, NodeKind.USERSTORY))
         doc = build_graph_document(components, SYNC_TEXT)
         assert validate_ontology(doc) == []
         assert len([n for n in doc.nodes if n.kind is NodeKind.USERSTORY]) == 1
 
     def test_empty_components_yield_bare_story(self):
-        doc = build_graph_document(KgComponents(), SYNC_TEXT)
+        doc = build_graph_document(GraphDocument(), SYNC_TEXT)
         assert len(doc.nodes) == 1
         assert doc.nodes[0].kind is NodeKind.USERSTORY
         assert doc.relationships == []
 
     def test_never_raises_on_shape_problems(self):
-        components = KgComponents(
-            nodes=[ComponentNode("lonely", NodeKind.BENEFIT),
-                   ComponentNode("also lonely", NodeKind.BENEFIT)]
+        components = GraphDocument(
+            nodes=[GraphNode("lonely", NodeKind.BENEFIT),
+                   GraphNode("also lonely", NodeKind.BENEFIT)]
         )
         doc = build_graph_document(components, SYNC_TEXT)
         problems = validate_ontology(doc)
@@ -231,37 +227,37 @@ class TestBuildDocument:
 
 
 def reference_document(
-    components: KgComponents, story_text: str, drops: DropCounts
+    components: GraphDocument, story_text: str, drops: DropCounts
 ) -> GraphDocument:
     """Assembly spelled out step by step, normalizing at every lookup."""
-    def key(kind, node_id):
-        return (kind, normalize_id(node_id))
+    def key(node):
+        return (node.kind, normalize_id(node.id))
 
-    story_key = normalize_id(story_text)
+    story_key = (NodeKind.USERSTORY, normalize_id(story_text))
     foreign = {
-        key(c.kind, c.id) for c in components.nodes
-        if c.kind is NodeKind.USERSTORY and normalize_id(c.id) != story_key
+        key(n) for n in components.nodes
+        if n.kind is NodeKind.USERSTORY and key(n) != story_key
     }
-    kept = [c for c in components.nodes if key(c.kind, c.id) not in foreign]
+    kept = [n for n in components.nodes if key(n) not in foreign]
     drops.nodes += len(components.nodes) - len(kept)
     rels = []
     for rel in components.relationships:
-        if key(rel.source_kind, rel.source_id) in foreign or key(
-            rel.target_kind, rel.target_id
-        ) in foreign:
+        if key(rel.source) in foreign or key(rel.target) in foreign:
             drops.relationships += 1
         else:
             rels.append(rel)
-    enriched = enrich_with_story_node(KgComponents(kept, rels), story_text)
+    # The story node goes first, unless an equivalent one is there already.
+    if story_key not in {key(n) for n in kept}:
+        kept.insert(0, GraphNode(story_text, NodeKind.USERSTORY))
     index = {}
-    for c in enriched.nodes:
-        index.setdefault(key(c.kind, c.id), GraphNode(id=c.id, kind=c.kind))
+    for n in kept:
+        index.setdefault(key(n), n)
     nodes = list(index.values())
     out, seen = [], set()
-    for rel in enriched.relationships:
+    for rel in rels:
         if rel.kind in HAS_RELS:
             continue
-        src_key, tgt_key = key(rel.source_kind, rel.source_id), key(rel.target_kind, rel.target_id)
+        src_key, tgt_key = key(rel.source), key(rel.target)
         source, target = index.get(src_key), index.get(tgt_key)
         if source is None or target is None or (
             (source.kind, target.kind) != REL_ENDPOINT_KINDS[rel.kind]
@@ -270,28 +266,26 @@ def reference_document(
         elif (rel.kind, src_key, tgt_key) not in seen:
             seen.add((rel.kind, src_key, tgt_key))
             out.append(GraphRelationship(source=source, target=target, kind=rel.kind))
-    for inferred in create_logical_rels([ComponentNode(n.id, n.kind) for n in nodes]):
-        out.append(GraphRelationship(
-            source=index[key(inferred.source_kind, inferred.source_id)],
-            target=index[key(inferred.target_kind, inferred.target_id)],
-            kind=inferred.kind,
-        ))
+    # One ownership edge per satellite node, in node order.
+    (story,) = [n for n in nodes if n.kind is NodeKind.USERSTORY]
+    for n in nodes:
+        if n.kind is not NodeKind.USERSTORY:
+            out.append(GraphRelationship(source=story, target=n, kind=HAS_REL_FOR_KIND[n.kind]))
     return GraphDocument(nodes=nodes, relationships=out, source_text=story_text)
 
 
 # Few spellings, so that duplicates, case variants and story look-alikes occur.
 spellings = st.sampled_from(["user", "User ", "sync", "SYNC", SYNC_TEXT, SYNC_TEXT.upper(), "other"])
 kinds = st.sampled_from(list(NodeKind))
-component_nodes = st.builds(ComponentNode, spellings, kinds)
+graph_nodes = st.builds(GraphNode, spellings, kinds)
 rel_kinds = st.sampled_from(list(RelKind))
-# Mostly edges whose endpoint kinds fit the ontology, so that they survive.
-component_rels = rel_kinds.flatmap(
+# Edges between fresh endpoint objects, mostly of kinds that fit the
+# ontology so that they survive.
+fresh_rels = rel_kinds.flatmap(
     lambda kind: st.builds(
-        ComponentRelationship,
-        spellings,
-        st.just(REL_ENDPOINT_KINDS[kind][0]) | kinds,
-        spellings,
-        st.just(REL_ENDPOINT_KINDS[kind][1]) | kinds,
+        GraphRelationship,
+        st.builds(GraphNode, spellings, st.just(REL_ENDPOINT_KINDS[kind][0]) | kinds),
+        st.builds(GraphNode, spellings, st.just(REL_ENDPOINT_KINDS[kind][1]) | kinds),
         st.just(kind),
     )
 )
@@ -299,30 +293,36 @@ component_rels = rel_kinds.flatmap(
 
 class TestBuildMatchesReference:
     @settings(max_examples=300)
-    @given(st.lists(component_nodes, max_size=10), st.lists(component_rels, max_size=6))
-    def test_same_document_and_drops(self, nodes, rels):
-        components = KgComponents(nodes=nodes, relationships=rels)
+    @given(st.lists(graph_nodes, max_size=10), st.data())
+    def test_same_document_and_drops(self, nodes, data):
+        rels = fresh_rels
+        if nodes:
+            # Edges between the document's own nodes, as extraction emits them.
+            own = st.sampled_from(nodes)
+            rels = rels | st.builds(GraphRelationship, own, own, rel_kinds)
+        components = GraphDocument(nodes=nodes, relationships=data.draw(st.lists(rels, max_size=6)))
         drops, reference_drops = DropCounts(), DropCounts()
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
         assert doc == reference_document(components, SYNC_TEXT, reference_drops)
         assert drops == reference_drops
 
     def test_endpoint_spelled_unlike_its_node_is_resolved(self):
-        components = KgComponents(
-            nodes=[ComponentNode("user", NodeKind.PERSONA), ComponentNode("sync", NodeKind.ACTION)],
-            relationships=[ComponentRelationship(
-                " User", NodeKind.PERSONA, "SYNC", NodeKind.ACTION, RelKind.TRIGGERS
+        components = GraphDocument(
+            nodes=[GraphNode("user", NodeKind.PERSONA), GraphNode("sync", NodeKind.ACTION)],
+            relationships=[GraphRelationship(
+                GraphNode(" User", NodeKind.PERSONA), GraphNode("SYNC", NodeKind.ACTION),
+                RelKind.TRIGGERS,
             )],
         )
         drops = DropCounts()
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
         triggers = [r for r in doc.relationships if r.kind is RelKind.TRIGGERS]
         assert [(r.source.id, r.target.id) for r in triggers] == [("user", "sync")]
+        assert triggers[0].source is components.nodes[0]
         assert drops == DropCounts()
 
     def test_each_id_normalized_once(self, monkeypatch):
         import storygraph.model as model
-        import storygraph.transform as transform
 
         calls = []
         original = model.normalize_id
@@ -332,7 +332,6 @@ class TestBuildMatchesReference:
             return original(text)
 
         monkeypatch.setattr(model, "normalize_id", counting)
-        monkeypatch.setattr(transform, "normalize_id", counting)
         components = sync_components()
         build_graph_document(components, SYNC_TEXT)
         assert sorted(calls) == sorted([SYNC_TEXT] + [c.id for c in components.nodes])
@@ -341,14 +340,16 @@ class TestBuildMatchesReference:
 class TestRoundTrip:
     def test_reassembly_is_stable(self):
         doc = build_graph_document(sync_components(), SYNC_TEXT)
-        again = build_graph_document(document_components(doc), SYNC_TEXT)
-        assert document_components(again) == document_components(doc)
+        assert build_graph_document(doc, SYNC_TEXT) == doc
 
     def test_projection_preserves_counts(self):
-        doc = build_graph_document(sync_components(), SYNC_TEXT)
-        components = document_components(doc)
-        assert len(components.nodes) == len(doc.nodes)
-        assert len(components.relationships) == len(doc.relationships)
+        """An extraction written in the annotation schema reads back as itself."""
+        components = sync_components()
+        story = components_to_story("#P#", "#P# " + SYNC_TEXT, components)
+        again = annotations_to_components(story)
+        assert len(again.nodes) == len(components.nodes)
+        assert len(again.relationships) == len(components.relationships)
+        assert again == components
 
 
 class TestAnnotations:
@@ -390,3 +391,40 @@ class TestAnnotations:
     def test_story_document_source_has_no_pid(self, sample_backlog):
         doc = story_document(sample_backlog.stories[0])
         assert not doc.source_text.startswith("#")
+
+    def test_story_elements_dedup_skip_and_promote_in_order(self):
+        story = AnnotatedStory(
+            pid="#X#",
+            text="#X# As a user, I want to pay by cash.",
+            personas=["user", "user", ""],
+            primary_actions=["pay"],
+            secondary_entities=["", "card"],
+            benefit="",
+            triggers=[("user", "pay"), ("admin", "")],
+            targets=[("pay", "cash"), ("pay", "cash"), ("", "coin")],
+        )
+        nodes, triggers, targets = story_elements(story)
+        assert nodes == [
+            (NodeKind.PERSONA, "user"),
+            (NodeKind.ACTION, "pay"),
+            (NodeKind.ENTITY, "card"),
+            (NodeKind.PERSONA, "admin"),
+            (NodeKind.ENTITY, "cash"),
+            (NodeKind.ENTITY, "coin"),
+        ]
+        assert triggers == [("user", "pay")]
+        assert targets == [("pay", "cash"), ("pay", "cash")]
+
+    def test_components_are_the_story_elements(self, sample_backlog):
+        for story in sample_backlog.stories:
+            doc = annotations_to_components(story)
+            nodes, triggers, targets = story_elements(story)
+            assert [(n.kind, n.id) for n in doc.nodes] == nodes
+            assert [(r.kind, r.source.id, r.target.id) for r in doc.relationships] == [
+                (RelKind.TRIGGERS, *pair) for pair in triggers
+            ] + [(RelKind.TARGETS, *pair) for pair in targets]
+            node_ids = {id(n) for n in doc.nodes}
+            assert all(
+                id(r.source) in node_ids and id(r.target) in node_ids
+                for r in doc.relationships
+            )
