@@ -23,6 +23,7 @@ from storygraph.model import (
     rel_kind_from_name,
     validate_ontology,
 )
+from storygraph.transform import build_graph_document
 
 SYNC_TEXT = (
     "As a user, I want to sync my data so that I can access my information from anywhere."
@@ -138,6 +139,21 @@ class TestKindLookup:
 
     def test_has_map_covers_satellites(self):
         assert set(HAS_REL_FOR_KIND) == set(NodeKind) - {NodeKind.USERSTORY}
+
+
+class TestDedupNodes:
+    """Nodes that share a kind and a normalized id are one node in the document."""
+
+    def test_first_seen_casing_kept(self):
+        nodes = [n("Library Database", NodeKind.ENTITY), n("library  database", NodeKind.ENTITY)]
+        doc = build_graph_document(GraphDocument(nodes=nodes), SYNC_TEXT)
+        kept = [node for node in doc.nodes if node.kind is NodeKind.ENTITY]
+        assert [node.id for node in kept] == ["Library Database"]
+
+    def test_same_id_different_kind_kept(self):
+        nodes = [n("sync", NodeKind.ACTION), n("sync", NodeKind.ENTITY)]
+        doc = build_graph_document(GraphDocument(nodes=nodes), SYNC_TEXT)
+        assert len([node for node in doc.nodes if node.id == "sync"]) == 2
 
 
 class TestValidateOntology:
