@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -56,7 +55,7 @@ from .extraction import (
 )
 from .model import GraphDocument, GraphNode, NodeKind, RelKind, validate_ontology
 from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
-from .transform import annotations_to_components, build_graph_document
+from .transform import annotations_to_components, story_document
 
 log = logging.getLogger(__name__)
 
@@ -66,24 +65,6 @@ EXIT_BACKEND = 3
 
 # Files in an experiment directory that are not backlog extractions.
 _RESERVED_FILES = {"manifest.json", "graph.json"}
-
-
-@dataclass
-class ExperimentManifest:
-    experiment_name: str
-    extractor: dict[str, Any]
-    input_dir: str
-    created_at: str
-    prompt_catalog_version: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment_name": self.experiment_name,
-            "extractor": self.extractor,
-            "input_dir": self.input_dir,
-            "created_at": self.created_at,
-            "prompt_catalog_version": self.prompt_catalog_version,
-        }
 
 
 def _backlog_files(directory: Path) -> list[Path]:
@@ -169,14 +150,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # The manifest goes first so even an interrupted run is attributable.
-    manifest = ExperimentManifest(
-        experiment_name=args.experiment,
-        extractor=config.to_manifest_dict(),
-        input_dir=str(input_dir),
-        created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        prompt_catalog_version=PROMPT_CATALOG_VERSION,
-    )
-    write_atomic(out_dir / "manifest.json", json.dumps(manifest.to_dict(), indent=2) + "\n")
+    manifest = {
+        "experiment_name": args.experiment,
+        "extractor": config.to_manifest_dict(),
+        "input_dir": str(input_dir),
+        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "prompt_catalog_version": PROMPT_CATALOG_VERSION,
+    }
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     total = 0
     failed = 0
@@ -243,20 +224,31 @@ def _error_entry(story: AnnotatedStory, message: str) -> dict[str, Any]:
     return entry
 
 
-def _read_extractions(path: Path) -> tuple[dict[str, GraphDocument], int]:
-    """Extraction file -> document per PID, plus the error-entry count."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
+def _read_extractions(path: Path) -> tuple[list[AnnotatedStory], int] | None:
+    """The stories of one extraction file, plus its count of ``Error`` entries.
+
+    None, with a warning, when the file is not a UTF-8 JSON array.  A
+    malformed entry is logged and skipped on its own.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        log.warning("skipping %s: %s", path.name, exc)
+        return None
     if not isinstance(payload, list):
-        raise BacklogSchemaError(f"{path.name}: expected a JSON array")
-    extractions: dict[str, GraphDocument] = {}
+        log.warning("skipping %s: expected a JSON array", path.name)
+        return None
+    stories = []
     errors = 0
     for i, item in enumerate(payload):
         if isinstance(item, dict) and "Error" in item:
             errors += 1
             continue
-        story = story_from_dict(item, i)
-        extractions[story.pid] = annotations_to_components(story)
-    return extractions, errors
+        try:
+            stories.append(story_from_dict(item, i))
+        except BacklogSchemaError as exc:
+            log.warning("%s: %s", path.name, exc)
+    return stories, errors
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -294,13 +286,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             log.warning("skipping baseline %s: %s", name, exc)
             continue
         backlog, _skipped = drop_invalid_stories(backlog)
-        try:
-            extractions, error_entries = _read_extractions(extracted_files[name])
-        except (json.JSONDecodeError, BacklogSchemaError) as exc:
-            log.warning("skipping extraction %s: %s", name, exc)
+        extracted = _read_extractions(extracted_files[name])
+        if extracted is None:
             continue
+        stories, error_entries = extracted
         if error_entries:
             log.info("%s: %d stories carry extraction errors", name, error_entries)
+        extractions = {story.pid: annotations_to_components(story) for story in stories}
         report.backlogs.append(
             evaluate_backlog(backlog, extractions, embedder=embedder, options=options)
         )
@@ -329,27 +321,15 @@ def cmd_load(args: argparse.Namespace) -> int:
     docs = []
     flawed = 0
     for path in files:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            log.warning("skipping %s: %s", path.name, exc)
+        extracted = _read_extractions(path)
+        if extracted is None:
             continue
-        if not isinstance(payload, list):
-            log.warning("skipping %s: expected a JSON array", path.name)
-            continue
-        for i, item in enumerate(payload):
-            if isinstance(item, dict) and "Error" in item:
-                continue
+        for story in extracted[0]:
             try:
-                story = story_from_dict(item, i)
-            except BacklogSchemaError as exc:
-                log.warning("%s: %s", path.name, exc)
-                continue
-            text = clean_story_text(story)
-            if not text.strip():
+                doc = story_document(story)
+            except ValueError:
                 log.warning("%s: story %s has no text; skipped", path.name, story.pid)
                 continue
-            doc = build_graph_document(annotations_to_components(story), text)
             if validate_ontology(doc):
                 flawed += 1
             docs.append(doc)

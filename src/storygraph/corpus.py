@@ -37,14 +37,6 @@ class AnnotatedStory:
     targets: list[tuple[str, str]] = field(default_factory=list)
     contains: list[Any] = field(default_factory=list)
 
-    @property
-    def actions(self) -> list[str]:
-        return self.primary_actions + self.secondary_actions
-
-    @property
-    def entities(self) -> list[str]:
-        return self.primary_entities + self.secondary_entities
-
 
 @dataclass
 class Backlog:
@@ -212,11 +204,6 @@ def load_backlog(path: str | Path) -> Backlog:
         return parse_backlog_file(fh, name=path.stem)
 
 
-def backlog_to_json(backlog: Backlog) -> bytes:
-    payload = [story_to_dict(story) for story in backlog.stories]
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
 def validate_story(story: AnnotatedStory) -> list[str]:
     """Referential-integrity check; returns violation descriptions.
 
@@ -231,7 +218,7 @@ def validate_story(story: AnnotatedStory) -> list[str]:
             problems.append(f"triggers persona '{persona}' not among personas")
         if action not in story.primary_actions:
             problems.append(f"triggers action '{action}' not among primary actions")
-    all_actions = set(story.actions)
+    all_actions = set(story.primary_actions + story.secondary_actions)
     for action, _entity in story.targets:
         if action not in all_actions:
             problems.append(f"targets action '{action}' not among actions")

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the toolchain."""
+"""Exception hierarchy shared across the toolchain, plus credential redaction."""
 
 from __future__ import annotations
+
+from urllib.parse import urlsplit, urlunsplit
 
 
 class StoryGraphError(Exception):
@@ -48,3 +50,11 @@ class EvaluationError(StoryGraphError):
 
 class SinkError(StoryGraphError):
     """Graph persistence failed."""
+
+
+def redact_url(url: str) -> str:
+    """``url`` without its user and password, for messages and manifests."""
+    parts = urlsplit(url)
+    if "@" in parts.netloc:
+        parts = parts._replace(netloc=parts.netloc.rsplit("@", 1)[1])
+    return urlunsplit(parts)

@@ -13,7 +13,8 @@ computes that closed form directly for one-hot embeddings, without calling
 ``embed`` or growing the vocabulary; the result is the same floats as the
 cosine path.  Any other embedder, including a subclass that overrides
 ``embed``, goes through the numpy cosine path, so an HTTP embedder can swap
-in contextual vectors without touching the math.
+in contextual vectors without touching the math.  Both paths return one
+``(precision, recall, F)`` tuple.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import logging
 from typing import TYPE_CHECKING, Protocol, Sequence
 
-from ..errors import EvaluationError
-from .metrics import MetricRow, f_measure
+from ..errors import EvaluationError, redact_url
+from .metrics import Scores, f_measure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,18 +90,19 @@ class HttpEmbedder:
             )
         except requests.RequestException as exc:
             raise EvaluationError(
-                f"cannot reach embeddings endpoint {self.endpoint}: {type(exc).__name__}"
+                f"cannot reach embeddings endpoint {redact_url(self.endpoint)}: "
+                f"{type(exc).__name__}"
             ) from exc
         if response.status_code != 200:
             raise EvaluationError(
-                f"embeddings endpoint {self.endpoint} returned status "
+                f"embeddings endpoint {redact_url(self.endpoint)} returned status "
                 f"{response.status_code}"
             )
         try:
             return [item["embedding"] for item in response.json()["data"]]
         except (ValueError, LookupError, TypeError) as exc:
             raise EvaluationError(
-                f"embeddings endpoint {self.endpoint} sent a malformed reply: "
+                f"embeddings endpoint {redact_url(self.endpoint)} sent a malformed reply: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
@@ -118,7 +120,7 @@ def _unit_rows(vectors: list[list[float]], dim: int) -> np.ndarray:
 
 def _one_hot_score(
     expected_tokens: Sequence[str], predicted_tokens: Sequence[str]
-) -> MetricRow:
+) -> Scores:
     """Greedy one-hot cosine in closed form: exact-token membership shares.
 
     Each best match is 0.0 or 1.0, so the mean is a count over a length;
@@ -128,14 +130,14 @@ def _one_hot_score(
     predicted_set = set(predicted_tokens)
     p = sum(t in expected_set for t in predicted_tokens) / len(predicted_tokens)
     r = sum(t in predicted_set for t in expected_tokens) / len(expected_tokens)
-    return MetricRow(precision=p, recall=r, f_measure=f_measure(p, r))
+    return p, r, f_measure(p, r)
 
 
 def bertscore(
     expected_tokens: Sequence[str],
     predicted_tokens: Sequence[str],
     embedder: Embedder,
-) -> MetricRow:
+) -> Scores:
     """Greedy-cosine token similarity between two token lists."""
     if not expected_tokens or not predicted_tokens:
         raise EvaluationError("token similarity is undefined for empty token lists")
@@ -156,4 +158,4 @@ def bertscore(
     sim = np.clip(sim, 0.0, 1.0)
     p = float(sim.max(axis=1).mean())
     r = float(sim.max(axis=0).mean())
-    return MetricRow(precision=p, recall=r, f_measure=f_measure(p, r))
+    return p, r, f_measure(p, r)

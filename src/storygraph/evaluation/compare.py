@@ -70,11 +70,6 @@ def _strip_normalized(tokens: list[str]) -> str:
     return " ".join(tokens)
 
 
-def strip_qualifiers(text: str) -> str:
-    """Remove leading stop-list tokens and possessives from normalized text."""
-    return _strip_normalized(normalize_id(text).split())
-
-
 def _fold_plural(token: str) -> str:
     if len(token) > 3 and token.endswith("ies"):
         return token[:-3] + "y"
@@ -174,11 +169,6 @@ class Counts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def add(self, other: "Counts") -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
 
 
 def count_matches(

@@ -1,9 +1,13 @@
 """Precision, recall, F-measure with explicit undefined handling.
 
+Every score is a plain ``(precision, recall, F)`` tuple, ``Scores``: there
+are 17 cells per story, and a tuple is the cheapest value to build.
+
 A story where a kind has nothing expected and nothing predicted gives no
-signal: both denominators are zero.  Such rows are "undefined" and excluded
-from averages instead of polluting them with an arbitrary filler value.
-When only one denominator is zero the corresponding metric is 0.
+signal: both denominators are zero.  ``scores`` returns None for such a
+cell, and it is excluded from averages instead of polluting them with an
+arbitrary filler value.  When only one denominator is zero the corresponding
+metric is 0.
 
 Means add left to right (``left_sum``), so reports carry the same floats on
 every supported Python version.
@@ -11,32 +15,12 @@ every supported Python version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable
 
-from .compare import Counts
-
-# (precision, recall, F) of one story's cell.
+# (precision, recall, F) of one cell.
 Scores = tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    precision: float
-    recall: float
-    f_measure: float
-
-
-def precision(counts: Counts) -> float:
-    denom = counts.tp + counts.fp
-    return counts.tp / denom if denom else 0.0
-
-
-def recall(counts: Counts) -> float:
-    denom = counts.tp + counts.fn
-    return counts.tp / denom if denom else 0.0
 
 
 def f_measure(p: float, r: float) -> float:
@@ -54,12 +38,6 @@ def scores(tp: int, fp: int, fn: int) -> Scores | None:
     return p, r, f_measure(p, r)
 
 
-def counts_to_row(counts: Counts) -> MetricRow | None:
-    """None when the counts carry no signal (both denominators zero)."""
-    cell = scores(counts.tp, counts.fp, counts.fn)
-    return None if cell is None else MetricRow(*cell)
-
-
 def left_sum(values: Iterable[float]) -> float:
     """Sum floats strictly left to right.
 
@@ -74,10 +52,3 @@ def mean_scores(cells: list[Scores]) -> Scores:
     n = len(cells)
     p, r, f = zip(*cells)
     return left_sum(p) / n, left_sum(r) / n, left_sum(f) / n
-
-
-def mean_rows(rows: list[MetricRow]) -> MetricRow | None:
-    """Arithmetic mean of defined rows; None when nothing is defined."""
-    if not rows:
-        return None
-    return MetricRow(*mean_scores([(row.precision, row.recall, row.f_measure) for row in rows]))

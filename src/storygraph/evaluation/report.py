@@ -10,8 +10,10 @@ The annotated side is read through ``transform.story_elements``, the
 projection that also builds the documents of read-back extractions, so
 ground truth scores 1.0 against itself.
 
-Backlog results are arithmetic means over the defined per-story rows, added
-left to right.
+``evaluate_backlog`` is the one scoring entry point; a story scored alone is
+a backlog of one.  Each story gives a ``Scores`` tuple per (kind, mode)
+cell, None when the cell is undefined, and a backlog row is the mean of its
+defined cells, added left to right.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .compare import (
     element_form,
     match_forms,
 )
-from .metrics import MetricRow, Scores, left_sum, mean_scores, scores
+from .metrics import Scores, left_sum, mean_scores, scores
 
 log = logging.getLogger(__name__)
 
@@ -126,25 +128,6 @@ class _StoryForms(dict):
         return form
 
 
-def evaluate_story(
-    story: AnnotatedStory,
-    doc: GraphDocument,
-    *,
-    embedder: Embedder | None = None,
-    options: CompareOptions = DEFAULT_OPTIONS,
-) -> dict[tuple[str, str], MetricRow | None]:
-    """Score one story; None marks an undefined (no-signal) cell."""
-    expected, _pairs = _expected(story)
-    cells = _node_scores(
-        expected, predicted_lists(doc), embedder or OneHotEmbedder(), _StoryForms(options)
-    )
-    return {key: _row(cell) for key, cell in cells}
-
-
-def _row(cell: Scores | None) -> MetricRow | None:
-    return None if cell is None else MetricRow(*cell)
-
-
 # Per node kind, its (mode, cell key) pairs and its token-similarity key;
 # per relation, its (mode, cell key) pairs.  Built once, in report order.
 _NODE_CELLS = tuple(
@@ -179,8 +162,7 @@ def _node_scores(
         exp_tokens = _tokens(exp_forms)
         pred_tokens = _tokens(pred_forms)
         if exp_tokens and pred_tokens:
-            row = bertscore(exp_tokens, pred_tokens, embedder)
-            yield similarity_key, (row.precision, row.recall, row.f_measure)
+            yield similarity_key, bertscore(exp_tokens, pred_tokens, embedder)
         else:
             yield similarity_key, None
 
@@ -198,17 +180,6 @@ def match_pair_sets(
         mode,
         options,
     )
-
-
-def evaluate_relations(
-    story: AnnotatedStory,
-    doc: GraphDocument,
-    *,
-    options: CompareOptions = DEFAULT_OPTIONS,
-) -> dict[tuple[str, str], MetricRow | None]:
-    _lists, expected = _expected(story)
-    cells = _relation_scores(expected, _predicted_pairs(doc), _StoryForms(options))
-    return {key: _row(cell) for key, cell in cells}
 
 
 def _relation_scores(expected: Pairs, predicted: Pairs, forms: _StoryForms) -> Iterator[Cell]:

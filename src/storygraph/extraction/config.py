@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ConfigError
+from ..errors import ConfigError, redact_url
 
 KNOWN_BACKENDS = ("chat-http", "replay-fixture", "rule-based")
 
@@ -54,7 +54,7 @@ class ExtractorConfig:
         """Manifest form of the config. Credentials never leave the process."""
         return {
             "backend": self.backend,
-            "endpoint": self.endpoint,
+            "endpoint": redact_url(self.endpoint),
             "model_name": self.model_name,
             "temperature": self.temperature,
             "supports_function_calls": self.supports_function_calls,

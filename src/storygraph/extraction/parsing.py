@@ -42,11 +42,12 @@ _BENEFIT_NODE = re.compile(
 _FENCE = re.compile(r"^```[a-zA-Z0-9_-]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 
 
-def extract_first_json(raw: str) -> Any:
+def extract_first_json(raw: str) -> list | dict:
     """Return the first JSON array or object embedded in free text.
 
     Scans for candidate start characters and attempts a decode at each, so
-    surrounding prose and markdown fences are tolerated.
+    surrounding prose and markdown fences are tolerated.  Decoding starts
+    only at ``[`` or ``{``, so the result is always a list or a dict.
     """
     decoder = json.JSONDecoder()
     for i, ch in enumerate(raw):
@@ -199,11 +200,6 @@ def parse_unstructured_response(
         if "nodes" in obj or "relationships" in obj:
             return parse_structured_response(obj, drops)
         obj = [obj]
-    if not isinstance(obj, list):
-        raise ResponseParseError(
-            f"main response JSON is a {type(obj).__name__}, expected records or a graph",
-            raw=raw,
-        )
     return components_from_records(obj, drops, raw=raw)
 
 
@@ -255,9 +251,6 @@ def parse_benefit_response(reply: Any) -> str | None:
                 if found:
                     return found
             return None
-        if isinstance(obj, str):
-            text = obj.strip()
-            return text or None
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         text = text[1:-1].strip()
     return text or None

@@ -35,8 +35,9 @@ def rule_based_extract(story_text: str) -> GraphDocument:
 
     persona = None
     match = _PERSONA.match(story_text)
-    if match:
-        persona = GraphNode(match.group(1).strip(), NodeKind.PERSONA)
+    persona_id = match.group(1).strip() if match else ""
+    if persona_id:
+        persona = GraphNode(persona_id, NodeKind.PERSONA)
         nodes.append(persona)
 
     benefit = None
@@ -57,8 +58,7 @@ def rule_based_extract(story_text: str) -> GraphDocument:
             nodes.append(entity)
             rels.append(GraphRelationship(action, entity, RelKind.TARGETS))
 
-    # A persona that strips to nothing is kept as a node but triggers nothing.
-    if persona and persona.id and action:
+    if persona and action:
         rels.insert(0, GraphRelationship(persona, action, RelKind.TRIGGERS))
     if benefit:
         nodes.append(GraphNode(benefit, NodeKind.BENEFIT))

@@ -255,48 +255,3 @@ def node_kind_from_name(name: str) -> NodeKind | None:
 def rel_kind_from_name(name: str) -> RelKind | None:
     """Case-insensitive relationship kind lookup; None when unknown."""
     return _REL_BY_NAME.get(str(name).strip().upper())
-
-
-def _node_from_dict(payload: dict[str, Any]) -> GraphNode:
-    kind = node_kind_from_name(payload.get("type", ""))
-    if kind is None:
-        raise ValueError(f"unknown node type {payload.get('type')!r}")
-    return GraphNode(
-        id=str(payload.get("id", "")),
-        kind=kind,
-        properties=dict(payload.get("properties", {})),
-    )
-
-
-def document_from_dict(payload: dict[str, Any]) -> GraphDocument:
-    """Inverse of document_to_dict.
-
-    Relationship endpoints are resolved against the node list; a reference
-    that is absent from it is reconstructed from the reference itself so
-    structurally loose documents still round-trip.
-    """
-    nodes = [_node_from_dict(item) for item in payload.get("nodes", [])]
-    index = {node.key(): node for node in nodes}
-
-    def resolve(ref: dict[str, Any]) -> GraphNode:
-        node = _node_from_dict(ref)
-        return index.get(node.key(), node)
-
-    relationships = []
-    for item in payload.get("relationships", []):
-        kind = rel_kind_from_name(item.get("type", ""))
-        if kind is None:
-            raise ValueError(f"unknown relationship type {item.get('type')!r}")
-        relationships.append(
-            GraphRelationship(
-                source=resolve(item.get("source", {})),
-                target=resolve(item.get("target", {})),
-                kind=kind,
-                properties=dict(item.get("properties", {})),
-            )
-        )
-    return GraphDocument(
-        nodes=nodes,
-        relationships=relationships,
-        source_text=str(payload.get("source", "")),
-    )

@@ -16,12 +16,11 @@ import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cache
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urlsplit
 
-from .errors import SinkError
-from .model import GraphDocument, NodeKind, RelKind, document_from_dict, document_to_dict
+from .errors import SinkError, redact_url
+from .model import GraphDocument, NodeKind, RelKind, document_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -217,14 +216,6 @@ class LoadSummary:
     documents_failed: int = 0
 
 
-def _redact(uri: str) -> str:
-    parts = urlsplit(uri)
-    if parts.netloc and "@" in parts.netloc:
-        host = parts.netloc.rsplit("@", 1)[1]
-        parts = parts._replace(netloc=host)
-    return urlunsplit(parts)
-
-
 class _Rejected(Exception):
     """The store rolled a transaction back; none of its documents are loaded."""
 
@@ -257,16 +248,16 @@ def _http_commit(config: SinkConfig) -> Commit:
             )
         except requests.RequestException as exc:
             raise SinkError(
-                f"cannot reach graph store at {_redact(config.uri)}: "
+                f"cannot reach graph store at {redact_url(config.uri)}: "
                 f"{type(exc).__name__}"
             ) from exc
         if response.status_code == 401:
             raise SinkError(
-                f"authentication failed for user {config.user!r} at {_redact(config.uri)}"
+                f"authentication failed for user {config.user!r} at {redact_url(config.uri)}"
             )
         if response.status_code >= 400:
             raise SinkError(
-                f"graph store at {_redact(config.uri)} returned status "
+                f"graph store at {redact_url(config.uri)} returned status "
                 f"{response.status_code}"
             )
         try:
@@ -275,7 +266,7 @@ def _http_commit(config: SinkConfig) -> Commit:
             data = None
         if not isinstance(data, dict):
             raise SinkError(
-                f"graph store at {_redact(config.uri)} sent a reply that is not "
+                f"graph store at {redact_url(config.uri)} sent a reply that is not "
                 f"a JSON object"
             )
         errors = data.get("errors") or []
@@ -396,12 +387,3 @@ def export_json(docs: Sequence[GraphDocument]) -> bytes:
     """Canonical JSON array of documents, UTF-8, stable key order."""
     payload = [document_to_dict(doc) for doc in docs]
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def import_json(data: bytes | str) -> list[GraphDocument]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    payload = json.loads(data)
-    if not isinstance(payload, list):
-        raise SinkError("graph JSON must be an array of documents")
-    return [document_from_dict(item) for item in payload]

@@ -25,14 +25,12 @@ from storygraph.cli import EXIT_OK, main
 from storygraph.corpus import drop_invalid_stories, load_backlog, story_from_dict
 from storygraph.evaluation import (
     ComparisonMode,
-    Counts,
-    MetricRow,
     OneHotEmbedder,
     bertscore,
     compare_element,
-    counts_to_row,
     evaluate_backlog,
-    mean_rows,
+    mean_scores,
+    scores,
 )
 from storygraph.extraction import (
     ExtractorConfig,
@@ -137,17 +135,16 @@ def test_criterion_02_self_evaluation_identity():
 
 def test_criterion_03_metric_arithmetic():
     with criterion(3, "metric arithmetic and the excluded-story convention"):
-        row = counts_to_row(Counts(2, 1, 1))
-        for value in (row.precision, row.recall, row.f_measure):
+        for value in scores(2, 1, 1):
             assert math.isclose(value, 2 / 3, abs_tol=TOL)
 
-        assert counts_to_row(Counts(1, 0, 0)) == MetricRow(1.0, 1.0, 1.0)
+        assert scores(1, 0, 0) == (1.0, 1.0, 1.0)
 
         # one story defined at 1.0, one with no signal: mean stays 1.0
-        per_story = [counts_to_row(Counts(1, 0, 0)), counts_to_row(Counts(0, 0, 0))]
+        per_story = [scores(1, 0, 0), scores(0, 0, 0)]
         defined = [cell for cell in per_story if cell is not None]
         assert len(defined) == 1
-        assert math.isclose(mean_rows(defined).f_measure, 1.0, abs_tol=TOL)
+        assert math.isclose(mean_scores(defined)[2], 1.0, abs_tol=TOL)
 
 
 def test_criterion_04_end_to_end_replay():
@@ -306,11 +303,10 @@ def test_criterion_06_token_similarity_oracle():
 
     with criterion(6, "token similarity matches the greedy-max oracle"):
         identity = timed_bertscore(["a", "b"], ["a", "b"], OneHotEmbedder())
-        assert math.isclose(identity.f_measure, 1.0, abs_tol=TOL)
+        assert math.isclose(identity[2], 1.0, abs_tol=TOL)
 
         half = timed_bertscore(["a", "b"], ["a", "c"], OneHotEmbedder())
-        for value in (half.precision, half.recall, half.f_measure):
-            assert math.isclose(value, 0.5, abs_tol=TOL)
+        assert half == pytest.approx((0.5, 0.5, 0.5), abs=TOL)
 
         lists: list[tuple[str, ...]] = []
         for n in range(1, 6):
@@ -318,11 +314,9 @@ def test_criterion_06_token_similarity_oracle():
         embedder = OneHotEmbedder()
         for expected in lists:
             for predicted in lists:
-                row = timed_bertscore(list(expected), list(predicted), embedder)
-                p, r, f = _greedy_max_oracle(expected, predicted)
-                assert math.isclose(row.precision, p, abs_tol=TOL), (expected, predicted)
-                assert math.isclose(row.recall, r, abs_tol=TOL), (expected, predicted)
-                assert math.isclose(row.f_measure, f, abs_tol=TOL), (expected, predicted)
+                got = timed_bertscore(list(expected), list(predicted), embedder)
+                oracle = _greedy_max_oracle(expected, predicted)
+                assert got == pytest.approx(oracle, abs=TOL), (expected, predicted)
         assert elapsed < 5.0
 
 

@@ -256,6 +256,36 @@ class TestLoad:
         assert "dry run: 2 documents" in capsys.readouterr().out
 
 
+class TestExtractionFiles:
+    def test_malformed_entry_skipped_alone_by_evaluate_and_load(self, workspace, capsys, caplog):
+        assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        extracted = workspace / "extracted-user-stories" / "rb" / "sample.json"
+        entries = json.loads(extracted.read_text())
+        entries[1]["Persona"] = 5
+        extracted.write_text(json.dumps(entries))
+
+        with caplog.at_level("WARNING"):
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+        report = json.loads((workspace / "evaluation" / "rb" / "report.json").read_text())
+        (backlog,) = report["backlogs"]
+        assert (backlog["stories_evaluated"], backlog["stories_skipped"]) == (2, 1)
+        assert any("sample.json: story 1: Persona" in r.getMessage() for r in caplog.records)
+
+        assert main(["load", "--experiment", "rb", "--dry-run"]) == EXIT_OK
+        assert "dry run: 2 documents" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe[", b"[{", b'{"PID": "x"}'])
+    def test_unreadable_file_skipped_with_a_warning(self, workspace, caplog, content):
+        assert run_extract() == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "demo"
+        shutil.copy(out_dir / "sample.json", out_dir / "good.json")
+        (out_dir / "sample.json").write_bytes(content)
+        with caplog.at_level("WARNING"):
+            assert main(["evaluate", "--experiment", "demo"]) == EXIT_NO_INPUT
+            assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
+        assert any("skipping sample.json" in r.getMessage() for r in caplog.records)
+
+
 class TestOutputsUnchanged:
     """SHA-256 of each output of extract -> evaluate -> load --dry-run on
     sample_corpus, recorded before identity keys and compare forms were

@@ -13,7 +13,6 @@ from storygraph.evaluation import (
     compare_element,
     match_pair_sets,
     match_sets,
-    strip_qualifiers,
 )
 from storygraph.evaluation.compare import Form, element_form, match_forms
 
@@ -69,6 +68,11 @@ class TestElement:
         assert not compare_element("account", SPLIT, INCLUSIVE)
 
 
+def relaxed(text: str) -> str:
+    """The relaxed form: normalized, without leading qualifiers and possessives."""
+    return element_form(text).relaxed
+
+
 class TestStripQualifiers:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -82,15 +86,15 @@ class TestStripQualifiers:
         ],
     )
     def test_examples(self, raw, expected):
-        assert strip_qualifiers(raw) == expected
+        assert relaxed(raw) == expected
 
     def test_all_qualifiers_leaves_empty(self):
-        assert strip_qualifiers("the my own") == ""
+        assert relaxed("the my own") == ""
 
     @given(st.text(alphabet="abcdefgh '", max_size=30))
     def test_idempotent(self, text):
-        once = strip_qualifiers(text)
-        assert strip_qualifiers(once) == once
+        once = relaxed(text)
+        assert relaxed(once) == once
 
 
 class TestOptions:
@@ -150,12 +154,6 @@ class TestMatchSets:
     def test_split_prediction_inclusive(self):
         counts = match_sets(["user's webpage"], [SPLIT], INCLUSIVE)
         assert (counts.tp, counts.fp, counts.fn) == (0, 1, 1)
-
-    def test_counts_add(self):
-        total = Counts()
-        total.add(Counts(1, 2, 3))
-        total.add(Counts(tp=1))
-        assert (total.tp, total.fp, total.fn) == (2, 2, 3)
 
     @given(
         st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6),

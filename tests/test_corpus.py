@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from storygraph.corpus import (
     AnnotatedStory,
-    backlog_to_json,
     clean_story_text,
     drop_invalid_stories,
     load_backlog,
@@ -140,7 +139,11 @@ class TestParse:
         story = story_from_dict(
             minimal_story_dict(Action=None, Entity=None, Benefit=None, Contains=None), 0
         )
-        assert (story.actions, story.entities, story.benefit, story.contains) == ([], [], None, [])
+        assert (
+            story.primary_actions, story.secondary_actions,
+            story.primary_entities, story.secondary_entities,
+            story.benefit, story.contains,
+        ) == ([], [], [], [], None, [])
 
     def test_accepts_file_object(self):
         with open(SAMPLE_BACKLOG, "rb") as fh:
@@ -250,7 +253,10 @@ def test_any_json_value_in_any_field_gives_story_or_schema_error(replacements):
         story = story_from_dict(obj, 0)
     except BacklogSchemaError:
         return
-    for item in story.personas + story.actions + story.entities:
+    for item in (
+        story.personas + story.primary_actions + story.secondary_actions
+        + story.primary_entities + story.secondary_entities
+    ):
         assert isinstance(item, str)
     for pair in story.triggers + story.targets:
         assert all(isinstance(member, str) for member in pair)
@@ -262,7 +268,7 @@ class TestRoundTrip:
     def test_sample_round_trip(self):
         backlog = load_backlog(SAMPLE_BACKLOG)
         original = json.loads(SAMPLE_BACKLOG.read_text())
-        rebuilt = json.loads(backlog_to_json(backlog))
+        rebuilt = [story_to_dict(story) for story in backlog.stories]
         assert rebuilt == original
 
     @given(stories)

@@ -20,18 +20,16 @@ from storygraph.evaluation import (
     ComparisonMode,
     Counts,
     ExperimentReport,
-    MetricRow,
     OneHotEmbedder,
     ReportRow,
     bertscore,
     compare_element,
-    counts_to_row,
     evaluate_backlog,
-    evaluate_relations,
-    evaluate_story,
     match_pair_sets,
+    match_sets,
     report_to_csv,
     report_to_dict,
+    scores,
     strict_f_table,
     write_report_files,
 )
@@ -59,17 +57,29 @@ def story_no_benefit() -> AnnotatedStory:
     )
 
 
+def story_cells(story: AnnotatedStory, doc: GraphDocument, **options) -> dict:
+    """One story's (precision, recall, F) per cell, None when undefined, read
+    off a backlog of that story alone: the mean of one score is that score."""
+    report = evaluate_backlog(Backlog(name="one", stories=[story]), {story.pid: doc}, **options)
+    cells: dict = {
+        (row.kind, row.mode): (row.precision, row.recall, row.f_measure)
+        for row in report.rows + report.relation_rows
+    }
+    cells.update((tuple(item.split("/")), None) for item in report.omitted)
+    return cells
+
+
 class TestEvaluateStory:
     def test_identity_extraction_scores_one(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = evaluate_story(story, annotations_to_components(story))
-        for (kind, mode), row in results.items():
-            assert row is not None, (kind, mode)
-            assert math.isclose(row.f_measure, 1.0, abs_tol=TOL), (kind, mode)
+        results = story_cells(story, annotations_to_components(story))
+        for (kind, mode), cell in results.items():
+            assert cell is not None, (kind, mode)
+            assert math.isclose(cell[2], 1.0, abs_tol=TOL), (kind, mode)
 
     def test_benefit_has_no_relaxed_cell(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = evaluate_story(story, annotations_to_components(story))
+        results = story_cells(story, annotations_to_components(story))
         assert ("Benefit", RELAXED) not in results
         assert ("Benefit", STRICT) in results
         assert ("Benefit", INCLUSIVE) in results
@@ -83,14 +93,13 @@ class TestEvaluateStory:
             n for n in components.nodes
             if not (n.kind.value == "Entity" and n.id != target)
         ]
-        results = evaluate_story(story, components)
-        row = results[("Entity", STRICT)]
-        assert math.isclose(row.precision, 1.0, abs_tol=TOL)
-        assert math.isclose(row.recall, 1 / 3, abs_tol=TOL)
+        p, r, _f = story_cells(story, components)[("Entity", STRICT)]
+        assert math.isclose(p, 1.0, abs_tol=TOL)
+        assert math.isclose(r, 1 / 3, abs_tol=TOL)
 
     def test_no_benefit_both_sides_is_undefined(self):
         story = story_no_benefit()
-        results = evaluate_story(story, annotations_to_components(story))
+        results = story_cells(story, annotations_to_components(story))
         assert results[("Benefit", STRICT)] is None
         assert results[("Benefit", INCLUSIVE)] is None
         assert results[("Benefit", BERTSCORE_MODE)] is None
@@ -99,16 +108,13 @@ class TestEvaluateStory:
         story = story_no_benefit()
         components = annotations_to_components(story)
         components.nodes.append(GraphNode("made up", NodeKind.BENEFIT))
-        results = evaluate_story(story, components)
-        row = results[("Benefit", STRICT)]
-        assert row is not None
-        assert row.precision == 0.0 and row.recall == 0.0
+        p, r, _f = story_cells(story, components)[("Benefit", STRICT)]
+        assert p == 0.0 and r == 0.0
 
     def test_bertscore_cell_present_for_shared_tokens(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = evaluate_story(story, annotations_to_components(story))
-        row = results[("Persona", BERTSCORE_MODE)]
-        assert math.isclose(row.f_measure, 1.0, abs_tol=TOL)
+        results = story_cells(story, annotations_to_components(story))
+        assert math.isclose(results[("Persona", BERTSCORE_MODE)][2], 1.0, abs_tol=TOL)
 
     def test_explicit_embedder_is_used(self, sample_backlog):
         class CountingEmbedder(OneHotEmbedder):
@@ -119,8 +125,7 @@ class TestEvaluateStory:
                 return super().embed(tokens)
 
         story = sample_backlog.stories[0]
-        evaluate_story(story, annotations_to_components(story),
-                       embedder=CountingEmbedder())
+        story_cells(story, annotations_to_components(story), embedder=CountingEmbedder())
         assert CountingEmbedder.calls > 0
 
 
@@ -134,10 +139,10 @@ def test_tokens_from_forms_equal_tokens_of_joined_text(items):
 class TestRelations:
     def test_identity(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = evaluate_relations(story, annotations_to_components(story))
+        results = story_cells(story, annotations_to_components(story))
         for mode in (STRICT, INCLUSIVE, RELAXED):
-            assert results[("TRIGGERS", mode)].f_measure == 1.0
-            assert results[("TARGETS", mode)].f_measure == 1.0
+            assert results[("TRIGGERS", mode)][2] == 1.0
+            assert results[("TARGETS", mode)][2] == 1.0
 
     def test_pair_needs_both_members(self):
         counts = match_pair_sets(
@@ -155,8 +160,7 @@ class TestRelations:
         story = story_no_benefit()
         story.triggers = []
         components = annotations_to_components(story)
-        results = evaluate_relations(story, components)
-        assert results[("TRIGGERS", STRICT)] is None
+        assert story_cells(story, components)[("TRIGGERS", STRICT)] is None
 
 
 class TestEvaluateBacklog:
@@ -346,6 +350,16 @@ def oracle_greedy(expected, predicted, matches) -> Counts:
     return counts
 
 
+def oracle_scores(counts: Counts):
+    """(precision, recall, F), None when nothing is expected or predicted."""
+    predicted, expected = counts.tp + counts.fp, counts.tp + counts.fn
+    if not predicted and not expected:
+        return None
+    p = counts.tp / predicted if predicted else 0.0
+    r = counts.tp / expected if expected else 0.0
+    return p, r, 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+
 def oracle_mean(values: list[float]) -> float:
     total = 0.0
     for value in values:
@@ -377,7 +391,7 @@ def oracle_expected(story: AnnotatedStory):
 
 
 def oracle_report(backlog, extractions, options) -> BacklogReport:
-    """Every story's cells as MetricRows from counts_to_row, then the means."""
+    """Every story's cells as (precision, recall, F) tuples, then the means."""
     cells: dict[tuple[str, str], list] = {}
     report = BacklogReport(backlog=backlog.name)
     for story in backlog.stories:
@@ -395,7 +409,7 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
                     expected[kind], predicted[kind],
                     lambda e, p: compare_element(e, p, mode, options),
                 )
-                cells.setdefault((kind, mode.value), []).append(counts_to_row(counts))
+                cells.setdefault((kind, mode.value), []).append(oracle_scores(counts))
             exp_tokens = normalize_id(" ".join(expected[kind])).split()
             pred_tokens = normalize_id(" ".join(predicted[kind])).split()
             row = (bertscore(exp_tokens, pred_tokens, OneHotEmbedder())
@@ -410,7 +424,7 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
                     lambda e, p: all(compare_element(a, b, mode, options)
                                      for a, b in zip(e, p)),
                 )
-                cells.setdefault((label, mode.value), []).append(counts_to_row(counts))
+                cells.setdefault((label, mode.value), []).append(oracle_scores(counts))
 
     node_keys = [(kind, mode) for kind in KIND_ORDER
                  for mode in [m.value for m in MODES_FOR_KIND[kind]] + [BERTSCORE_MODE]]
@@ -425,9 +439,9 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
                 continue
             target.append(ReportRow(
                 backlog=backlog.name, kind=kind, mode=mode,
-                precision=oracle_mean([row.precision for row in defined]),
-                recall=oracle_mean([row.recall for row in defined]),
-                f_measure=oracle_mean([row.f_measure for row in defined]),
+                precision=oracle_mean([p for p, _r, _f in defined]),
+                recall=oracle_mean([r for _p, r, _f in defined]),
+                f_measure=oracle_mean([f for _p, _r, f in defined]),
                 stories_counted=len(defined),
                 stories_undefined=len(rows) - len(defined),
             ))
@@ -444,17 +458,24 @@ def test_backlog_report_equals_cell_by_cell_oracle(backlog_and_extractions, opti
 
 
 def test_story_rows_equal_backlog_of_one(sample_backlog):
-    """evaluate_story and evaluate_relations wrap the same cells as evaluate_backlog."""
+    """A backlog of one story reads that story's cells: each row holds the
+    scores of the story's match counts, and each omitted cell has none."""
     story = sample_backlog.stories[0]
     components = annotations_to_components(story)
     components.nodes = components.nodes[1:]
-    report = evaluate_backlog(Backlog(name="one", stories=[story]), {story.pid: components})
-    cells = {**evaluate_story(story, components), **evaluate_relations(story, components)}
-    for row in report.rows + report.relation_rows:
-        assert cells[(row.kind, row.mode)] == MetricRow(row.precision, row.recall, row.f_measure)
-    assert {key for key, cell in cells.items() if cell is None} == {
-        tuple(item.split("/")) for item in report.omitted
-    }
+    cells = story_cells(story, components)
+    expected, expected_pairs = oracle_expected(story)
+    for kind in KIND_ORDER:
+        predicted = [n.id for n in components.nodes if n.kind is NodeKind(kind)]
+        for mode in MODES_FOR_KIND[kind]:
+            counts = match_sets(expected[kind], predicted, mode)
+            assert cells[(kind, mode.value)] == scores(counts.tp, counts.fp, counts.fn)
+    for label, pairs in expected_pairs.items():
+        predicted = [(r.source.id, r.target.id) for r in components.relationships
+                     if r.kind.value == label]
+        for mode in ComparisonMode:
+            counts = match_pair_sets(pairs, predicted, mode)
+            assert cells[(label, mode.value)] == scores(counts.tp, counts.fp, counts.fn)
 
 
 def test_average_rows_add_left_to_right():

@@ -82,3 +82,10 @@ def test_endpoints_are_nodes():
     for rel in components.relationships:
         assert id(rel.source) in nodes
         assert id(rel.target) in nodes
+
+
+def test_blank_persona_slot_gives_no_persona_node():
+    components = rule_based_extract("As a  , I want to pay by cash.")
+    assert ids_of_kind(components, NodeKind.PERSONA) == []
+    assert ("pay", NodeKind.ACTION) in kinds(components)
+    assert all(r.kind is not RelKind.TRIGGERS for r in components.relationships)
