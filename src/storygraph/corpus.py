@@ -172,13 +172,19 @@ def story_to_dict(story: AnnotatedStory) -> dict[str, Any]:
 def parse_backlog_file(raw: bytes | BinaryIO, name: str = "") -> Backlog:
     """Parse a backlog from raw JSON bytes.
 
-    Malformed JSON raises BacklogParseError carrying the byte offset of the
-    failure; structural problems raise BacklogSchemaError.  An empty array
-    is rejected: a backlog without stories is useless downstream.
+    Bytes that are not UTF-8 or not JSON raise BacklogParseError carrying
+    the byte offset of the failure; structural problems raise
+    BacklogSchemaError.  An empty array is rejected: a backlog without
+    stories is useless downstream.
     """
     data = raw.read() if hasattr(raw, "read") else raw
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BacklogParseError(
+                f"not UTF-8 at byte offset {exc.start}", byte_offset=exc.start
+            ) from exc
     else:
         text = data
     try:

@@ -19,10 +19,12 @@ in contextual vectors without touching the math.  Both paths return one
 
 from __future__ import annotations
 
+import json
 import logging
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..errors import EvaluationError, redact_url
+from ..http import TransportError, post_json
 from .metrics import Scores, f_measure
 
 if TYPE_CHECKING:
@@ -78,28 +80,22 @@ class HttpEmbedder:
         self.request_timeout = request_timeout
 
     def embed(self, tokens: Sequence[str]) -> list[list[float]]:
-        import requests
-
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         body = {"model": self.model_name, "input": list(tokens)}
         try:
-            response = requests.post(
-                self.endpoint, json=body, headers=headers, timeout=self.request_timeout
-            )
-        except requests.RequestException as exc:
+            status, raw = post_json(self.endpoint, body, headers, self.request_timeout)
+        except TransportError as exc:
             raise EvaluationError(
-                f"cannot reach embeddings endpoint {redact_url(self.endpoint)}: "
-                f"{type(exc).__name__}"
+                f"cannot reach embeddings endpoint {redact_url(self.endpoint)}: {exc}"
             ) from exc
-        if response.status_code != 200:
+        if status != 200:
             raise EvaluationError(
-                f"embeddings endpoint {redact_url(self.endpoint)} returned status "
-                f"{response.status_code}"
+                f"embeddings endpoint {redact_url(self.endpoint)} returned status {status}"
             )
         try:
-            return [item["embedding"] for item in response.json()["data"]]
+            return [item["embedding"] for item in json.loads(raw)["data"]]
         except (ValueError, LookupError, TypeError) as exc:
             raise EvaluationError(
                 f"embeddings endpoint {redact_url(self.endpoint)} sent a malformed reply: "

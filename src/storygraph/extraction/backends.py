@@ -13,13 +13,11 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..errors import BackendError, ConfigError, ResponseParseError
+from ..http import TransportError, post_json
 from .config import ExtractorConfig
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +87,6 @@ class ChatHttpBackend:
         return self._request(messages, None)
 
     def _request(self, messages, tools) -> BackendReply:
-        import requests
-
         body: dict[str, Any] = {
             "model": self.config.model_name,
             "temperature": self.config.temperature,
@@ -113,31 +109,26 @@ class ChatHttpBackend:
             if attempt:
                 time.sleep(self.config.retry_backoff * (2 ** (attempt - 1)))
             try:
-                response = requests.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self.config.request_timeout,
+                status, raw = post_json(
+                    self.config.endpoint, body, headers, self.config.request_timeout
                 )
-            except requests.RequestException as exc:
+            except TransportError as exc:
                 last_error = f"request failed: {exc}"
                 log.warning("attempt %d/%d: %s", attempt + 1, attempts, last_error)
                 continue
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = f"server returned status {response.status_code}"
+            if status in _RETRYABLE_STATUS:
+                last_error = f"server returned status {status}"
                 log.warning("attempt %d/%d: %s", attempt + 1, attempts, last_error)
                 continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"backend rejected the request with status {response.status_code}"
-                )
-            return self._parse_reply(response)
+            if status != 200:
+                raise BackendError(f"backend rejected the request with status {status}")
+            return self._parse_reply(raw)
         raise BackendError(f"backend unavailable after {attempts} attempts: {last_error}")
 
     @staticmethod
-    def _parse_reply(response: requests.Response) -> BackendReply:
+    def _parse_reply(raw: bytes) -> BackendReply:
         try:
-            data = response.json()
+            data = json.loads(raw)
             message = data["choices"][0]["message"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc

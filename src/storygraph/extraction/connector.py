@@ -117,28 +117,29 @@ def extract_many(
 ) -> list[GraphDocument | StoryGraphError]:
     """Extract a batch, bounding in-flight requests.
 
-    Results line up with the input order.  A story that fails with a
-    toolchain error contributes the exception instead of a document, so one
-    bad story never sinks the batch.
+    Chat and replay backends run on a pool of ``max_concurrency`` threads;
+    rule-based extraction runs inline.  Results line up with the input
+    order.  A story that fails with a toolchain error contributes the
+    exception instead of a document, so one bad story never sinks the batch.
     """
     config.validate()
     backend = make_backend(config)
 
-    def one(text: str) -> tuple[GraphDocument, DropCounts]:
+    def one(text: str) -> tuple[GraphDocument | StoryGraphError, DropCounts | None]:
         local = DropCounts()
-        result = extract_components(config, text, backend=backend, drops=local)
-        return result, local
+        try:
+            return extract_components(config, text, backend=backend, drops=local), local
+        except StoryGraphError as exc:
+            return exc, None
 
-    results: list[GraphDocument | StoryGraphError] = []
-    with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        futures = [pool.submit(one, text) for text in story_texts]
-        for future in futures:
-            try:
-                doc, local = future.result()
-            except StoryGraphError as exc:
-                results.append(exc)
-                continue
-            if drops is not None:
+    if backend is None:
+        # Rule-based extraction never waits on I/O, so a pool would only add cost.
+        outcomes = [one(text) for text in story_texts]
+    else:
+        with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
+            outcomes = list(pool.map(one, story_texts))
+    if drops is not None:
+        for _result, local in outcomes:
+            if local is not None:
                 drops.merge(local)
-            results.append(doc)
-    return results
+    return [result for result, _local in outcomes]

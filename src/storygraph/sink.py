@@ -9,6 +9,7 @@ rolled-back batch one document at a time.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -20,6 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import SinkError, redact_url
+from .http import TransportError, post_json
 from .model import GraphDocument, NodeKind, RelKind, document_to_dict
 
 log = logging.getLogger(__name__)
@@ -224,9 +226,15 @@ Commit = Callable[[Sequence[CypherStatement]], tuple[int, int]]
 
 
 def _http_commit(config: SinkConfig) -> Commit:
-    import requests
-
     endpoint = f"{config.uri.rstrip('/')}/db/{config.database_name}/tx/commit"
+    try:
+        credentials = f"{config.user}:{config.password}".encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise SinkError("the graph store user and password must be latin-1 text") from exc
+    headers = {
+        "Content-Type": "application/json",
+        "Authorization": f"Basic {base64.b64encode(credentials).decode('ascii')}",
+    }
 
     def commit(statements: Sequence[CypherStatement]) -> tuple[int, int]:
         body = {
@@ -240,28 +248,17 @@ def _http_commit(config: SinkConfig) -> Commit:
             ]
         }
         try:
-            response = requests.post(
-                endpoint,
-                json=body,
-                auth=(config.user, config.password),
-                timeout=config.request_timeout,
-            )
-        except requests.RequestException as exc:
-            raise SinkError(
-                f"cannot reach graph store at {redact_url(config.uri)}: "
-                f"{type(exc).__name__}"
-            ) from exc
-        if response.status_code == 401:
+            status, raw = post_json(endpoint, body, headers, config.request_timeout)
+        except TransportError as exc:
+            raise SinkError(f"cannot reach graph store at {redact_url(config.uri)}: {exc}") from exc
+        if status == 401:
             raise SinkError(
                 f"authentication failed for user {config.user!r} at {redact_url(config.uri)}"
             )
-        if response.status_code >= 400:
-            raise SinkError(
-                f"graph store at {redact_url(config.uri)} returned status "
-                f"{response.status_code}"
-            )
+        if status >= 400:
+            raise SinkError(f"graph store at {redact_url(config.uri)} returned status {status}")
         try:
-            data = response.json()
+            data = json.loads(raw)
         except ValueError:
             data = None
         if not isinstance(data, dict):

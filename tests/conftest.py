@@ -36,13 +36,18 @@ def replay_fixture_path() -> Path:
     return REPLAY_FIXTURE
 
 
+class CutShort(bytes):
+    """A stub payload announced at twice its length: the connection closes
+    before the client has read the whole reply."""
+
+
 class StubHttpServer:
     """Scriptable HTTP server.
 
     Push (status, payload) pairs or callables onto ``behaviors``; each
     request consumes one, falling back to ``default``.  A ``bytes`` payload
-    is sent as is, any other as JSON.  Request bodies and
-    selected headers are recorded for assertions.
+    is sent as is, any other as JSON.  Request bodies, request lines and
+    headers are recorded for assertions.
     """
 
     def __init__(self) -> None:
@@ -51,6 +56,7 @@ class StubHttpServer:
         self.requests: list[dict] = []
         self.paths: list[str] = []
         self.auth_headers: list[str | None] = []
+        self.heads: list[str] = []
         self._lock = threading.Lock()
         self.in_flight = 0
         self.max_in_flight = 0
@@ -78,6 +84,7 @@ class StubHttpServer:
                         server.requests.append(body)
                         server.paths.append(self.path)
                         server.auth_headers.append(self.headers.get("Authorization"))
+                        server.heads.append(f"{self.requestline}\n{self.headers}")
                         behavior = (
                             server.behaviors.popleft()
                             if server.behaviors
@@ -93,7 +100,8 @@ class StubHttpServer:
                     )
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(data)))
+                    length = len(data) * (2 if isinstance(payload, CutShort) else 1)
+                    self.send_header("Content-Length", str(length))
                     self.end_headers()
                     self.wfile.write(data)
                 finally:

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PKG_ROOT, REPLAY_FIXTURE, SAMPLE_BACKLOG, neo4j_commit_reply
+from conftest import (
+    PKG_ROOT,
+    REPLAY_FIXTURE,
+    SAMPLE_BACKLOG,
+    chat_content_reply,
+    neo4j_commit_reply,
+)
 from storygraph.cli import EXIT_BACKEND, EXIT_NO_INPUT, EXIT_OK, components_to_story, main
 from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
 
@@ -103,6 +109,18 @@ class TestExtract:
         bad.mkdir()
         (bad / "broken.json").write_text("{nope")
         assert run_extract("--input", "bad") == EXIT_NO_INPUT
+
+    def test_non_utf8_backlog_skipped_with_a_warning(self, workspace, caplog):
+        (workspace / "pos_baseline" / "latin.json").write_bytes(b"\xff[")
+        with caplog.at_level("WARNING"):
+            assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        assert (out_dir / "sample.json").is_file()
+        assert not (out_dir / "latin.json").exists()
+        assert any(
+            "latin.json: not UTF-8 at byte offset 0" in r.getMessage() for r in caplog.records
+        )
 
     def test_config_error_exits_3(self, workspace):
         code = main(["extract", "--experiment", "x", "--backend", "chat-http"])
@@ -374,6 +392,39 @@ print(sorted(name for name in ("numpy", "requests") if name in sys.modules))
         assert done.stdout.splitlines()[-1] == "[]"
         assert (workspace / "evaluation" / "rb" / "report.json").is_file()
         assert (workspace / "extracted-user-stories" / "rb" / "graph.cypher").is_file()
+
+    HTTP_PIPELINE = """
+import sys
+from storygraph.cli import main
+url = sys.argv[1]
+for argv in (
+    ["extract", "--experiment", "chat", "--backend", "chat-http", "--model", "m",
+     "--endpoint", url + "/v1/chat/completions"],
+    ["load", "--experiment", "chat", "--uri", url],
+):
+    assert main(argv) == 0, argv
+print("requests" in sys.modules)
+"""
+
+    def test_http_pipeline_does_not_import_requests(self, workspace, stub_server):
+        chat_reply = chat_content_reply(json.dumps([{
+            "head": "user", "head_type": "Persona", "relation": "TRIGGERS",
+            "tail": "sync", "tail_type": "Action",
+        }]))
+        stub_server.default = lambda body: (
+            neo4j_commit_reply(0, 0, 0) if "statements" in body else chat_reply
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", self.HTTP_PIPELINE, stub_server.url],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+        assert stub_server.paths.count("/v1/chat/completions") == 6
+        assert stub_server.paths[-1] == "/db/neo4j/tx/commit"
 
 
 class TestEnvFile:
