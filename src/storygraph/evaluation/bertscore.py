@@ -80,7 +80,7 @@ class HttpEmbedder:
         self.request_timeout = request_timeout
 
     def embed(self, tokens: Sequence[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
+        headers = {}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         body = {"model": self.model_name, "input": list(tokens)}

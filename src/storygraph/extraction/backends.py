@@ -98,7 +98,7 @@ class ChatHttpBackend:
         if tools:
             body["tools"] = tools
 
-        headers = {"Content-Type": "application/json"}
+        headers = {}
         token = self.config.resolved_auth_token()
         if token:
             headers["Authorization"] = f"Bearer {token}"

@@ -7,6 +7,7 @@ and https checks certificates against the system trust store.
 
 from __future__ import annotations
 
+import functools
 import json
 from urllib.parse import urlsplit
 
@@ -19,26 +20,52 @@ class TransportError(Exception):
     credentials."""
 
 
+@functools.cache
+def _opener(scheme: str):
+    """One opener per scheme, built on first use.
+
+    It follows no redirect: urllib would copy the Authorization header to
+    any host a 3xx names, even over plain http.  A 3xx comes back as its
+    status.  All https requests share one TLS context, so the trust store
+    (about 50 ms to load) is read once per process, and never by http runs.
+    """
+    # Imported here: urllib.request costs about 50 ms, and offline runs
+    # never send a request.
+    from urllib.request import HTTPRedirectHandler, HTTPSHandler, build_opener
+
+    class RefuseRedirects(HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):
+            return None
+
+    handlers = [RefuseRedirects()]
+    if scheme == "https":
+        import ssl
+
+        handlers.append(HTTPSHandler(context=ssl.create_default_context()))
+    return build_opener(*handlers)
+
+
 def post_json(url: str, body, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
     """POST ``body`` as JSON; returns the status and the raw reply body.
 
     A non-2xx status is returned, not raised.  Any ``user:password@`` in
     ``url`` is dropped before sending, so credentials go only in headers.
     """
-    # Imported here: urllib.request costs about 50 ms, and offline runs
-    # never send a request.
     from http.client import HTTPException
     from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
+    from urllib.request import Request
 
     try:
-        if urlsplit(url).scheme not in ("http", "https"):
+        scheme = urlsplit(url).scheme
+        if scheme not in ("http", "https"):
             raise ValueError("not an http or https URL")
         request = Request(
-            redact_url(url), data=json.dumps(body).encode("utf-8"), headers=headers
+            redact_url(url),
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json", **headers},
         )
         try:
-            with urlopen(request, timeout=timeout) as response:
+            with _opener(scheme).open(request, timeout=timeout) as response:
                 return response.status, response.read()
         except HTTPError as exc:
             with exc:

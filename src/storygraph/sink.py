@@ -231,10 +231,7 @@ def _http_commit(config: SinkConfig) -> Commit:
         credentials = f"{config.user}:{config.password}".encode("latin-1")
     except UnicodeEncodeError as exc:
         raise SinkError("the graph store user and password must be latin-1 text") from exc
-    headers = {
-        "Content-Type": "application/json",
-        "Authorization": f"Basic {base64.b64encode(credentials).decode('ascii')}",
-    }
+    headers = {"Authorization": f"Basic {base64.b64encode(credentials).decode('ascii')}"}
 
     def commit(statements: Sequence[CypherStatement]) -> tuple[int, int]:
         body = {
@@ -255,7 +252,7 @@ def _http_commit(config: SinkConfig) -> Commit:
             raise SinkError(
                 f"authentication failed for user {config.user!r} at {redact_url(config.uri)}"
             )
-        if status >= 400:
+        if not 200 <= status < 300:
             raise SinkError(f"graph store at {redact_url(config.uri)} returned status {status}")
         try:
             data = json.loads(raw)

@@ -41,13 +41,18 @@ class CutShort(bytes):
     before the client has read the whole reply."""
 
 
+class Redirect(str):
+    """A stub payload sent as the ``Location`` header of a redirect."""
+
+
 class StubHttpServer:
     """Scriptable HTTP server.
 
     Push (status, payload) pairs or callables onto ``behaviors``; each
     request consumes one, falling back to ``default``.  A ``bytes`` payload
-    is sent as is, any other as JSON.  Request bodies, request lines and
-    headers are recorded for assertions.
+    is sent as is, a ``Redirect`` as the Location header, any other as
+    JSON.  Request bodies, request lines and headers of POSTs and GETs are
+    recorded for assertions.
     """
 
     def __init__(self) -> None:
@@ -100,6 +105,8 @@ class StubHttpServer:
                     )
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
+                    if isinstance(payload, Redirect):
+                        self.send_header("Location", payload)
                     length = len(data) * (2 if isinstance(payload, CutShort) else 1)
                     self.send_header("Content-Length", str(length))
                     self.end_headers()
@@ -107,6 +114,8 @@ class StubHttpServer:
                 finally:
                     with server._lock:
                         server.in_flight -= 1
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass

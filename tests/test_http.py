@@ -3,9 +3,12 @@ the embeddings endpoint and the Neo4j sink."""
 
 from __future__ import annotations
 
+import ssl
+
 import pytest
 
-from conftest import SAMPLE_BACKLOG, SYNC_TEXT, CutShort
+from conftest import SAMPLE_BACKLOG, SYNC_TEXT, CutShort, Redirect, StubHttpServer
+from storygraph import http
 from storygraph.corpus import load_backlog
 from storygraph.errors import BackendError, EvaluationError, SinkError
 from storygraph.evaluation import HttpEmbedder
@@ -19,13 +22,15 @@ DOC = story_document(load_backlog(SAMPLE_BACKLOG).stories[0])
 def chat(url: str):
     config = ExtractorConfig(
         backend="chat-http", endpoint=f"{url}/v1/chat/completions", model_name="m",
-        request_timeout=2.0, max_retries=1, retry_backoff=0.0,
+        auth_token="t0ken", request_timeout=2.0, max_retries=1, retry_backoff=0.0,
     )
     return make_backend(config).run_benefit(SYNC_TEXT, [("human", SYNC_TEXT)])
 
 
 def embeddings(url: str):
-    return HttpEmbedder(f"{url}/v1/embeddings", request_timeout=2.0).embed(["a"])
+    return HttpEmbedder(f"{url}/v1/embeddings", auth_token="t0ken", request_timeout=2.0).embed(
+        ["a"]
+    )
 
 
 def neo4j(url: str):
@@ -87,3 +92,58 @@ def test_sink_credentials_sent_as_latin1_basic_auth(stub_server):
     assert stub_server.auth_headers == ["Basic avZyZzpw"]
     with pytest.raises(SinkError, match="latin-1"):
         store(SinkConfig(uri=stub_server.url, user="ユーザー"), [DOC])
+
+
+@pytest.fixture()
+def other_server():
+    server = StubHttpServer()
+    yield server
+    server.close()
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+@pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+def test_redirect_is_the_callers_error_and_never_followed(
+    stub_server, other_server, caller, code
+):
+    call, error = CALLERS[caller]
+    stub_server.behaviors.append((code, Redirect(f"{other_server.url}/elsewhere")))
+    with pytest.raises(error, match=f"status {code}"):
+        call(stub_server.url)
+    assert stub_server.auth_headers[0].split()[0] in ("Bearer", "Basic")
+    # The credentials never reach the host the redirect names.
+    assert other_server.heads == []
+
+
+@pytest.fixture()
+def tls_contexts(monkeypatch):
+    """Counts the TLS contexts made, starting from unbuilt openers."""
+    made = []
+
+    def counting():
+        made.append(context := real())
+        return context
+
+    real = ssl.create_default_context
+    monkeypatch.setattr(ssl, "create_default_context", counting)
+    http._opener.cache_clear()
+    yield made
+    http._opener.cache_clear()
+
+
+def test_https_requests_share_one_tls_context(stub_server, tls_contexts):
+    # The stub speaks plain http, so every handshake fails.
+    url = stub_server.url.replace("http://", "https://")
+    for _ in range(3):
+        with pytest.raises(BackendError, match="SSL"):
+            chat(url)
+    assert len(tls_contexts) == 1
+    assert tls_contexts[0].verify_mode == ssl.CERT_REQUIRED
+
+
+def test_http_requests_load_no_trust_store(stub_server, tls_contexts):
+    chat(stub_server.url)
+    embeddings_reply = {"data": [{"embedding": [1.0]}]}
+    stub_server.behaviors.append((200, embeddings_reply))
+    assert embeddings(stub_server.url) == [[1.0]]
+    assert tls_contexts == []
