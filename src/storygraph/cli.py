@@ -53,9 +53,9 @@ from .extraction import (
     extract_many,
     make_backend,
 )
-from .model import GraphDocument, GraphNode, NodeKind, RelKind, validate_ontology
+from .model import validate_ontology
 from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
-from .transform import annotations_to_components, story_document
+from .transform import components_to_story, story_document
 
 log = logging.getLogger(__name__)
 
@@ -70,46 +70,6 @@ _RESERVED_FILES = {"manifest.json", "graph.json"}
 def _backlog_files(directory: Path) -> list[Path]:
     return sorted(
         path for path in directory.glob("*.json") if path.name not in _RESERVED_FILES
-    )
-
-
-def components_to_story(pid: str, text: str, doc: GraphDocument) -> AnnotatedStory:
-    """Cast an extracted document into the annotation schema.
-
-    Primary actions are the ones the persona triggers; primary entities are
-    what those actions target.  Everything else is secondary.  Ids compare
-    by their normalized form, ignoring kind.
-    """
-    by_kind: dict[NodeKind, list[GraphNode]] = {kind: [] for kind in NodeKind}
-    for node in doc.nodes:
-        by_kind[node.kind].append(node)
-
-    triggers = []
-    targets = []
-    for rel in doc.relationships:
-        if rel.kind is RelKind.TRIGGERS:
-            triggers.append(rel)
-        elif rel.kind is RelKind.TARGETS:
-            targets.append(rel)
-
-    primary_action_keys = {rel.target.key()[1] for rel in triggers}
-    primary_entity_keys = {
-        rel.target.key()[1] for rel in targets if rel.source.key()[1] in primary_action_keys
-    }
-    actions = by_kind[NodeKind.ACTION]
-    entities = by_kind[NodeKind.ENTITY]
-    benefits = by_kind[NodeKind.BENEFIT]
-    return AnnotatedStory(
-        pid=pid,
-        text=text,
-        personas=[node.id for node in by_kind[NodeKind.PERSONA]],
-        primary_actions=[a.id for a in actions if a.key()[1] in primary_action_keys],
-        secondary_actions=[a.id for a in actions if a.key()[1] not in primary_action_keys],
-        primary_entities=[e.id for e in entities if e.key()[1] in primary_entity_keys],
-        secondary_entities=[e.id for e in entities if e.key()[1] not in primary_entity_keys],
-        benefit=benefits[0].id if benefits else None,
-        triggers=[(rel.source.id, rel.target.id) for rel in triggers],
-        targets=[(rel.source.id, rel.target.id) for rel in targets],
     )
 
 
@@ -292,7 +252,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         stories, error_entries = extracted
         if error_entries:
             log.info("%s: %d stories carry extraction errors", name, error_entries)
-        extractions = {story.pid: annotations_to_components(story) for story in stories}
+        extractions = {story.pid: story for story in stories}
         report.backlogs.append(
             evaluate_backlog(backlog, extractions, embedder=embedder, options=options)
         )

@@ -1,14 +1,15 @@
-"""Score extracted graph documents against annotated stories and write reports.
+"""Score extracted stories against annotated ground truth and write reports.
 
-Node kinds are scored independently: personas against Persona nodes,
-primary plus secondary actions against Action nodes, likewise entities,
-and the benefit (when annotated) against Benefit nodes.  The benefit is a
-full clause, so the relaxed mode is never applied to it.  Relationships are
-scored as pairs where both members must match under the active mode.
+Both sides are annotated stories in one schema: an extraction file holds
+the same Persona, Action, Entity, Benefit, Triggers and Targets as the
+ground truth.  Node kinds are scored independently: personas against
+personas, primary plus secondary actions against actions, likewise
+entities, and the benefit (when present).  The benefit is a full clause, so
+the relaxed mode is never applied to it.  Relationships are scored as pairs
+where both members must match under the active mode.
 
-The annotated side is read through ``transform.story_elements``, the
-projection that also builds the documents of read-back extractions, so
-ground truth scores 1.0 against itself.
+One function, ``transform.story_elements``, reads both sides, so ground
+truth scores 1.0 against itself.
 
 ``evaluate_backlog`` is the one scoring entry point; a story scored alone is
 a backlog of one.  Each story gives a ``Scores`` tuple per (kind, mode)
@@ -28,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 
 from ..atomic import write_atomic
 from ..corpus import AnnotatedStory, Backlog
-from ..model import GraphDocument, NodeKind, RelKind
+from ..model import NodeKind, RelKind
 from ..transform import story_elements
 from .bertscore import Embedder, OneHotEmbedder, bertscore
 from .compare import (
@@ -42,7 +43,7 @@ from .compare import (
     element_form,
     match_forms,
 )
-from .metrics import Scores, left_sum, mean_scores, scores
+from .metrics import Scores, mean_scores, scores
 
 log = logging.getLogger(__name__)
 
@@ -74,37 +75,19 @@ CSV_COLUMNS = (
 
 
 _KIND_OF_NODE = {NodeKind(kind): kind for kind in KIND_ORDER}
-_LABEL_OF_RELATION = {RelKind(label): label for label in RELATION_ORDER}
 
 # Per node kind its ids, per relation label its (source id, target id) pairs.
 Lists = dict[str, list[str]]
 Pairs = dict[str, list[tuple[str, str]]]
 
 
-def _expected(story: AnnotatedStory) -> tuple[Lists, Pairs]:
+def _elements(story: AnnotatedStory) -> tuple[Lists, Pairs]:
+    """A story's scored elements, expected or predicted alike."""
     keys, triggers, targets = story_elements(story)
     lists: Lists = {"Persona": [], "Action": [], "Entity": [], "Benefit": []}
     for kind, node_id in keys:
         lists[_KIND_OF_NODE[kind]].append(node_id)
     return lists, {"TRIGGERS": triggers, "TARGETS": targets}
-
-
-def predicted_lists(doc: GraphDocument) -> Lists:
-    lists: Lists = {kind: [] for kind in KIND_ORDER}
-    for node in doc.nodes:
-        kind = _KIND_OF_NODE.get(node.kind)
-        if kind is not None:
-            lists[kind].append(node.id)
-    return lists
-
-
-def _predicted_pairs(doc: GraphDocument) -> Pairs:
-    pairs: Pairs = {label: [] for label in RELATION_ORDER}
-    for rel in doc.relationships:
-        label = _LABEL_OF_RELATION.get(rel.kind)
-        if label is not None:
-            pairs[label].append((rel.source.id, rel.target.id))
-    return pairs
 
 
 def _tokens(forms: Sequence[Form]) -> list[str]:
@@ -264,12 +247,15 @@ _RELATION_KEYS = [(label, mode.value) for label in RELATION_ORDER for mode in Co
 
 def evaluate_backlog(
     backlog: Backlog,
-    extractions: Mapping[str, GraphDocument],
+    extractions: Mapping[str, AnnotatedStory],
     *,
     embedder: Embedder | None = None,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> BacklogReport:
-    """Score every story that has an extraction; others count as skipped."""
+    """Score every story that has an extraction; others count as skipped.
+
+    ``extractions`` maps a story's pid to the story as extracted.
+    """
     nodes = _Running(_NODE_KEYS)
     relations = _Running(_RELATION_KEYS)
     evaluated = 0
@@ -277,17 +263,18 @@ def evaluate_backlog(
     shared_embedder = embedder or OneHotEmbedder()
 
     for story in backlog.stories:
-        doc = extractions.get(story.pid)
-        if doc is None:
+        extracted = extractions.get(story.pid)
+        if extracted is None:
             skipped += 1
             log.warning("no extraction for story %s in backlog %s", story.pid, backlog.name)
             continue
         evaluated += 1
-        expected, expected_pairs = _expected(story)
+        expected, expected_pairs = _elements(story)
+        predicted, predicted_pairs = _elements(extracted)
         # One set of forms serves the story's nodes and its pairs.
         forms = _StoryForms(options)
-        nodes.add(_node_scores(expected, predicted_lists(doc), shared_embedder, forms))
-        relations.add(_relation_scores(expected_pairs, _predicted_pairs(doc), forms))
+        nodes.add(_node_scores(expected, predicted, shared_embedder, forms))
+        relations.add(_relation_scores(expected_pairs, predicted_pairs, forms))
 
     rows, omitted = nodes.rows(backlog.name)
     relation_rows, rel_omitted = relations.rows(backlog.name)
@@ -308,28 +295,22 @@ class ExperimentReport:
     options: CompareOptions = DEFAULT_OPTIONS
 
     def average_rows(self) -> list[ReportRow]:
-        """Macro average across backlogs per (kind, mode)."""
+        """Macro average across backlogs per (kind, mode), in first-seen order."""
         grouped: dict[tuple[str, str], list[ReportRow]] = {}
-        order: list[tuple[str, str]] = []
         for report in self.backlogs:
             for row in report.rows + report.relation_rows:
-                key = (row.kind, row.mode)
-                if key not in grouped:
-                    grouped[key] = []
-                    order.append(key)
-                grouped[key].append(row)
+                grouped.setdefault((row.kind, row.mode), []).append(row)
         averages = []
-        for key in order:
-            rows = grouped[key]
-            n = len(rows)
+        for (kind, mode), rows in grouped.items():
+            precision, recall, f = mean_scores([(r.precision, r.recall, r.f_measure) for r in rows])
             averages.append(
                 ReportRow(
                     backlog="(average)",
-                    kind=key[0],
-                    mode=key[1],
-                    precision=left_sum(r.precision for r in rows) / n,
-                    recall=left_sum(r.recall for r in rows) / n,
-                    f_measure=left_sum(r.f_measure for r in rows) / n,
+                    kind=kind,
+                    mode=mode,
+                    precision=precision,
+                    recall=recall,
+                    f_measure=f,
                     stories_counted=sum(r.stories_counted for r in rows),
                     stories_undefined=sum(r.stories_undefined for r in rows),
                 )
@@ -338,16 +319,8 @@ class ExperimentReport:
 
 
 def _row_dict(row: ReportRow) -> dict:
-    return {
-        "backlog": row.backlog,
-        "kind": row.kind,
-        "mode": row.mode,
-        "precision": row.precision,
-        "recall": row.recall,
-        "f_measure": row.f_measure,
-        "stories_counted": row.stories_counted,
-        "stories_undefined": row.stories_undefined,
-    }
+    # The field order of ReportRow is the key order of the report.
+    return dict(vars(row))
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

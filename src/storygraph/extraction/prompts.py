@@ -9,7 +9,7 @@ are intentional and must survive reformatting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from ..errors import TemplateError
@@ -138,17 +138,8 @@ def few_shot_records() -> list[ExtractionRecord]:
 
 
 def _records_block() -> str:
-    payload = [
-        {
-            "text": r.text,
-            "head": r.head,
-            "head_type": r.head_type,
-            "relation": r.relation,
-            "tail": r.tail,
-            "tail_type": r.tail_type,
-        }
-        for r in few_shot_records()
-    ]
+    # Keys in ExtractionRecord's field order.
+    payload = [asdict(r) for r in few_shot_records()]
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 

@@ -2,12 +2,13 @@
 
 Defines the node and relationship kinds, the one graph type every stage
 passes on (``GraphNode``, ``GraphRelationship``, ``GraphDocument``),
-identity normalization, and the ontology validator.  A relationship's
-endpoints are node objects, normally the very objects in its document's
-node list.  A node computes its identity key on the first ``key()`` call
-and stores it, so code that never keys a node, such as scoring, never pays
-for it.  Validation reports violations as data instead of raising so
-callers can decide how strict to be.
+identity normalization, and the ontology validator.  A node is an id and a
+kind, a relationship two nodes and a kind; both are frozen and hashable.  A
+relationship's endpoints are normally the very node objects in its
+document's node list.  A node computes its identity key on the first
+``key()`` call and stores it, so code that never keys a node never pays for
+it.  Validation reports violations as data instead of raising so callers
+can decide how strict to be.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ def normalize_id(raw: str) -> str:
 class GraphNode:
     id: str
     kind: NodeKind
-    properties: dict[str, Any] = field(default_factory=dict)
 
     # Not a field: set on the instance by the first key() call.
     _key = None
@@ -89,7 +89,6 @@ class GraphRelationship:
     source: GraphNode
     target: GraphNode
     kind: RelKind
-    properties: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -217,8 +216,9 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
     return violations
 
 
+# Graph elements carry no properties; the exported shape keeps an empty map.
 def node_to_dict(node: GraphNode) -> dict[str, Any]:
-    return {"id": node.id, "type": node.kind.value, "properties": dict(node.properties)}
+    return {"id": node.id, "type": node.kind.value, "properties": {}}
 
 
 def _node_ref(node: GraphNode) -> dict[str, str]:
@@ -230,7 +230,7 @@ def relationship_to_dict(rel: GraphRelationship) -> dict[str, Any]:
         "source": _node_ref(rel.source),
         "target": _node_ref(rel.target),
         "type": rel.kind.value,
-        "properties": dict(rel.properties),
+        "properties": {},
     }
 
 

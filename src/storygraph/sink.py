@@ -1,8 +1,9 @@
 """Persist graph documents: parameterized Cypher, Neo4j, JSON export.
 
 Every statement is fully parameterized; no node id or story text is ever
-spliced into statement text.  MERGE keys on the label plus the id property,
-so re-loading the same documents is idempotent.  ``store`` writes up to
+spliced into statement text.  A node is written as its label and its id,
+a relationship as its type between two such nodes; MERGE keys on exactly
+that, so re-loading the same documents is idempotent.  ``store`` writes up to
 100 documents per transaction, over the HTTP API or Bolt, and retries a
 rolled-back batch one document at a time.
 """
@@ -31,7 +32,6 @@ _BATCH_SIZE = 100
 
 _LABELS = {kind.value for kind in NodeKind} | {kind.value for kind in RelKind}
 _PARAM = re.compile(r"\$(\w+)")
-_PROPERTY_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HTTP_SCHEMES = ("http", "https")
 _BOLT_SCHEMES = ("bolt", "neo4j", "bolt+s", "neo4j+s")
 
@@ -74,39 +74,21 @@ def _check_label(label: str) -> str:
     return label
 
 
-def _check_property_key(key: Any) -> str:
-    # The offline script writes map keys bare, so only plain identifiers
-    # may reach it.
-    if not isinstance(key, str) or not _PROPERTY_KEY.fullmatch(key):
-        raise SinkError(f"illegal property key {key!r}")
-    return key
-
-
-def _checked_properties(properties: dict[str, Any]) -> dict[str, Any]:
-    for key in properties:
-        _check_property_key(key)
-    return dict(properties)
-
-
 # Statement texts, built (and their labels checked) once per label
 # combination; to_cypher hands out the same string for every statement of
 # that shape.
 @cache
-def _node_template(kind: NodeKind, with_props: bool) -> str:
-    text = f"MERGE (n:{_check_label(kind.value)} {{id: $id}})"
-    return text + " SET n += $props" if with_props else text
+def _node_template(kind: NodeKind) -> str:
+    return f"MERGE (n:{_check_label(kind.value)} {{id: $id}})"
 
 
 @cache
-def _relationship_template(
-    source: NodeKind, target: NodeKind, kind: RelKind, with_props: bool
-) -> str:
-    text = (
+def _relationship_template(source: NodeKind, target: NodeKind, kind: RelKind) -> str:
+    return (
         f"MATCH (a:{_check_label(source.value)} {{id: $source_id}}) "
         f"MATCH (b:{_check_label(target.value)} {{id: $target_id}}) "
         f"MERGE (a)-[r:{_check_label(kind.value)}]->(b)"
     )
-    return text + " SET r = $props" if with_props else text
 
 
 def to_cypher(
@@ -115,8 +97,7 @@ def to_cypher(
     """One MERGE per node, then one per relationship.
 
     Ids beyond max_id_length are refused: they are almost certainly runaway
-    model output and would bloat the MERGE key index.  So are property keys
-    that are not plain identifiers.
+    model output and would bloat the MERGE key index.
     """
     statements = []
     for node in doc.nodes:
@@ -125,39 +106,25 @@ def to_cypher(
                 f"node id exceeds {max_id_length} characters "
                 f"({len(node.id)}): {node.id[:60]!r}..."
             )
-        params: dict[str, Any] = {"id": node.id}
-        if node.properties:
-            params["props"] = _checked_properties(node.properties)
-        text = _node_template(node.kind, bool(node.properties))
-        statements.append(CypherStatement(text=text, params=params, is_node=True))
+        statements.append(
+            CypherStatement(text=_node_template(node.kind), params={"id": node.id}, is_node=True)
+        )
 
     for rel in doc.relationships:
         source, target = rel.source, rel.target
+        text = _relationship_template(source.kind, target.kind, rel.kind)
         params = {"source_id": source.id, "target_id": target.id}
-        if rel.properties:
-            params["props"] = _checked_properties(rel.properties)
-        text = _relationship_template(source.kind, target.kind, rel.kind, bool(rel.properties))
         statements.append(CypherStatement(text=text, params=params))
     return statements
 
 
 def _cypher_literal(value: Any) -> str:
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace("'", "\\'")
-        escaped = escaped.replace("\r", "\\r").replace("\n", "\\n")
-        return f"'{escaped}'"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, dict):
-        inner = ", ".join(
-            f"{_check_property_key(k)}: {_cypher_literal(v)}" for k, v in value.items()
-        )
-        return "{" + inner + "}"
-    raise SinkError(f"cannot render {type(value).__name__} as a Cypher literal")
+    # Every statement parameter is an id: a string.
+    if not isinstance(value, str):
+        raise SinkError(f"cannot render {type(value).__name__} as a Cypher literal")
+    escaped = value.replace("\\", "\\\\").replace("'", "\\'")
+    escaped = escaped.replace("\r", "\\r").replace("\n", "\\n")
+    return f"'{escaped}'"
 
 
 # A document with the statements that write it.
@@ -169,7 +136,7 @@ def render(
 ) -> list[Rendered]:
     """Every document's statements, rendered once for the script and the store.
 
-    An id or property key the sink refuses raises here, before anything is
+    An id the sink refuses raises here, before anything is
     written or sent.
     """
     return [(doc, to_cypher(doc, max_id_length)) for doc in docs]

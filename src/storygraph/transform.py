@@ -1,11 +1,13 @@
 """Assemble graph documents into ontology-shaped ones.
 
-Every stage passes the one graph type of ``model``: extraction returns a
-``GraphDocument`` whose edges join its own node objects, and an annotated
-story is projected into the same shape.  ``build_graph_document`` adds what
-is never asked of a model: the story node is the input itself and the
-ownership (HAS_*) edges follow from node existence, so both are derived
-here.
+Extraction and load pass the one graph type of ``model``: extraction returns
+a ``GraphDocument`` whose edges join its own node objects, which
+``components_to_story`` casts into the annotation schema, and load projects
+each annotated story back into a document.  ``story_elements`` is the one
+projection of an annotated story, for evaluation and load alike.
+``build_graph_document`` adds what is never asked of a model: the story
+node is the input itself and the ownership (HAS_*) edges follow from node
+existence, so both are derived here.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def build_graph_document(
             continue
         seen_rels.add(dedup_key)
         if source is not rel.source or target is not rel.target:
-            rel = GraphRelationship(source, target, rel.kind, rel.properties)
+            rel = GraphRelationship(source, target, rel.kind)
         relationships.append(rel)
 
     story_node = index[story_key]
@@ -134,8 +136,9 @@ def story_elements(
     asserts both of its ends.  Exact duplicates and empty ids are skipped,
     and so is a pair with an empty member.
 
-    Ground truth and read-back extractions both pass through here, so a
-    story scores 1.0 against itself.
+    Evaluation reads both the ground truth and the extraction through
+    here, and load builds its documents from it, so a story scores 1.0
+    against itself.
     """
     # A dict keeps first-seen order; assigning an existing key keeps its place.
     nodes: dict[tuple[NodeKind, str], None] = {}
@@ -155,6 +158,46 @@ def story_elements(
         [key for key in nodes if key[1]],
         [pair for pair in story.triggers if pair[0] and pair[1]],
         [pair for pair in story.targets if pair[0] and pair[1]],
+    )
+
+
+def components_to_story(pid: str, text: str, doc: GraphDocument) -> AnnotatedStory:
+    """Cast an extracted document into the annotation schema.
+
+    Primary actions are the ones the persona triggers; primary entities are
+    what those actions target.  Everything else is secondary.  Ids compare
+    by their normalized form, ignoring kind.
+    """
+    by_kind: dict[NodeKind, list[GraphNode]] = {kind: [] for kind in NodeKind}
+    for node in doc.nodes:
+        by_kind[node.kind].append(node)
+
+    triggers = []
+    targets = []
+    for rel in doc.relationships:
+        if rel.kind is RelKind.TRIGGERS:
+            triggers.append(rel)
+        elif rel.kind is RelKind.TARGETS:
+            targets.append(rel)
+
+    primary_action_keys = {rel.target.key()[1] for rel in triggers}
+    primary_entity_keys = {
+        rel.target.key()[1] for rel in targets if rel.source.key()[1] in primary_action_keys
+    }
+    actions = by_kind[_ACTION]
+    entities = by_kind[_ENTITY]
+    benefits = by_kind[NodeKind.BENEFIT]
+    return AnnotatedStory(
+        pid=pid,
+        text=text,
+        personas=[node.id for node in by_kind[_PERSONA]],
+        primary_actions=[a.id for a in actions if a.key()[1] in primary_action_keys],
+        secondary_actions=[a.id for a in actions if a.key()[1] not in primary_action_keys],
+        primary_entities=[e.id for e in entities if e.key()[1] in primary_entity_keys],
+        secondary_entities=[e.id for e in entities if e.key()[1] not in primary_entity_keys],
+        benefit=benefits[0].id if benefits else None,
+        triggers=[(rel.source.id, rel.target.id) for rel in triggers],
+        targets=[(rel.source.id, rel.target.id) for rel in targets],
     )
 
 

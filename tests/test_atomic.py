@@ -32,7 +32,8 @@ def test_failure_before_replace_keeps_previous_file(tmp_path, monkeypatch):
     written = []
 
     def crash(src, dst):
-        written.append(open(src, "rb").read())
+        with open(src, "rb") as handle:
+            written.append(handle.read())
         raise KeyboardInterrupt
 
     monkeypatch.setattr(atomic.os, "replace", crash)

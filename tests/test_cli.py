@@ -346,6 +346,36 @@ class TestOutputsUnchanged:
         }
         assert hashes == self.GOLDEN[backend]
 
+    # SHA-256 of graph.json and of the statements the store receives on a
+    # real load, recorded while graph elements still carried a property map.
+    LOAD_GOLDEN = {
+        "rule-based": {
+            "graph.json": "711a139d8380d895a347656079112edfc0e9294bdb17d968c5d09db4251ac74e",
+            "statements": "351c0e222412c83ee6916b2a5bef61e7d632a272dbb877dcff838d69b052aa92",
+        },
+        "replay-fixture": {
+            "graph.json": "45f056725d7ae150baed486e5938dcaea3e91b8456955292ee95eb5c4fd5444b",
+            "statements": "5353b51f9d2a621ec98314afb7e739af0099240a9b1fe87c346e22c483cee35d",
+        },
+    }
+
+    @pytest.mark.parametrize("backend", sorted(LOAD_GOLDEN))
+    def test_load_outputs_match_golden_hashes(self, workspace, graph_store, stub_server, backend):
+        argv = ["extract", "--experiment", "g", "--backend", backend]
+        if backend == "replay-fixture":
+            argv += ["--fixture", str(REPLAY_FIXTURE)]
+        assert main(argv) == EXIT_OK
+        assert main(["load", "--experiment", "g", "--uri", stub_server.url]) == EXIT_OK
+        statements = [s for body in stub_server.requests for s in body["statements"]]
+        assert statements
+        sent = json.dumps(statements, indent=2, ensure_ascii=False).encode("utf-8")
+        graph = (workspace / "extracted-user-stories" / "g" / "graph.json").read_bytes()
+        hashes = {
+            "graph.json": hashlib.sha256(graph).hexdigest(),
+            "statements": hashlib.sha256(sent).hexdigest(),
+        }
+        assert hashes == self.LOAD_GOLDEN[backend]
+
 
 class TestAtomicOutputs:
     def test_failed_rewrite_keeps_previous_report(self, workspace, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,8 +36,7 @@ from storygraph.evaluation import (
 )
 from storygraph.evaluation.compare import element_form
 from storygraph.evaluation.report import MODES_FOR_KIND, _tokens
-from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind, normalize_id
-from storygraph.transform import annotations_to_components
+from storygraph.model import normalize_id
 
 TOL = 1e-9
 
@@ -57,10 +57,12 @@ def story_no_benefit() -> AnnotatedStory:
     )
 
 
-def story_cells(story: AnnotatedStory, doc: GraphDocument, **options) -> dict:
+def story_cells(story: AnnotatedStory, extracted: AnnotatedStory, **options) -> dict:
     """One story's (precision, recall, F) per cell, None when undefined, read
     off a backlog of that story alone: the mean of one score is that score."""
-    report = evaluate_backlog(Backlog(name="one", stories=[story]), {story.pid: doc}, **options)
+    report = evaluate_backlog(
+        Backlog(name="one", stories=[story]), {story.pid: extracted}, **options
+    )
     cells: dict = {
         (row.kind, row.mode): (row.precision, row.recall, row.f_measure)
         for row in report.rows + report.relation_rows
@@ -72,14 +74,14 @@ def story_cells(story: AnnotatedStory, doc: GraphDocument, **options) -> dict:
 class TestEvaluateStory:
     def test_identity_extraction_scores_one(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = story_cells(story, annotations_to_components(story))
+        results = story_cells(story, story)
         for (kind, mode), cell in results.items():
             assert cell is not None, (kind, mode)
             assert math.isclose(cell[2], 1.0, abs_tol=TOL), (kind, mode)
 
     def test_benefit_has_no_relaxed_cell(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = story_cells(story, annotations_to_components(story))
+        results = story_cells(story, story)
         assert ("Benefit", RELAXED) not in results
         assert ("Benefit", STRICT) in results
         assert ("Benefit", INCLUSIVE) in results
@@ -87,33 +89,31 @@ class TestEvaluateStory:
 
     def test_partial_entity_recall(self, sample_backlog):
         story = sample_backlog.stories[0]
-        components = annotations_to_components(story)
         target = story.primary_entities[0]
-        components.nodes = [
-            n for n in components.nodes
-            if not (n.kind.value == "Entity" and n.id != target)
-        ]
-        p, r, _f = story_cells(story, components)[("Entity", STRICT)]
+        extracted = replace(
+            story,
+            secondary_entities=[],
+            targets=[pair for pair in story.targets if pair[1] == target],
+        )
+        p, r, _f = story_cells(story, extracted)[("Entity", STRICT)]
         assert math.isclose(p, 1.0, abs_tol=TOL)
         assert math.isclose(r, 1 / 3, abs_tol=TOL)
 
     def test_no_benefit_both_sides_is_undefined(self):
         story = story_no_benefit()
-        results = story_cells(story, annotations_to_components(story))
+        results = story_cells(story, story)
         assert results[("Benefit", STRICT)] is None
         assert results[("Benefit", INCLUSIVE)] is None
         assert results[("Benefit", BERTSCORE_MODE)] is None
 
     def test_hallucinated_benefit_scores_zero(self):
         story = story_no_benefit()
-        components = annotations_to_components(story)
-        components.nodes.append(GraphNode("made up", NodeKind.BENEFIT))
-        p, r, _f = story_cells(story, components)[("Benefit", STRICT)]
+        p, r, _f = story_cells(story, replace(story, benefit="made up"))[("Benefit", STRICT)]
         assert p == 0.0 and r == 0.0
 
     def test_bertscore_cell_present_for_shared_tokens(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = story_cells(story, annotations_to_components(story))
+        results = story_cells(story, story)
         assert math.isclose(results[("Persona", BERTSCORE_MODE)][2], 1.0, abs_tol=TOL)
 
     def test_explicit_embedder_is_used(self, sample_backlog):
@@ -125,7 +125,7 @@ class TestEvaluateStory:
                 return super().embed(tokens)
 
         story = sample_backlog.stories[0]
-        story_cells(story, annotations_to_components(story), embedder=CountingEmbedder())
+        story_cells(story, story, embedder=CountingEmbedder())
         assert CountingEmbedder.calls > 0
 
 
@@ -139,7 +139,7 @@ def test_tokens_from_forms_equal_tokens_of_joined_text(items):
 class TestRelations:
     def test_identity(self, sample_backlog):
         story = sample_backlog.stories[0]
-        results = story_cells(story, annotations_to_components(story))
+        results = story_cells(story, story)
         for mode in (STRICT, INCLUSIVE, RELAXED):
             assert results[("TRIGGERS", mode)][2] == 1.0
             assert results[("TARGETS", mode)][2] == 1.0
@@ -159,15 +159,12 @@ class TestRelations:
     def test_empty_both_sides_undefined(self):
         story = story_no_benefit()
         story.triggers = []
-        components = annotations_to_components(story)
-        assert story_cells(story, components)[("TRIGGERS", STRICT)] is None
+        assert story_cells(story, story)[("TRIGGERS", STRICT)] is None
 
 
 class TestEvaluateBacklog:
     def test_self_evaluation_is_perfect(self, sample_backlog):
-        extractions = {
-            s.pid: annotations_to_components(s) for s in sample_backlog.stories
-        }
+        extractions = {s.pid: s for s in sample_backlog.stories}
         report = evaluate_backlog(sample_backlog, extractions)
         assert report.stories_evaluated == 3
         assert report.stories_skipped == 0
@@ -175,18 +172,14 @@ class TestEvaluateBacklog:
             assert math.isclose(row.f_measure, 1.0, abs_tol=TOL), (row.kind, row.mode)
 
     def test_missing_extraction_counts_skipped(self, sample_backlog, caplog):
-        extractions = {
-            s.pid: annotations_to_components(s) for s in sample_backlog.stories[1:]
-        }
+        extractions = {s.pid: s for s in sample_backlog.stories[1:]}
         with caplog.at_level("WARNING"):
             report = evaluate_backlog(sample_backlog, extractions)
         assert report.stories_skipped == 1
         assert any("no extraction" in r.message for r in caplog.records)
 
     def test_undefined_stories_excluded_from_mean(self, sample_backlog):
-        extractions = {
-            s.pid: annotations_to_components(s) for s in sample_backlog.stories
-        }
+        extractions = {s.pid: s for s in sample_backlog.stories}
         report = evaluate_backlog(sample_backlog, extractions)
         benefit_row = next(
             r for r in report.rows if r.kind == "Benefit" and r.mode == STRICT
@@ -200,7 +193,7 @@ class TestEvaluateBacklog:
         story = story_no_benefit()
         backlog = Backlog(name="mini", stories=[story])
         report = evaluate_backlog(
-            backlog, {story.pid: annotations_to_components(story)}
+            backlog, {story.pid: story}
         )
         assert f"Benefit/{STRICT}" in report.omitted
         assert all(r.kind != "Benefit" for r in report.rows)
@@ -209,9 +202,7 @@ class TestEvaluateBacklog:
 class TestReportOutput:
     @pytest.fixture()
     def report(self, sample_backlog) -> ExperimentReport:
-        extractions = {
-            s.pid: annotations_to_components(s) for s in sample_backlog.stories
-        }
+        extractions = {s.pid: s for s in sample_backlog.stories}
         backlog_report = evaluate_backlog(sample_backlog, extractions)
         return ExperimentReport(experiment="demo", backlogs=[backlog_report])
 
@@ -238,9 +229,7 @@ class TestReportOutput:
         assert "timestamp" not in data
 
     def test_average_is_macro_mean(self, sample_backlog):
-        extractions = {
-            s.pid: annotations_to_components(s) for s in sample_backlog.stories
-        }
+        extractions = {s.pid: s for s in sample_backlog.stories}
         one = evaluate_backlog(sample_backlog, extractions)
         two = evaluate_backlog(
             Backlog(name="other", stories=sample_backlog.stories), extractions
@@ -273,7 +262,7 @@ class TestReportOutput:
         story = story_no_benefit()
         backlog = Backlog(name="mini", stories=[story])
         backlog_report = evaluate_backlog(
-            backlog, {story.pid: annotations_to_components(story)}
+            backlog, {story.pid: story}
         )
         table = strict_f_table(
             ExperimentReport(experiment="demo", backlogs=[backlog_report])
@@ -308,30 +297,15 @@ def oracle_stories(draw, pid: str) -> AnnotatedStory:
 
 
 @st.composite
-def oracle_components(draw) -> GraphDocument:
-    kinds = [NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY, NodeKind.BENEFIT]
-    nodes = [
-        GraphNode(draw(oracle_words), draw(st.sampled_from(kinds)))
-        for _ in range(draw(st.integers(0, 7)))
-    ]
-    relationships = [
-        GraphRelationship(GraphNode(src, NodeKind.PERSONA), GraphNode(tgt, NodeKind.ACTION), kind)
-        for kind in (RelKind.TRIGGERS, RelKind.TARGETS, RelKind.HAS_PERSONA)
-        for src, tgt in draw(word_pairs)
-    ]
-    return GraphDocument(nodes=nodes, relationships=relationships)
-
-
-@st.composite
-def oracle_backlogs(draw) -> tuple[Backlog, dict[str, GraphDocument]]:
+def oracle_backlogs(draw) -> tuple[Backlog, dict[str, AnnotatedStory]]:
     stories = [draw(oracle_stories(f"#S{i}#")) for i in range(draw(st.integers(0, 4)))]
     extractions = {}
     for story in stories:
         kind = draw(st.sampled_from(["self", "drawn", "missing"]))
         if kind == "self":
-            extractions[story.pid] = annotations_to_components(story)
+            extractions[story.pid] = story
         elif kind == "drawn":
-            extractions[story.pid] = draw(oracle_components())
+            extractions[story.pid] = draw(oracle_stories(story.pid))
     return Backlog(name="b", stories=stories), extractions
 
 
@@ -367,10 +341,11 @@ def oracle_mean(values: list[float]) -> float:
     return total / len(values)
 
 
-def oracle_expected(story: AnnotatedStory):
-    """Ground truth as the README states it: the annotated nodes, then each
-    trigger's and target's endpoints, without exact duplicates or empty ids;
-    the pairs without those that have an empty member."""
+def oracle_elements(story: AnnotatedStory):
+    """A story's scored elements as the README states them, for ground truth
+    and extraction alike: the annotated nodes, then each trigger's and
+    target's endpoints, without exact duplicates or empty ids; the pairs
+    without those that have an empty member."""
     lists = {kind: [] for kind in KIND_ORDER}
     items = [("Persona", p) for p in story.personas]
     items += [("Action", a) for a in story.primary_actions + story.secondary_actions]
@@ -395,14 +370,13 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
     cells: dict[tuple[str, str], list] = {}
     report = BacklogReport(backlog=backlog.name)
     for story in backlog.stories:
-        components = extractions.get(story.pid)
-        if components is None:
+        extracted = extractions.get(story.pid)
+        if extracted is None:
             report.stories_skipped += 1
             continue
         report.stories_evaluated += 1
-        expected, expected_pairs = oracle_expected(story)
-        predicted = {kind: [n.id for n in components.nodes if n.kind is NodeKind(kind)]
-                     for kind in KIND_ORDER}
+        expected, expected_pairs = oracle_elements(story)
+        predicted, predicted_pairs = oracle_elements(extracted)
         for kind in KIND_ORDER:
             for mode in MODES_FOR_KIND[kind]:
                 counts = oracle_greedy(
@@ -416,8 +390,7 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
                    if exp_tokens and pred_tokens else None)
             cells.setdefault((kind, BERTSCORE_MODE), []).append(row)
         for label, exp_pairs in expected_pairs.items():
-            pred_pairs = [(r.source.id, r.target.id) for r in components.relationships
-                          if r.kind.value == label]
+            pred_pairs = predicted_pairs[label]
             for mode in ComparisonMode:
                 counts = oracle_greedy(
                     exp_pairs, pred_pairs,
@@ -461,20 +434,17 @@ def test_story_rows_equal_backlog_of_one(sample_backlog):
     """A backlog of one story reads that story's cells: each row holds the
     scores of the story's match counts, and each omitted cell has none."""
     story = sample_backlog.stories[0]
-    components = annotations_to_components(story)
-    components.nodes = components.nodes[1:]
-    cells = story_cells(story, components)
-    expected, expected_pairs = oracle_expected(story)
+    extracted = replace(story, personas=[], triggers=[])
+    cells = story_cells(story, extracted)
+    expected, expected_pairs = oracle_elements(story)
+    predicted, predicted_pairs = oracle_elements(extracted)
     for kind in KIND_ORDER:
-        predicted = [n.id for n in components.nodes if n.kind is NodeKind(kind)]
         for mode in MODES_FOR_KIND[kind]:
-            counts = match_sets(expected[kind], predicted, mode)
+            counts = match_sets(expected[kind], predicted[kind], mode)
             assert cells[(kind, mode.value)] == scores(counts.tp, counts.fp, counts.fn)
     for label, pairs in expected_pairs.items():
-        predicted = [(r.source.id, r.target.id) for r in components.relationships
-                     if r.kind.value == label]
         for mode in ComparisonMode:
-            counts = match_pair_sets(pairs, predicted, mode)
+            counts = match_pair_sets(pairs, predicted_pairs[label], mode)
             assert cells[(label, mode.value)] == scores(counts.tp, counts.fp, counts.fn)
 
 
@@ -539,7 +509,7 @@ REPEATS_AND_UNLISTED_TARGET = AnnotatedStory(
 @example(stories=(REPEATS_AND_UNLISTED_TARGET,), options=CompareOptions())
 def test_valid_ground_truth_scores_one_against_itself(stories, options):
     backlog, _skipped = drop_invalid_stories(Backlog(name="b", stories=list(stories)))
-    extractions = {story.pid: annotations_to_components(story) for story in backlog.stories}
+    extractions = {story.pid: story for story in backlog.stories}
     report = evaluate_backlog(backlog, extractions, options=options)
     assert report.stories_evaluated == len(backlog.stories)
     for row in report.rows + report.relation_rows:

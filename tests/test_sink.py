@@ -116,13 +116,6 @@ class TestToCypher:
                 if isinstance(value, str) and len(value) > 3:
                     assert value not in statement.text
 
-    def test_properties_rendered_via_set(self):
-        node = GraphNode(id="user", kind=NodeKind.PERSONA, properties={"source": "x"})
-        doc = GraphDocument(nodes=[node], relationships=[], source_text="t")
-        statement = to_cypher(doc)[0]
-        assert statement.text.endswith("SET n += $props")
-        assert statement.params["props"] == {"source": "x"}
-
     def test_oversized_id_refused(self):
         node = GraphNode(id="x" * 5000, kind=NodeKind.ENTITY)
         doc = GraphDocument(nodes=[node], relationships=[], source_text="t")
@@ -209,11 +202,7 @@ def oracle_statements(doc: GraphDocument) -> list[CypherStatement]:
     statements = []
     for node in doc.nodes:
         text = f"MERGE (n:{node.kind.value} {{id: $id}})"
-        params = {"id": node.id}
-        if node.properties:
-            text += " SET n += $props"
-            params["props"] = dict(node.properties)
-        statements.append(CypherStatement(text=text, params=params, is_node=True))
+        statements.append(CypherStatement(text=text, params={"id": node.id}, is_node=True))
     for rel in doc.relationships:
         text = (
             f"MATCH (a:{rel.source.kind.value} {{id: $source_id}}) "
@@ -221,9 +210,6 @@ def oracle_statements(doc: GraphDocument) -> list[CypherStatement]:
             f"MERGE (a)-[r:{rel.kind.value}]->(b)"
         )
         params = {"source_id": rel.source.id, "target_id": rel.target.id}
-        if rel.properties:
-            text += " SET r = $props"
-            params["props"] = dict(rel.properties)
         statements.append(CypherStatement(text=text, params=params))
     return statements
 
@@ -247,21 +233,12 @@ awkward_text = st.one_of(
          "\r", "\n", "é", "日本", "x", " "]
     ), max_size=6).map("".join),
 )
-property_values = st.one_of(
-    awkward_text, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False)
-)
-properties = st.one_of(
-    st.just({}),
-    st.dictionaries(st.sampled_from(["source", "score", "note"]), property_values,
-                    min_size=1, max_size=2),
-)
 
 
 @st.composite
 def awkward_docs(draw) -> GraphDocument:
     nodes = [
-        GraphNode(id=draw(awkward_text), kind=draw(st.sampled_from(list(NodeKind))),
-                  properties=draw(properties))
+        GraphNode(id=draw(awkward_text), kind=draw(st.sampled_from(list(NodeKind))))
         for _ in range(draw(st.integers(0, 4)))
     ]
     relationships = []
@@ -269,7 +246,7 @@ def awkward_docs(draw) -> GraphDocument:
         for _ in range(draw(st.integers(0, 4))):
             relationships.append(GraphRelationship(
                 draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
-                draw(st.sampled_from(list(RelKind))), draw(properties),
+                draw(st.sampled_from(list(RelKind))),
             ))
     return GraphDocument(nodes=nodes, relationships=relationships, source_text="t")
 
@@ -315,28 +292,12 @@ def test_non_ontology_label_refused(where):
             to_cypher(doc)
 
 
-@pytest.mark.parametrize("key", ["x}) DETACH DELETE n //", "a b", "1x", "", 1])
-@pytest.mark.parametrize("where", ["node", "relationship"])
-def test_property_key_that_is_not_an_identifier_refused(where, key):
-    node = GraphNode(id="a", kind=NodeKind.ENTITY)
-    if where == "node":
-        doc = GraphDocument(nodes=[GraphNode(id="a", kind=NodeKind.ENTITY, properties={key: 1})])
-    else:
-        doc = GraphDocument(relationships=[
-            GraphRelationship(node, node, RelKind.TARGETS, properties={key: 1})
-        ])
-    # Refused when rendering, before the script is written or the store called.
-    with pytest.raises(SinkError, match="illegal property key"):
-        sink.render([doc])
-    with pytest.raises(SinkError, match="illegal property key"):
-        cypher_script([doc])
-
-
-def test_plain_identifier_property_keys_rendered_bare():
-    doc = GraphDocument(
-        nodes=[GraphNode(id="a", kind=NodeKind.ENTITY, properties={"_Score1": 1, "note": "n"})]
-    )
-    assert cypher_script([doc]) == "MERGE (n:Entity {id: 'a'}) SET n += {_Score1: 1, note: 'n'};\n"
+@pytest.mark.parametrize("value", [1, 1.5, True, None, {"k": "v"}, ["a"]])
+def test_script_refuses_a_parameter_that_is_not_a_string(value):
+    """Every parameter to_cypher builds is an id; nothing else has a literal form."""
+    statements = [CypherStatement("RETURN $a", {"a": value})]
+    with pytest.raises(SinkError, match="as a Cypher literal"):
+        sink.rendered_script([(GraphDocument(), statements)])
 
 
 class TestJsonRoundTrip:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT
-from storygraph.cli import components_to_story
 from storygraph.corpus import AnnotatedStory
 from storygraph.extraction import DropCounts
 from storygraph.model import (
@@ -25,6 +24,7 @@ from storygraph.model import (
 from storygraph.transform import (
     annotations_to_components,
     build_graph_document,
+    components_to_story,
     story_document,
     story_elements,
 )
