@@ -1,9 +1,10 @@
 """Token-embedding similarity scoring.
 
 Given per-token embeddings for the expected and predicted token lists, the
-score is greedy cosine matching: precision averages, over predicted tokens,
-the best similarity to any expected token; recall mirrors that over
-expected tokens; F is their harmonic mean.
+score is greedy cosine matching, as in BERTScore (Zhang et al., ICLR 2020):
+precision averages, over predicted tokens, the best similarity to any
+expected token; recall mirrors that over expected tokens; F is their
+harmonic mean.  Cosines are clipped to [0, 1].
 
 The embedder is pluggable.  The bundled one-hot embedder makes the score a
 pure lexical-overlap measure, deterministic and dependency-free: every cosine
@@ -12,38 +13,33 @@ among the expected tokens and recall the reverse share.  ``bertscore``
 computes that closed form directly for one-hot embeddings, without calling
 ``embed`` or growing the vocabulary; the result is the same floats as the
 cosine path.  Any other embedder, including a subclass that overrides
-``embed``, goes through the numpy cosine path, so an HTTP embedder can swap
-in contextual vectors without touching the math.  Both paths return one
-``(precision, recall, F)`` tuple.
+``embed``, goes through the cosine path: one ``embed`` call per score for
+the distinct tokens of both sides, and standard-library math that adds
+floats left to right.  Both paths return one ``(precision, recall, F)`` tuple.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-from typing import TYPE_CHECKING, Protocol, Sequence
+import math
+from operator import mul
+from typing import Protocol, Sequence
 
 from ..errors import EvaluationError, redact_url
 from ..http import TransportError, post_json
-from .metrics import Scores, f_measure
-
-if TYPE_CHECKING:
-    import numpy as np
-
-log = logging.getLogger(__name__)
+from .metrics import Scores, f_measure, left_sum
 
 
 class Embedder(Protocol):
     def embed(self, tokens: Sequence[str]) -> list[list[float]]:
-        """One vector per token, all of equal dimension within one call."""
+        """One vector per token, all of one length: ``bertscore`` takes every
+        vector of a score from one call, and ``HttpEmbedder`` enforces this."""
         ...
 
 
 class OneHotEmbedder:
     """Grows a vocabulary across calls; identical tokens share an axis.
 
-    Vectors from different calls may differ in length as the vocabulary
-    grows; the cosine path zero-pads, which leaves cosines unchanged.
     ``bertscore`` scores this embedder in closed form and never calls
     ``embed`` or grows ``vocab`` for it; both stay for direct callers.
     """
@@ -95,23 +91,32 @@ class HttpEmbedder:
                 f"embeddings endpoint {redact_url(self.endpoint)} returned status {status}"
             )
         try:
-            return [item["embedding"] for item in json.loads(raw)["data"]]
-        except (ValueError, LookupError, TypeError) as exc:
+            vectors = [item["embedding"] for item in json.loads(raw)["data"]]
+            _check_vectors(vectors, len(tokens))
+        except (ValueError, LookupError, TypeError, OverflowError) as exc:
             raise EvaluationError(
                 f"embeddings endpoint {redact_url(self.endpoint)} sent a malformed reply: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+        return vectors
 
 
-def _unit_rows(vectors: list[list[float]], dim: int) -> np.ndarray:
-    import numpy as np
+def _check_vectors(vectors: list, count: int) -> None:
+    """Raise ValueError unless there are ``count`` lists of one non-zero length,
+    holding only finite ints and floats (bools are not numbers here)."""
+    if len(vectors) != count:
+        raise ValueError(f"{len(vectors)} vectors for {count} tokens")
+    for vec in vectors:
+        if not isinstance(vec, list) or not vec or len(vec) != len(vectors[0]):
+            raise ValueError("the vectors are not non-empty lists of one length")
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in vec):
+            raise ValueError("a vector holds a value that is not a finite number")
 
-    matrix = np.zeros((len(vectors), dim))
-    for i, vec in enumerate(vectors):
-        matrix[i, : len(vec)] = vec
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return matrix / norms
+
+def _unit(vec: list[float]) -> list[float]:
+    """``vec`` scaled to length 1; a zero vector stays zero."""
+    norm = math.sqrt(left_sum(map(mul, vec, vec)))
+    return vec if norm == 0 else [x / norm for x in vec]
 
 
 def _one_hot_score(
@@ -120,7 +125,7 @@ def _one_hot_score(
     """Greedy one-hot cosine in closed form: exact-token membership shares.
 
     Each best match is 0.0 or 1.0, so the mean is a count over a length;
-    numpy's mean of such a row gives the same float.
+    the cosine path's left-to-right mean of such a row gives the same float.
     """
     expected_set = set(expected_tokens)
     predicted_set = set(predicted_tokens)
@@ -139,19 +144,12 @@ def bertscore(
         raise EvaluationError("token similarity is undefined for empty token lists")
     if getattr(type(embedder), "embed", None) is OneHotEmbedder.embed:
         return _one_hot_score(expected_tokens, predicted_tokens)
-    import numpy as np
-
-    expected_vecs = embedder.embed(expected_tokens)
-    predicted_vecs = embedder.embed(predicted_tokens)
-    dim = max(
-        max(len(v) for v in expected_vecs),
-        max(len(v) for v in predicted_vecs),
-    )
-    expected_m = _unit_rows(expected_vecs, dim)
-    predicted_m = _unit_rows(predicted_vecs, dim)
-
-    sim = predicted_m @ expected_m.T  # rows: predicted, cols: expected
-    sim = np.clip(sim, 0.0, 1.0)
-    p = float(sim.max(axis=1).mean())
-    r = float(sim.max(axis=0).mean())
+    distinct = list(dict.fromkeys([*expected_tokens, *predicted_tokens]))
+    unit = {t: _unit(v) for t, v in zip(distinct, embedder.embed(distinct), strict=True)}
+    sim = [  # rows: predicted, columns: expected
+        [min(max(left_sum(map(mul, unit[pred], unit[exp])), 0.0), 1.0) for exp in expected_tokens]
+        for pred in predicted_tokens
+    ]
+    p = left_sum(map(max, sim)) / len(predicted_tokens)
+    r = left_sum(map(max, zip(*sim))) / len(expected_tokens)
     return p, r, f_measure(p, r)

@@ -132,19 +132,28 @@ class ChatHttpBackend:
             message = data["choices"][0]["message"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
+        if not isinstance(message, dict):
+            raise BackendError("malformed backend response: the message is not an object")
 
         calls = message.get("tool_calls") or []
         if calls:
-            arguments = calls[0].get("function", {}).get("arguments", "")
+            first = calls[0] if isinstance(calls, list) else None
+            call = first.get("function", {}) if isinstance(first, dict) else None
         elif message.get("function_call"):
-            arguments = message["function_call"].get("arguments", "")
+            call = message["function_call"]
         else:
-            return BackendReply(content=message.get("content") or "")
+            content = message.get("content") or ""
+            if not isinstance(content, str):
+                raise BackendError("malformed backend response: the content is not a string")
+            return BackendReply(content=content)
+        if not isinstance(call, dict):
+            raise BackendError("malformed backend response: the function call is not an object")
+        arguments = call.get("arguments", "")
         if isinstance(arguments, dict):
             return BackendReply(structured=arguments)
         try:
             return BackendReply(structured=json.loads(arguments))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ResponseParseError(
                 f"function-call arguments are not valid JSON: {exc}", raw=str(arguments)
             ) from exc

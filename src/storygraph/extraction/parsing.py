@@ -107,8 +107,15 @@ def parse_structured_response(
             raw=json.dumps(payload),
         )
 
+    nodes = payload.get("nodes") or []
+    relationships = payload.get("relationships") or []
+    if not isinstance(nodes, list) or not isinstance(relationships, list):
+        raise ResponseParseError(
+            "'nodes' and 'relationships' must be lists", raw=json.dumps(payload)
+        )
+
     builder = _DocumentBuilder()
-    for item in payload.get("nodes") or []:
+    for item in nodes:
         if not isinstance(item, dict):
             drops.nodes += 1
             continue
@@ -120,7 +127,7 @@ def parse_structured_response(
             continue
         builder.add_node(node_id, kind)
 
-    for item in payload.get("relationships") or []:
+    for item in relationships:
         if not isinstance(item, dict):
             drops.relationships += 1
             continue

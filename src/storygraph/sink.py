@@ -222,27 +222,49 @@ def _http_commit(config: SinkConfig) -> Commit:
         if not 200 <= status < 300:
             raise SinkError(f"graph store at {redact_url(config.uri)} returned status {status}")
         try:
-            data = json.loads(raw)
-        except ValueError:
-            data = None
-        if not isinstance(data, dict):
+            return _reply_counts(raw)
+        except ValueError as exc:
             raise SinkError(
-                f"graph store at {redact_url(config.uri)} sent a reply that is not "
-                f"a JSON object"
-            )
-        errors = data.get("errors") or []
-        if errors:
-            # The transactional endpoint rolls the whole request back.
-            raise _Rejected(errors[0].get("message", "unknown error"))
-        nodes_created = 0
-        rels_created = 0
-        for result in data.get("results", []):
-            stats = result.get("stats") or {}
-            nodes_created += stats.get("nodes_created", 0)
-            rels_created += stats.get("relationships_created", 0)
-        return nodes_created, rels_created
+                f"graph store at {redact_url(config.uri)} sent a malformed reply: {exc}"
+            ) from exc
 
     return commit
+
+
+def _reply_counts(raw: bytes) -> tuple[int, int]:
+    """Nodes and relationships a transactional-endpoint reply says it created.
+
+    Raises _Rejected when the reply carries errors, and ValueError when it
+    is not JSON or a field has the wrong type.
+    """
+    try:
+        data = json.loads(raw)
+    except ValueError:
+        data = None
+    if not isinstance(data, dict):
+        raise ValueError("the reply is not a JSON object")
+    errors = data.get("errors") or []
+    results = data.get("results") or []
+    if not isinstance(errors, list) or not isinstance(results, list):
+        raise ValueError("'errors' and 'results' must be lists")
+    if errors:
+        if not isinstance(errors[0], dict):
+            raise ValueError("an error is not an object")
+        # The transactional endpoint rolls the whole request back.
+        raise _Rejected(errors[0].get("message", "unknown error"))
+    nodes_created = 0
+    rels_created = 0
+    for result in results:
+        stats = (result.get("stats") or {}) if isinstance(result, dict) else None
+        if not isinstance(stats, dict):
+            raise ValueError("a result or its stats is not an object")
+        nodes = stats.get("nodes_created", 0)
+        rels = stats.get("relationships_created", 0)
+        if type(nodes) is not int or type(rels) is not int:
+            raise ValueError("a creation counter is not an integer")
+        nodes_created += nodes
+        rels_created += rels
+    return nodes_created, rels_created
 
 
 @contextmanager

@@ -72,6 +72,11 @@ class TestMetrics:
         assert math.isclose(f, 0.0 if p + r == 0 else 2 * p * r / (p + r), abs_tol=TOL)
 
 
+def vectors_reply(*vectors) -> dict:
+    """An embeddings reply carrying ``vectors`` in order."""
+    return {"data": [{"embedding": vec} for vec in vectors]}
+
+
 def one_hot_oracle(expected: list[str], predicted: list[str]) -> tuple[float, float, float]:
     """With one-hot vectors, best-match cosine is exact-token membership."""
     expected_set = set(expected)
@@ -158,6 +163,59 @@ class TestBertscore:
         assert embedder.vocab == {}
 
 
+class ScriptedEmbedder:
+    """One fixed vector per token; records the tokens of every call."""
+
+    def __init__(self, vectors: dict[str, list[float]]):
+        self.vectors = vectors
+        self.calls: list[list[str]] = []
+
+    def embed(self, tokens):
+        self.calls.append(list(tokens))
+        return [self.vectors[t] for t in tokens]
+
+
+def cosine_oracle(
+    expected: list[str], predicted: list[str], vectors: dict[str, list[float]]
+) -> tuple[float, float, float]:
+    """Greedy cosine matching from first principles, with exactly rounded sums."""
+
+    def cosine(a, b):
+        norms = math.sqrt(math.fsum(x * x for x in a)) * math.sqrt(math.fsum(y * y for y in b))
+        dot = math.fsum(x * y for x, y in zip(a, b))
+        return 0.0 if norms == 0 else min(max(dot / norms, 0.0), 1.0)
+
+    sim = [[cosine(vectors[q], vectors[e]) for e in expected] for q in predicted]
+    p = math.fsum(max(row) for row in sim) / len(predicted)
+    r = math.fsum(max(column) for column in zip(*sim)) / len(expected)
+    return p, r, f_measure(p, r)
+
+
+@st.composite
+def vector_cases(draw):
+    tokens = ["a", "b", "c", "d", "e"]
+    dim = draw(st.integers(1, 4))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    vectors = {t: draw(st.lists(value, min_size=dim, max_size=dim)) for t in tokens}
+    expected = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=6))
+    predicted = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=6))
+    return expected, predicted, vectors
+
+
+class TestCosinePath:
+    @given(vector_cases())
+    def test_matches_oracle_with_one_embed_call(self, case):
+        expected, predicted, vectors = case
+        embedder = ScriptedEmbedder(vectors)
+        row = bertscore(expected, predicted, embedder)
+        assert row == pytest.approx(cosine_oracle(expected, predicted, vectors), abs=1e-12)
+        assert embedder.calls == [list(dict.fromkeys(expected + predicted))]
+
+    def test_zero_vector_matches_nothing(self):
+        embedder = ScriptedEmbedder({"z": [0.0, 0.0], "a": [1.0, 0.0]})
+        assert bertscore(["z", "a"], ["a"], embedder) == (1.0, 0.5, 2 / 3)
+
+
 class TestOneHotEmbedder:
     def test_same_token_same_axis(self):
         embedder = OneHotEmbedder()
@@ -212,27 +270,35 @@ class TestHttpEmbedder:
             {"data": [{"vector": [1.0, 0.0]}]},
             {"data": "nope"},
             [1.0, 0.0],
+            vectors_reply([1.0, 0.0]),
+            vectors_reply("1.0", [1.0, 0.0]),
+            vectors_reply(None, [1.0, 0.0]),
+            vectors_reply([1.0, 0.0], [1.0]),
+            vectors_reply([], []),
+            vectors_reply([True, 0.0], [1.0, 0.0]),
+            vectors_reply(["1.0", 0.0], [1.0, 0.0]),
+            vectors_reply([float("nan"), 0.0], [1.0, 0.0]),
+            vectors_reply([float("inf"), 0.0], [1.0, 0.0]),
+            b'{"data": [{"embedding": [1%s]}, {"embedding": [1]}]}' % (b"0" * 400),
         ],
-        ids=["not-json", "no-data", "no-embedding", "data-not-list", "not-object"],
+        ids=[
+            "not-json", "no-data", "no-embedding", "data-not-list", "not-object",
+            "one-vector-short", "string-vector", "null-vector", "ragged",
+            "empty-vectors", "bool-value", "string-value", "nan", "infinity",
+            "int-beyond-float",
+        ],
     )
     def test_malformed_reply(self, stub_server, payload):
         stub_server.behaviors.append((200, payload))
         endpoint = f"{stub_server.url}/v1/embeddings"
         with pytest.raises(EvaluationError, match="malformed reply") as info:
-            HttpEmbedder(endpoint).embed(["a"])
+            HttpEmbedder(endpoint).embed(["a", "b"])
         assert endpoint in str(info.value)
 
     def test_bertscore_with_contextual_vectors(self, stub_server):
-        near = {
-            "data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.8, 0.6]}]
-        }
-        stub_server.behaviors.extend(
-            [
-                (200, {"data": [{"embedding": [1.0, 0.0]}]}),
-                (200, near),
-            ]
-        )
+        stub_server.behaviors.append((200, vectors_reply([1.0, 0.0], [0.8, 0.6])))
         embedder = HttpEmbedder(f"{stub_server.url}/v1/embeddings")
         p, r, _f = bertscore(["alpha"], ["alpha", "alfa"], embedder)
+        assert [body["input"] for body in stub_server.requests] == [["alpha", "alfa"]]
         assert math.isclose(p, (1.0 + 0.8) / 2, abs_tol=TOL)
         assert math.isclose(r, 1.0, abs_tol=TOL)

@@ -77,6 +77,23 @@ class TestExtract:
         assert run_extract() == EXIT_OK
         assert out_path.read_bytes() == first
 
+    def test_malformed_reply_fails_only_its_story(self, workspace, tmp_path):
+        """A main reply of {"nodes": 5} ended the whole run in a TypeError."""
+        fixture = json.loads(REPLAY_FIXTURE.read_text())
+        stories = json.loads((workspace / "pos_baseline" / "sample.json").read_text())
+        broken = stories[0]["Text"].split("# ", 1)[1]
+        fixture[broken]["main_response"] = {"nodes": 5}
+        fixture_path = tmp_path / "broken.json"
+        fixture_path.write_text(json.dumps(fixture))
+        (workspace / "pos_baseline" / "zz_later.json").write_text(json.dumps(stories[1:]))
+
+        assert run_extract("--fixture", str(fixture_path)) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "demo"
+        first = json.loads((out_dir / "sample.json").read_text())
+        later = json.loads((out_dir / "zz_later.json").read_text())
+        assert "must be lists" in first[0]["Error"]
+        assert [("Error" in entry) for entry in first + later] == [True] + [False] * 4
+
     def test_unknown_story_becomes_error_entry(self, workspace, caplog):
         baseline_file = workspace / "pos_baseline" / "sample.json"
         stories = json.loads(baseline_file.read_text())
@@ -455,6 +472,37 @@ print("requests" in sys.modules)
         assert done.stdout.splitlines()[-1] == "False"
         assert stub_server.paths.count("/v1/chat/completions") == 6
         assert stub_server.paths[-1] == "/db/neo4j/tx/commit"
+
+    EMBEDDINGS_PIPELINE = """
+import sys
+from storygraph.cli import main
+url = sys.argv[1]
+for argv in (
+    ["extract", "--experiment", "rb", "--backend", "rule-based"],
+    ["evaluate", "--experiment", "rb", "--embeddings-endpoint", url + "/v1/embeddings"],
+):
+    assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+    def test_embeddings_evaluate_does_not_import_numpy(self, workspace, stub_server):
+        stub_server.default = lambda body: (200, {"data": [
+            {"embedding": [1.0, float(len(token)), float(ord(token[0]) % 7)]}
+            for token in body["input"]
+        ]})
+        done = subprocess.run(
+            [sys.executable, "-c", self.EMBEDDINGS_PIPELINE, stub_server.url],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+        assert stub_server.paths and set(stub_server.paths) == {"/v1/embeddings"}
+        report = json.loads((workspace / "evaluation" / "rb" / "report.json").read_text())
+        (backlog,) = report["backlogs"]
+        assert backlog["stories_evaluated"] == 3
 
 
 class TestEnvFile:

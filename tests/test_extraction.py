@@ -7,8 +7,9 @@ import json
 import pytest
 
 from conftest import SYNC_TEXT, chat_content_reply, chat_tool_reply
-from storygraph.errors import BackendError, ConfigError, ResponseParseError
+from storygraph.errors import BackendError, ConfigError, ResponseParseError, StoryGraphError
 from storygraph.extraction import (
+    ChatHttpBackend,
     DropCounts,
     ExtractorConfig,
     ReplayFixtureBackend,
@@ -228,6 +229,29 @@ class TestChatHttp:
         config = http_config(stub_server, supports_function_calls=True)
         with pytest.raises(ResponseParseError, match="not valid JSON"):
             extract_components(config, SYNC_TEXT)
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "just text",
+            {"tool_calls": ["extract_graph_components"]},
+            {"tool_calls": "extract_graph_components"},
+            {"tool_calls": [{"function": "extract_graph_components"}]},
+            {"function_call": "extract_graph_components"},
+            {"tool_calls": [{"function": {"arguments": 5}}]},
+            {"content": 5},
+            {"content": {"nodes": []}},
+        ],
+        ids=[
+            "message-string", "tool-call-string", "tool-calls-string", "function-string",
+            "function-call-string", "arguments-number", "content-number", "content-object",
+        ],
+    )
+    def test_malformed_message_is_a_toolchain_error(self, message):
+        """Each raised AttributeError or TypeError while the reply was read."""
+        raw = json.dumps({"choices": [{"message": message}]}).encode("utf-8")
+        with pytest.raises(StoryGraphError):
+            ChatHttpBackend._parse_reply(raw)
 
 
 def benefit_ids(doc):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from storygraph.errors import ResponseParseError
@@ -75,6 +77,22 @@ class TestStructured:
     def test_neither_key_is_parse_error(self):
         with pytest.raises(ResponseParseError, match="neither"):
             parse_structured_response({"stuff": 1})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"nodes": 5},
+            {"relationships": True},
+            {"nodes": "user", "relationships": []},
+            {"nodes": [], "relationships": {"source": "user"}},
+        ],
+        ids=["nodes-number", "relationships-bool", "nodes-string", "relationships-object"],
+    )
+    def test_lists_that_are_not_lists_are_parse_errors(self, payload):
+        """Iterating these raised TypeError, or dropped characters as nodes."""
+        with pytest.raises(ResponseParseError, match="must be lists") as info:
+            parse_structured_response(payload)
+        assert json.loads(info.value.raw) == payload
 
     def test_nodes_only_is_fine(self):
         components = parse_structured_response({"nodes": [{"id": "a", "type": "Entity"}]})

@@ -369,6 +369,31 @@ class TestStoreHttp:
         assert "hunter2" not in str(exc_info.value)
         assert stub_server.url in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"results": 5},
+            {"results": [{"stats": 5}]},
+            {"results": [5]},
+            {"errors": [5]},
+            {"errors": "boom"},
+            {"results": [{"stats": {"nodes_created": "3"}}]},
+            {"results": [{"stats": {"relationships_created": 1.5}}]},
+            {"results": [{"stats": {"nodes_created": True}}]},
+        ],
+        ids=[
+            "results-number", "stats-number", "result-number", "error-number",
+            "errors-string", "counter-string", "counter-float", "counter-bool",
+        ],
+    )
+    def test_malformed_reply_is_a_sink_error(self, stub_server, sync_doc, reply):
+        """Each ended load in an AttributeError or TypeError traceback, or
+        added a counter that is not a count."""
+        stub_server.behaviors.append((200, reply))
+        with pytest.raises(SinkError, match="malformed reply") as exc_info:
+            store(SinkConfig(uri=stub_server.url), [sync_doc])
+        assert stub_server.url in str(exc_info.value)
+
     def test_auth_failure_redacts(self, stub_server, sync_doc):
         stub_server.behaviors.append((401, {}))
         config = SinkConfig(
