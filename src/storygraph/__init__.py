@@ -14,7 +14,6 @@ from .errors import (
     ResponseParseError,
     SinkError,
     StoryGraphError,
-    TemplateError,
 )
 from .model import (
     GraphDocument,
@@ -38,7 +37,6 @@ __all__ = [
     "ResponseParseError",
     "SinkError",
     "StoryGraphError",
-    "TemplateError",
     "GraphDocument",
     "GraphNode",
     "GraphRelationship",

@@ -47,6 +47,7 @@ from .evaluation import (
     write_report_files,
 )
 from .extraction import (
+    KNOWN_BACKENDS,
     PROMPT_CATALOG_VERSION,
     DropCounts,
     ExtractorConfig,
@@ -100,8 +101,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     try:
-        config.validate()
-        make_backend(config)
+        # One backend serves every backlog of the run.
+        backend = make_backend(config)
     except ConfigError as exc:
         log.error("extractor configuration: %s", exc)
         return EXIT_BACKEND
@@ -145,7 +146,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             texts.append(text)
             entries.append(None)
 
-        results = extract_many(config, texts, drops=drops)
+        results = extract_many(config, texts, backend=backend, drops=drops)
         result_iter = iter(zip(stories, results))
         for i, entry in enumerate(entries):
             if entry is not None:
@@ -342,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("extract", help="run extraction over a backlog directory")
     ex.add_argument("--experiment", required=True)
-    ex.add_argument("--backend", default="rule-based",
-                    choices=["chat-http", "replay-fixture", "rule-based"])
+    ex.add_argument("--backend", default="rule-based", choices=KNOWN_BACKENDS)
     ex.add_argument("--model", default="", help="model name for chat-http")
     ex.add_argument("--temperature", type=float, default=0.0)
     ex.add_argument("--endpoint", default="", help="chat completions URL")

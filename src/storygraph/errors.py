@@ -21,10 +21,6 @@ class BacklogSchemaError(StoryGraphError):
     """Backlog JSON does not match the annotated-story schema."""
 
 
-class TemplateError(StoryGraphError):
-    """Prompt template is malformed (e.g. missing the input placeholder)."""
-
-
 class ConfigError(StoryGraphError):
     """Extractor or sink configuration is invalid."""
 

@@ -114,8 +114,12 @@ def _check_vectors(vectors: list, count: int) -> None:
 
 
 def _unit(vec: list[float]) -> list[float]:
-    """``vec`` scaled to length 1; a zero vector stays zero."""
-    norm = math.sqrt(left_sum(map(mul, vec, vec)))
+    """``vec`` scaled to length 1; a zero vector stays zero.
+
+    ``math.hypot`` scales before squaring, so neither a tiny nor a huge
+    component underflows or overflows the norm.
+    """
+    norm = math.hypot(*vec)
     return vec if norm == 0 else [x / norm for x in vec]
 
 

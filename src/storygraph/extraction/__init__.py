@@ -15,15 +15,13 @@ from .prompts import (
     HUMAN_TIP,
     MAIN_SYSTEM_PROMPT,
     PROMPT_CATALOG_VERSION,
-    PromptTemplate,
     benefit_prompt,
     few_shot_records,
     main_prompt,
     render_prompt,
-    validate_template,
 )
 from .rule_based import rule_based_extract
-from .types import DropCounts, ExtractionRecord
+from .types import DropCounts
 
 __all__ = [
     "BackendReply",
@@ -43,13 +41,10 @@ __all__ = [
     "HUMAN_TIP",
     "MAIN_SYSTEM_PROMPT",
     "PROMPT_CATALOG_VERSION",
-    "PromptTemplate",
     "benefit_prompt",
     "few_shot_records",
     "main_prompt",
     "render_prompt",
-    "validate_template",
     "rule_based_extract",
     "DropCounts",
-    "ExtractionRecord",
 ]

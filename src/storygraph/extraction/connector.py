@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 
 def make_backend(config: ExtractorConfig):
-    """Build the chat backend for a config; None for the rule-based path."""
+    """Validate the config and build its chat backend; None for rule-based."""
     config.validate()
     if config.backend == "chat-http":
         return ChatHttpBackend(config)
@@ -79,16 +79,16 @@ def extract_components(
 ) -> GraphDocument:
     """Run the full extraction conversation for one story.
 
-    Every relationship endpoint of the returned document is one of its
-    nodes.
+    ``backend`` runs the conversation; without one, the config is validated
+    and a backend built from it.  Every relationship endpoint of the
+    returned document is one of its nodes.
     """
     if not story_text or not story_text.strip():
         raise ValueError("story_text must be non-empty")
-    config.validate()
-    if config.backend == "rule-based":
-        return rule_based_extract(story_text)
     if backend is None:
         backend = make_backend(config)
+    if backend is None:
+        return rule_based_extract(story_text)
 
     main_messages = render_prompt(main_prompt(config.supports_function_calls), story_text)
     reply = backend.run_main(story_text, main_messages)
@@ -113,17 +113,20 @@ def extract_many(
     config: ExtractorConfig,
     story_texts: list[str],
     *,
+    backend=None,
     drops: DropCounts | None = None,
 ) -> list[GraphDocument | StoryGraphError]:
     """Extract a batch, bounding in-flight requests.
 
     Chat and replay backends run on a pool of ``max_concurrency`` threads;
-    rule-based extraction runs inline.  Results line up with the input
-    order.  A story that fails with a toolchain error contributes the
+    rule-based extraction runs inline.  A caller that extracts several
+    batches passes one ``backend`` to all of them; without one, the config
+    is validated and a backend built from it.  Results line up with the
+    input order.  A story that fails with a toolchain error contributes the
     exception instead of a document, so one bad story never sinks the batch.
     """
-    config.validate()
-    backend = make_backend(config)
+    if backend is None:
+        backend = make_backend(config)
 
     def one(text: str) -> tuple[GraphDocument | StoryGraphError, DropCounts | None]:
         local = DropCounts()
@@ -136,6 +139,8 @@ def extract_many(
         # Rule-based extraction never waits on I/O, so a pool would only add cost.
         outcomes = [one(text) for text in story_texts]
     else:
+        # Built here once, not by each pool thread that misses the cache first.
+        main_prompt(config.supports_function_calls)
         with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
             outcomes = list(pool.map(one, story_texts))
     if drops is not None:

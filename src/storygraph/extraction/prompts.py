@@ -8,12 +8,9 @@ are intentional and must survive reformatting.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass
 from importlib import resources
-
-from ..errors import TemplateError
-from .types import ExtractionRecord
 
 PROMPT_CATALOG_VERSION = "1.0"
 
@@ -92,70 +89,44 @@ RECORD_FORMAT_INSTRUCTIONS = (
 INPUT_PLACEHOLDER = "{input}"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Ordered (role, text) segments with one input placeholder overall."""
-
-    segments: tuple[tuple[str, str], ...]
-
-    def placeholder_count(self) -> int:
-        return sum(text.count(INPUT_PLACEHOLDER) for _role, text in self.segments)
-
-
-def validate_template(template: PromptTemplate) -> None:
-    count = template.placeholder_count()
-    if count != 1:
-        raise TemplateError(
-            f"template must contain exactly one {INPUT_PLACEHOLDER}, found {count}"
-        )
-
-
-def render_prompt(template: PromptTemplate, story_text: str) -> list[tuple[str, str]]:
-    """Substitute the story into the template's placeholder.
+def render_prompt(
+    segments: tuple[tuple[str, str], ...], story_text: str
+) -> list[tuple[str, str]]:
+    """Substitute the story into the conversation's one input placeholder.
 
     Plain substring replacement, so braces inside the story text are inert.
     """
     if not story_text:
         raise ValueError("story_text must be non-empty")
-    validate_template(template)
-    return [
-        (role, text.replace(INPUT_PLACEHOLDER, story_text))
-        for role, text in template.segments
-    ]
+    return [(role, text.replace(INPUT_PLACEHOLDER, story_text)) for role, text in segments]
 
 
-def few_shot_records() -> list[ExtractionRecord]:
-    """The five bundled head-relation-tail examples."""
+def few_shot_records() -> list[dict[str, str]]:
+    """The five bundled head-relation-tail examples, keys in file order."""
     data = (
         resources.files(__package__)
         .joinpath("few_shot_records.json")
         .read_text("utf-8")
     )
-    records = [ExtractionRecord(**item) for item in json.loads(data)]
-    for record in records:
-        record.validate()
-    return records
+    return json.loads(data)
 
 
-def _records_block() -> str:
-    # Keys in ExtractionRecord's field order.
-    payload = [asdict(r) for r in few_shot_records()]
-    return json.dumps(payload, indent=2, ensure_ascii=False)
-
-
-def main_prompt(supports_function_calls: bool = True) -> PromptTemplate:
-    """The persona/action/entity prompt.
+@functools.cache
+def main_prompt(supports_function_calls: bool = True) -> tuple[tuple[str, str], ...]:
+    """The persona/action/entity conversation as (role, text) segments.
 
     Without function-call support the format instructions and the five
     examples are placed ahead of the main instructions so the model sees
-    the expected record shape first.
+    the expected record shape first.  Built once per process.
     """
     if supports_function_calls:
         system_text = MAIN_SYSTEM_PROMPT
     else:
-        system_text = RECORD_FORMAT_INSTRUCTIONS + _records_block() + "\n" + MAIN_SYSTEM_PROMPT
-    return PromptTemplate(segments=(("system", system_text), ("human", HUMAN_TIP)))
+        records = json.dumps(few_shot_records(), indent=2, ensure_ascii=False)
+        system_text = RECORD_FORMAT_INSTRUCTIONS + records + "\n" + MAIN_SYSTEM_PROMPT
+    return (("system", system_text), ("human", HUMAN_TIP))
 
 
-def benefit_prompt() -> PromptTemplate:
-    return PromptTemplate(segments=(("system", BENEFIT_SYSTEM_PROMPT), ("human", HUMAN_TIP)))
+@functools.cache
+def benefit_prompt() -> tuple[tuple[str, str], ...]:
+    return (("system", BENEFIT_SYSTEM_PROMPT), ("human", HUMAN_TIP))

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from storygraph.errors import EvaluationError
@@ -178,12 +179,19 @@ class ScriptedEmbedder:
 def cosine_oracle(
     expected: list[str], predicted: list[str], vectors: dict[str, list[float]]
 ) -> tuple[float, float, float]:
-    """Greedy cosine matching from first principles, with exactly rounded sums."""
+    """Greedy cosine matching from first principles.
+
+    Each cosine is exact rational arithmetic up to one float conversion, so
+    no tiny or huge component underflows or overflows the oracle itself.
+    """
 
     def cosine(a, b):
-        norms = math.sqrt(math.fsum(x * x for x in a)) * math.sqrt(math.fsum(y * y for y in b))
-        dot = math.fsum(x * y for x, y in zip(a, b))
-        return 0.0 if norms == 0 else min(max(dot / norms, 0.0), 1.0)
+        a, b = [Fraction(x) for x in a], [Fraction(y) for y in b]
+        dot = sum(x * y for x, y in zip(a, b))
+        squared_norms = sum(x * x for x in a) * sum(y * y for y in b)
+        if squared_norms == 0 or dot <= 0:
+            return 0.0
+        return min(math.sqrt(float(dot * dot / squared_norms)), 1.0)
 
     sim = [[cosine(vectors[q], vectors[e]) for e in expected] for q in predicted]
     p = math.fsum(max(row) for row in sim) / len(predicted)
@@ -204,6 +212,8 @@ def vector_cases(draw):
 
 class TestCosinePath:
     @given(vector_cases())
+    @example(case=(["c"], ["c"], {"c": [1.9035403049172358e-159]}))
+    @example(case=(["a"], ["b"], {"a": [-1.0], "b": [-1.9e-159]}))
     def test_matches_oracle_with_one_embed_call(self, case):
         expected, predicted, vectors = case
         embedder = ScriptedEmbedder(vectors)
@@ -214,6 +224,11 @@ class TestCosinePath:
     def test_zero_vector_matches_nothing(self):
         embedder = ScriptedEmbedder({"z": [0.0, 0.0], "a": [1.0, 0.0]})
         assert bertscore(["z", "a"], ["a"], embedder) == (1.0, 0.5, 2 / 3)
+
+    def test_identical_huge_vectors_match(self):
+        """Squaring 1e200 overflows; the norm must not."""
+        embedder = ScriptedEmbedder({"a": [1e200, 1e200], "b": [1e200, 1e200]})
+        assert bertscore(["a"], ["b"], embedder) == pytest.approx((1.0,) * 3, abs=1e-12)
 
 
 class TestOneHotEmbedder:

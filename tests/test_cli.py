@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -76,6 +77,32 @@ class TestExtract:
         first = out_path.read_bytes()
         assert run_extract() == EXIT_OK
         assert out_path.read_bytes() == first
+
+    def test_fixed_parts_built_once_per_run(self, workspace, monkeypatch):
+        """Two backlogs: one fixture read and one few-shot block for the run,
+        not one per backlog and one per story."""
+        from storygraph.extraction import prompts
+        from storygraph.extraction.backends import ReplayFixtureBackend
+
+        shutil.copy(SAMPLE_BACKLOG, workspace / "pos_baseline" / "second.json")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            ReplayFixtureBackend, "from_path",
+            staticmethod(counted("from_path", ReplayFixtureBackend.from_path)),
+        )
+        monkeypatch.setattr(
+            prompts, "few_shot_records", counted("few_shot_records", prompts.few_shot_records)
+        )
+        prompts.main_prompt.cache_clear()
+        assert run_extract() == EXIT_OK
+        assert calls == {"from_path": 1, "few_shot_records": 1}
 
     def test_malformed_reply_fails_only_its_story(self, workspace, tmp_path):
         """A main reply of {"nodes": 5} ended the whole run in a TypeError."""
