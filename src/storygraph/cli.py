@@ -305,7 +305,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         uri=args.uri, user=args.user, password=args.password, database_name=args.database
     )
     # Rendered once: the script and the store write the same statements.
-    rendered = render(docs, config.max_id_length)
+    rendered = render(docs)
     cypher_path = extracted_dir / "graph.cypher"
     write_atomic(cypher_path, rendered_script(rendered))
     log.info("wrote %s", cypher_path)

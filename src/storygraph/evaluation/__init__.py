@@ -13,7 +13,6 @@ from .compare import (
 )
 from .metrics import Scores, f_measure, mean_scores, scores
 from .report import (
-    ALL_MODES,
     BERTSCORE_MODE,
     CSV_COLUMNS,
     KIND_ORDER,
@@ -45,7 +44,6 @@ __all__ = [
     "f_measure",
     "mean_scores",
     "scores",
-    "ALL_MODES",
     "BERTSCORE_MODE",
     "CSV_COLUMNS",
     "KIND_ORDER",

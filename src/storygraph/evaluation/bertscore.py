@@ -116,11 +116,17 @@ def _check_vectors(vectors: list, count: int) -> None:
 def _unit(vec: list[float]) -> list[float]:
     """``vec`` scaled to length 1; a zero vector stays zero.
 
-    ``math.hypot`` scales before squaring, so neither a tiny nor a huge
-    component underflows or overflows the norm.
+    Dividing by the largest magnitude first puts every component in
+    [-1, 1], so the norm neither overflows nor underflows, and subnormal
+    components keep their precision (divided by their own subnormal norm,
+    they would not).
     """
-    norm = math.hypot(*vec)
-    return vec if norm == 0 else [x / norm for x in vec]
+    scale = max(map(abs, vec))
+    if scale == 0:
+        return vec
+    scaled = [x / scale for x in vec]
+    norm = math.hypot(*scaled)
+    return [x / norm for x in scaled]
 
 
 def _one_hot_score(

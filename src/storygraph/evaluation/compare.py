@@ -85,22 +85,19 @@ def _fold_plurals(text: str) -> str:
     return " ".join(_fold_plural(token) for token in text.split())
 
 
-def _contains(haystack: str, needle: str, token_boundary: bool) -> bool:
-    if not token_boundary:
-        return needle in haystack
-    return f" {needle} " in f" {haystack} "
-
-
 class Form(NamedTuple):
     """What the modes compare of one element, computed once per element.
 
-    ``normalized`` serves strict and inclusive mode; ``relaxed`` is the
-    normalized text without leading qualifiers, plural-folded when the
-    options ask for it.
+    ``normalized`` serves strict mode; ``relaxed`` is the normalized text
+    without leading qualifiers, plural-folded when the options ask for it;
+    ``contained`` serves inclusive mode: the normalized text, padded with a
+    space on each side when containment must line up with token edges.
+    ``element_form`` applies both options, so the forms alone decide a match.
     """
 
     normalized: str
     relaxed: str
+    contained: str
 
 
 # A split concept (list-valued prediction) has a list of forms; a pair
@@ -118,15 +115,11 @@ def element_form(
     relaxed = _strip_normalized(normalized.split())
     if options.fold_plurals:
         relaxed = _fold_plurals(relaxed)
-    return Form(normalized, relaxed)
+    contained = f" {normalized} " if options.token_boundary else normalized
+    return Form(normalized, relaxed, contained)
 
 
-def forms_match(
-    expected: AnyForm,
-    predicted: AnyForm,
-    mode: ComparisonMode,
-    options: CompareOptions = DEFAULT_OPTIONS,
-) -> bool:
+def forms_match(expected: AnyForm, predicted: AnyForm, mode: ComparisonMode) -> bool:
     """Does one predicted form satisfy one expected form?
 
     A split concept matches only in inclusive mode, when any fragment
@@ -136,14 +129,12 @@ def forms_match(
         if mode is _STRICT:
             return expected.normalized == predicted.normalized
         if mode is _INCLUSIVE:
-            return _contains(predicted.normalized, expected.normalized, options.token_boundary)
+            return expected.contained in predicted.contained
         return expected.relaxed == predicted.relaxed
     if isinstance(predicted, list):
-        return mode is _INCLUSIVE and any(
-            forms_match(expected, item, mode, options) for item in predicted
-        )
-    return forms_match(expected[0], predicted[0], mode, options) and forms_match(
-        expected[1], predicted[1], mode, options
+        return mode is _INCLUSIVE and any(forms_match(expected, item, mode) for item in predicted)
+    return forms_match(expected[0], predicted[0], mode) and forms_match(
+        expected[1], predicted[1], mode
     )
 
 
@@ -159,9 +150,7 @@ def compare_element(
     when any fragment contains the expected element, the other modes never
     accept it.
     """
-    return forms_match(
-        element_form(expected, options), element_form(predicted, options), mode, options
-    )
+    return forms_match(element_form(expected, options), element_form(predicted, options), mode)
 
 
 @dataclass
@@ -172,10 +161,7 @@ class Counts:
 
 
 def count_matches(
-    expected: Sequence[AnyForm],
-    predicted: Sequence[AnyForm],
-    mode: ComparisonMode,
-    options: CompareOptions = DEFAULT_OPTIONS,
+    expected: Sequence[AnyForm], predicted: Sequence[AnyForm], mode: ComparisonMode
 ) -> int:
     """Greedy one-to-one matching in list order; the number of matched pairs.
 
@@ -189,7 +175,7 @@ def count_matches(
     matched = 0
     for exp in expected:
         for i, pred in enumerate(free):
-            if pred is not None and forms_match(exp, pred, mode, options):
+            if pred is not None and forms_match(exp, pred, mode):
                 free[i] = None
                 matched += 1
                 break
@@ -197,17 +183,14 @@ def count_matches(
 
 
 def match_forms(
-    expected: Sequence[AnyForm],
-    predicted: Sequence[AnyForm],
-    mode: ComparisonMode,
-    options: CompareOptions = DEFAULT_OPTIONS,
+    expected: Sequence[AnyForm], predicted: Sequence[AnyForm], mode: ComparisonMode
 ) -> Counts:
     """Greedy one-to-one matching (see count_matches) as counts.
 
     Leftover expected elements are false negatives, leftover predicted ones
     false positives.
     """
-    tp = count_matches(expected, predicted, mode, options)
+    tp = count_matches(expected, predicted, mode)
     return Counts(tp=tp, fp=len(predicted) - tp, fn=len(expected) - tp)
 
 
@@ -222,5 +205,4 @@ def match_sets(
         [element_form(exp, options) for exp in expected],
         [element_form(pred, options) for pred in predicted],
         mode,
-        options,
     )

@@ -49,7 +49,6 @@ log = logging.getLogger(__name__)
 
 KIND_ORDER = ("Persona", "Action", "Entity", "Benefit")
 BERTSCORE_MODE = "bertscore"
-ALL_MODES = tuple(mode.value for mode in ComparisonMode) + (BERTSCORE_MODE,)
 
 # Set-comparison modes applicable per node kind. The benefit clause is a
 # sentence; substring leniency still makes sense, qualifier stripping not.
@@ -76,18 +75,34 @@ CSV_COLUMNS = (
 
 _KIND_OF_NODE = {NodeKind(kind): kind for kind in KIND_ORDER}
 
-# Per node kind its ids, per relation label its (source id, target id) pairs.
-Lists = dict[str, list[str]]
-Pairs = dict[str, list[tuple[str, str]]]
+# Every scored label in report order, the node kinds then the relations
+# (which take every mode): its (mode, cell key) pairs and its
+# token-similarity key, None for a relation.  Built once.
+_CELLS = tuple(
+    (
+        label,
+        tuple((mode, (label, mode.value)) for mode in MODES_FOR_KIND.get(label, ComparisonMode)),
+        (label, BERTSCORE_MODE) if label in MODES_FOR_KIND else None,
+    )
+    for label in KIND_ORDER + RELATION_ORDER
+)
+# Every cell key in report order.
+_KEYS = [
+    key
+    for _label, modes, similarity_key in _CELLS
+    for key in (*(key for _mode, key in modes), similarity_key)
+    if key is not None
+]
 
 
-def _elements(story: AnnotatedStory) -> tuple[Lists, Pairs]:
-    """A story's scored elements, expected or predicted alike."""
+def _elements(story: AnnotatedStory) -> dict[str, list]:
+    """A story's scored elements, expected or predicted alike: per node kind
+    its ids, per relation label its (source id, target id) pairs."""
     keys, triggers, targets = story_elements(story)
-    lists: Lists = {"Persona": [], "Action": [], "Entity": [], "Benefit": []}
+    elements = {kind: [] for kind in KIND_ORDER} | {"TRIGGERS": triggers, "TARGETS": targets}
     for kind, node_id in keys:
-        lists[_KIND_OF_NODE[kind]].append(node_id)
-    return lists, {"TRIGGERS": triggers, "TARGETS": targets}
+        elements[_KIND_OF_NODE[kind]].append(node_id)
+    return elements
 
 
 def _tokens(forms: Sequence[Form]) -> list[str]:
@@ -110,44 +125,32 @@ class _StoryForms(dict):
         form = self[element] = element_form(element, self.options)
         return form
 
+    def of(self, item: str | Sequence[str]) -> Form | tuple[Form, Form]:
+        """An id's form, or a pair's: the tuple of its members' forms."""
+        if isinstance(item, str):
+            return self[item]
+        source, target = item
+        return self[source], self[target]
 
-# Per node kind, its (mode, cell key) pairs and its token-similarity key;
-# per relation, its (mode, cell key) pairs.  Built once, in report order.
-_NODE_CELLS = tuple(
-    (
-        kind,
-        tuple((mode, (kind, mode.value)) for mode in MODES_FOR_KIND[kind]),
-        (kind, BERTSCORE_MODE),
-    )
-    for kind in KIND_ORDER
-)
-_RELATION_CELLS = tuple(
-    (label, tuple((mode, (label, mode.value)) for mode in ComparisonMode))
-    for label in RELATION_ORDER
-)
 
 Cell = tuple[tuple[str, str], Scores | None]
 
 
-def _node_scores(
-    expected: Lists, predicted: Lists, embedder: Embedder, forms: _StoryForms
+def _story_cells(
+    expected: dict[str, list], predicted: dict[str, list], embedder: Embedder, forms: _StoryForms
 ) -> Iterator[Cell]:
-    """Each node cell's key and scores, None when undefined, in report order."""
-    options = forms.options
-
-    for kind, modes, similarity_key in _NODE_CELLS:
-        exp_forms = [forms[item] for item in expected[kind]]
-        pred_forms = [forms[item] for item in predicted[kind]]
+    """Each cell's key and scores, None when undefined, in report order."""
+    for label, modes, similarity_key in _CELLS:
+        exp_forms = [forms.of(item) for item in expected[label]]
+        pred_forms = [forms.of(item) for item in predicted[label]]
         for mode, key in modes:
-            tp = count_matches(exp_forms, pred_forms, mode, options)
+            tp = count_matches(exp_forms, pred_forms, mode)
             yield key, scores(tp, len(pred_forms) - tp, len(exp_forms) - tp)
 
-        exp_tokens = _tokens(exp_forms)
-        pred_tokens = _tokens(pred_forms)
-        if exp_tokens and pred_tokens:
-            yield similarity_key, bertscore(exp_tokens, pred_tokens, embedder)
-        else:
-            yield similarity_key, None
+        if similarity_key is not None:
+            exp_tokens, pred_tokens = _tokens(exp_forms), _tokens(pred_forms)
+            defined = exp_tokens and pred_tokens
+            yield similarity_key, bertscore(exp_tokens, pred_tokens, embedder) if defined else None
 
 
 def match_pair_sets(
@@ -157,23 +160,10 @@ def match_pair_sets(
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> Counts:
     """Greedy pair matching; a pair matches when both members match."""
+    forms = _StoryForms(options)
     return match_forms(
-        [(element_form(src, options), element_form(tgt, options)) for src, tgt in expected],
-        [(element_form(src, options), element_form(tgt, options)) for src, tgt in predicted],
-        mode,
-        options,
+        [forms.of(pair) for pair in expected], [forms.of(pair) for pair in predicted], mode
     )
-
-
-def _relation_scores(expected: Pairs, predicted: Pairs, forms: _StoryForms) -> Iterator[Cell]:
-    """Each relation cell's key and scores, None when undefined, in report order."""
-    options = forms.options
-    for label, modes in _RELATION_CELLS:
-        exp_forms = [(forms[src], forms[tgt]) for src, tgt in expected[label]]
-        pred_forms = [(forms[src], forms[tgt]) for src, tgt in predicted[label]]
-        for mode, key in modes:
-            tp = count_matches(exp_forms, pred_forms, mode, options)
-            yield key, scores(tp, len(pred_forms) - tp, len(exp_forms) - tp)
 
 
 @dataclass
@@ -186,6 +176,14 @@ class ReportRow:
     f_measure: float
     stories_counted: int
     stories_undefined: int
+
+
+def _mean_row(
+    backlog: str, key: tuple[str, str], cells: list[Scores], counted: int, undefined: int
+) -> ReportRow:
+    """The row of one (kind, mode) key holding the mean of its scores."""
+    precision, recall, f = mean_scores(cells)
+    return ReportRow(backlog, *key, precision, recall, f, counted, undefined)
 
 
 @dataclass
@@ -202,9 +200,9 @@ class _Running:
     """Per cell key, in report order: the defined per-story scores and the
     count of undefined ones."""
 
-    def __init__(self, keys: Sequence[tuple[str, str]]) -> None:
-        self.defined: dict[tuple[str, str], list[Scores]] = {key: [] for key in keys}
-        self.undefined = dict.fromkeys(keys, 0)
+    def __init__(self) -> None:
+        self.defined: dict[tuple[str, str], list[Scores]] = {key: [] for key in _KEYS}
+        self.undefined = dict.fromkeys(_KEYS, 0)
 
     def add(self, cells: Iterator[Cell]) -> None:
         for key, cell in cells:
@@ -213,36 +211,16 @@ class _Running:
             else:
                 self.defined[key].append(cell)
 
-    def rows(self, backlog_name: str) -> tuple[list[ReportRow], list[str]]:
+    def rows(self, backlog: str) -> tuple[list[ReportRow], list[str]]:
         """The mean row of each key with a defined cell; the others as omitted."""
         rows = []
         omitted = []
-        for (kind, mode), defined in self.defined.items():
-            if not defined:
-                omitted.append(f"{kind}/{mode}")
-                continue
-            precision, recall, f = mean_scores(defined)
-            rows.append(
-                ReportRow(
-                    backlog=backlog_name,
-                    kind=kind,
-                    mode=mode,
-                    precision=precision,
-                    recall=recall,
-                    f_measure=f,
-                    stories_counted=len(defined),
-                    stories_undefined=self.undefined[(kind, mode)],
-                )
-            )
+        for key, defined in self.defined.items():
+            if defined:
+                rows.append(_mean_row(backlog, key, defined, len(defined), self.undefined[key]))
+            else:
+                omitted.append("/".join(key))
         return rows, omitted
-
-
-_NODE_KEYS = [
-    (kind, mode)
-    for kind in KIND_ORDER
-    for mode in [m.value for m in MODES_FOR_KIND[kind]] + [BERTSCORE_MODE]
-]
-_RELATION_KEYS = [(label, mode.value) for label in RELATION_ORDER for mode in ComparisonMode]
 
 
 def evaluate_backlog(
@@ -256,8 +234,7 @@ def evaluate_backlog(
 
     ``extractions`` maps a story's pid to the story as extracted.
     """
-    nodes = _Running(_NODE_KEYS)
-    relations = _Running(_RELATION_KEYS)
+    running = _Running()
     evaluated = 0
     skipped = 0
     shared_embedder = embedder or OneHotEmbedder()
@@ -269,22 +246,18 @@ def evaluate_backlog(
             log.warning("no extraction for story %s in backlog %s", story.pid, backlog.name)
             continue
         evaluated += 1
-        expected, expected_pairs = _elements(story)
-        predicted, predicted_pairs = _elements(extracted)
         # One set of forms serves the story's nodes and its pairs.
         forms = _StoryForms(options)
-        nodes.add(_node_scores(expected, predicted, shared_embedder, forms))
-        relations.add(_relation_scores(expected_pairs, predicted_pairs, forms))
+        running.add(_story_cells(_elements(story), _elements(extracted), shared_embedder, forms))
 
-    rows, omitted = nodes.rows(backlog.name)
-    relation_rows, rel_omitted = relations.rows(backlog.name)
+    rows, omitted = running.rows(backlog.name)
     return BacklogReport(
         backlog=backlog.name,
-        rows=rows,
-        relation_rows=relation_rows,
+        rows=[row for row in rows if row.kind in KIND_ORDER],
+        relation_rows=[row for row in rows if row.kind not in KIND_ORDER],
         stories_evaluated=evaluated,
         stories_skipped=skipped,
-        omitted=omitted + rel_omitted,
+        omitted=omitted,
     )
 
 
@@ -300,22 +273,16 @@ class ExperimentReport:
         for report in self.backlogs:
             for row in report.rows + report.relation_rows:
                 grouped.setdefault((row.kind, row.mode), []).append(row)
-        averages = []
-        for (kind, mode), rows in grouped.items():
-            precision, recall, f = mean_scores([(r.precision, r.recall, r.f_measure) for r in rows])
-            averages.append(
-                ReportRow(
-                    backlog="(average)",
-                    kind=kind,
-                    mode=mode,
-                    precision=precision,
-                    recall=recall,
-                    f_measure=f,
-                    stories_counted=sum(r.stories_counted for r in rows),
-                    stories_undefined=sum(r.stories_undefined for r in rows),
-                )
+        return [
+            _mean_row(
+                "(average)",
+                key,
+                [(r.precision, r.recall, r.f_measure) for r in rows],
+                sum(r.stories_counted for r in rows),
+                sum(r.stories_undefined for r in rows),
             )
-        return averages
+            for key, rows in grouped.items()
+        ]
 
 
 def _row_dict(row: ReportRow) -> dict:

@@ -10,6 +10,10 @@ from ..errors import ConfigError, redact_url
 
 KNOWN_BACKENDS = ("chat-http", "replay-fixture", "rule-based")
 
+# The environment variable the chat backend's bearer token is read from
+# when the config carries none.
+_AUTH_TOKEN_ENV = "LLM_API_KEY"
+
 
 @dataclass
 class ExtractorConfig:
@@ -19,7 +23,6 @@ class ExtractorConfig:
     temperature: float = 0.0
     supports_function_calls: bool = False
     auth_token: str | None = None
-    auth_token_env: str = "LLM_API_KEY"
     request_timeout: float = 60.0
     max_retries: int = 3
     retry_backoff: float = 0.5
@@ -48,7 +51,7 @@ class ExtractorConfig:
     def resolved_auth_token(self) -> str | None:
         if self.auth_token:
             return self.auth_token
-        return os.environ.get(self.auth_token_env) or None
+        return os.environ.get(_AUTH_TOKEN_ENV) or None
 
     def to_manifest_dict(self) -> dict[str, Any]:
         """Manifest form of the config. Credentials never leave the process."""

@@ -27,7 +27,7 @@ from .model import GraphDocument, NodeKind, RelKind, document_to_dict
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_ID_LENGTH = 4000
+_MAX_ID_LENGTH = 4000
 _BATCH_SIZE = 100
 
 _LABELS = {kind.value for kind in NodeKind} | {kind.value for kind in RelKind}
@@ -43,7 +43,6 @@ class SinkConfig:
     password: str = ""
     database_name: str = "neo4j"
     request_timeout: float = 60.0
-    max_id_length: int = DEFAULT_MAX_ID_LENGTH
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "SinkConfig":
@@ -91,19 +90,18 @@ def _relationship_template(source: NodeKind, target: NodeKind, kind: RelKind) ->
     )
 
 
-def to_cypher(
-    doc: GraphDocument, max_id_length: int = DEFAULT_MAX_ID_LENGTH
-) -> list[CypherStatement]:
+def to_cypher(doc: GraphDocument) -> list[CypherStatement]:
     """One MERGE per node, then one per relationship.
 
-    Ids beyond max_id_length are refused: they are almost certainly runaway
-    model output and would bloat the MERGE key index.
+    Ids longer than ``_MAX_ID_LENGTH`` characters are refused: they are
+    almost certainly runaway model output and would bloat the MERGE key
+    index.
     """
     statements = []
     for node in doc.nodes:
-        if len(node.id) > max_id_length:
+        if len(node.id) > _MAX_ID_LENGTH:
             raise SinkError(
-                f"node id exceeds {max_id_length} characters "
+                f"node id exceeds {_MAX_ID_LENGTH} characters "
                 f"({len(node.id)}): {node.id[:60]!r}..."
             )
         statements.append(
@@ -131,15 +129,13 @@ def _cypher_literal(value: Any) -> str:
 Rendered = tuple[GraphDocument, list[CypherStatement]]
 
 
-def render(
-    docs: Iterable[GraphDocument], max_id_length: int = DEFAULT_MAX_ID_LENGTH
-) -> list[Rendered]:
+def render(docs: Iterable[GraphDocument]) -> list[Rendered]:
     """Every document's statements, rendered once for the script and the store.
 
     An id the sink refuses raises here, before anything is
     written or sent.
     """
-    return [(doc, to_cypher(doc, max_id_length)) for doc in docs]
+    return [(doc, to_cypher(doc)) for doc in docs]
 
 
 def _script_format(text: str) -> tuple[str, list[str]]:
@@ -171,9 +167,9 @@ def rendered_script(rendered: Iterable[Rendered]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def cypher_script(docs: Iterable[GraphDocument], max_id_length: int = DEFAULT_MAX_ID_LENGTH) -> str:
+def cypher_script(docs: Iterable[GraphDocument]) -> str:
     """Offline replay script of the documents (see rendered_script)."""
-    return rendered_script(render(docs, max_id_length))
+    return rendered_script(render(docs))
 
 
 @dataclass
@@ -342,7 +338,7 @@ def store(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
     refuses stops the load with nothing written.  See store_rendered.
     """
     _check_scheme(config)
-    return store_rendered(config, render(docs, config.max_id_length))
+    return store_rendered(config, render(docs))
 
 
 def store_rendered(config: SinkConfig, rendered: Sequence[Rendered]) -> LoadSummary:

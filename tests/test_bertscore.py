@@ -214,6 +214,7 @@ class TestCosinePath:
     @given(vector_cases())
     @example(case=(["c"], ["c"], {"c": [1.9035403049172358e-159]}))
     @example(case=(["a"], ["b"], {"a": [-1.0], "b": [-1.9e-159]}))
+    @example(case=(["c"], ["c"], {"c": [2.2250738585e-313, 2.2250738585e-313]}))
     def test_matches_oracle_with_one_embed_call(self, case):
         expected, predicted, vectors = case
         embedder = ScriptedEmbedder(vectors)

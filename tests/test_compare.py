@@ -15,6 +15,7 @@ from storygraph.evaluation import (
     match_sets,
 )
 from storygraph.evaluation.compare import Form, element_form, match_forms
+from storygraph.model import normalize_id
 
 STRICT = ComparisonMode.STRICT
 INCLUSIVE = ComparisonMode.INCLUSIVE
@@ -181,6 +182,25 @@ def test_strict_match_implies_inclusive(expected, predicted):
         assert compare_element(expected, predicted, INCLUSIVE)
 
 
+spaced_text = st.text(alphabet="abAB \t", max_size=12)
+
+
+@given(spaced_text.filter(lambda text: normalize_id(text).split()), spaced_text, st.booleans())
+def test_inclusive_equals_containment_rule(expected, predicted, token_boundary):
+    """Inclusive mode against a rule written from scratch: with token
+    boundaries, the expected tokens are a contiguous run of the predicted
+    ones; without, the normalized expected text is a substring."""
+    exp, pred = normalize_id(expected), normalize_id(predicted)
+    if token_boundary:
+        needle, haystack = exp.split(), pred.split()
+        starts = range(len(haystack) - len(needle) + 1)
+        rule = any(haystack[i : i + len(needle)] == needle for i in starts)
+    else:
+        rule = exp in pred
+    options = CompareOptions(token_boundary=token_boundary)
+    assert compare_element(expected, predicted, INCLUSIVE, options) is rule
+
+
 # -- precomputed forms against the pairwise matcher ---------------------------
 
 WORDS = ["the", "my", "user's", "page", "pages", "web page", "webpage", "data", "Data  set"]
@@ -219,7 +239,6 @@ def test_form_matching_equals_pairwise_greedy(expected, predicted, mode, opts):
         [element_form(e, opts) for e in expected],
         [element_form(p, opts) for p in predicted],
         mode,
-        opts,
     )
     assert forms == reference
     assert match_sets(expected, predicted, mode, opts) == reference
@@ -239,7 +258,7 @@ def test_pair_form_matching_equals_pairwise_greedy(expected, predicted, mode, op
     def pair_forms(pairs):
         return [(element_form(src, opts), element_form(tgt, opts)) for src, tgt in pairs]
 
-    forms = match_forms(pair_forms(expected), pair_forms(predicted), mode, opts)
+    forms = match_forms(pair_forms(expected), pair_forms(predicted), mode)
     assert forms == reference
     assert match_pair_sets(expected, predicted, mode, opts) == reference
 
@@ -251,5 +270,5 @@ def test_element_form_normalizes_once(monkeypatch):
     original = compare.normalize_id
     monkeypatch.setattr(compare, "normalize_id", lambda text: calls.append(text) or original(text))
     form = element_form("The  Web Pages", CompareOptions(fold_plurals=True))
-    assert form == Form("the web pages", "web page")
+    assert form == Form("the web pages", "web page", "the web pages")
     assert calls == ["The  Web Pages"]

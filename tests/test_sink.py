@@ -122,11 +122,15 @@ class TestToCypher:
         with pytest.raises(SinkError, match="exceeds 4000"):
             to_cypher(doc)
 
-    def test_custom_id_limit(self):
-        node = GraphNode(id="x" * 50, kind=NodeKind.ENTITY)
-        doc = GraphDocument(nodes=[node], relationships=[], source_text="t")
-        with pytest.raises(SinkError):
-            to_cypher(doc, max_id_length=10)
+    def test_id_limit_boundary(self):
+        """An id of exactly 4,000 characters renders; one more is refused."""
+        def doc(length):
+            node = GraphNode(id="x" * length, kind=NodeKind.ENTITY)
+            return GraphDocument(nodes=[node], relationships=[], source_text="t")
+
+        assert to_cypher(doc(4000))[0].params == {"id": "x" * 4000}
+        with pytest.raises(SinkError, match="exceeds 4000"):
+            to_cypher(doc(4001))
 
 
 class TestScript:
