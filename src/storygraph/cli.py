@@ -70,7 +70,8 @@ _RESERVED_FILES = {"manifest.json", "graph.json"}
 
 def _backlog_files(directory: Path) -> list[Path]:
     return sorted(
-        path for path in directory.glob("*.json") if path.name not in _RESERVED_FILES
+        path for path in directory.glob("*.json")
+        if path.name not in _RESERVED_FILES and path.is_file()
     )
 
 
@@ -127,39 +128,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for path in files:
         try:
             backlog = load_backlog(path)
-        except (BacklogParseError, BacklogSchemaError) as exc:
+        except (OSError, BacklogParseError, BacklogSchemaError) as exc:
             log.warning("skipping backlog %s: %s", path.name, exc)
             continue
         usable_backlogs += 1
         backlog, _skipped = drop_invalid_stories(backlog)
 
-        stories = []
-        texts = []
-        entries: list[dict[str, Any] | None] = []
-        for story in backlog.stories:
-            text = clean_story_text(story)
-            if not text.strip():
-                entries.append(_error_entry(story, "story text is empty after cleaning"))
-                failed += 1
-                continue
-            stories.append(story)
-            texts.append(text)
-            entries.append(None)
-
+        texts = [clean_story_text(story) for story in backlog.stories]
         results = extract_many(config, texts, backend=backend, drops=drops)
-        result_iter = iter(zip(stories, results))
-        for i, entry in enumerate(entries):
-            if entry is not None:
-                continue
-            story, result = next(result_iter)
-            total += 1
+        entries = []
+        for story, result in zip(backlog.stories, results):
             if isinstance(result, StoryGraphError):
                 log.warning("story %s failed: %s", story.pid, result)
-                entries[i] = _error_entry(story, str(result))
+                entries.append(_error_entry(story, str(result)))
                 failed += 1
             else:
-                extracted = components_to_story(story.pid, story.text, result)
-                entries[i] = story_to_dict(extracted)
+                extracted = components_to_story(story.pid, story.text, result, drops=drops)
+                entries.append(story_to_dict(extracted))
+        total += len(backlog.stories)
 
         out_path = out_dir / f"{backlog.name}.json"
         write_atomic(out_path, json.dumps(entries, indent=2, ensure_ascii=False) + "\n")
@@ -178,22 +164,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _error_entry(story: AnnotatedStory, message: str) -> dict[str, Any]:
-    entry = story_to_dict(
-        AnnotatedStory(pid=story.pid, text=story.text)
-    )
-    entry["Error"] = message
-    return entry
+    return story_to_dict(AnnotatedStory(pid=story.pid, text=story.text)) | {"Error": message}
 
 
 def _read_extractions(path: Path) -> tuple[list[AnnotatedStory], int] | None:
     """The stories of one extraction file, plus its count of ``Error`` entries.
 
-    None, with a warning, when the file is not a UTF-8 JSON array.  A
-    malformed entry is logged and skipped on its own.
+    None, with a warning, when the file cannot be read or is not a UTF-8
+    JSON array.  A malformed entry is logged and skipped on its own.
     """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         log.warning("skipping %s: %s", path.name, exc)
         return None
     if not isinstance(payload, list):
@@ -243,7 +225,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for name in shared:
         try:
             backlog = load_backlog(baseline_files[name])
-        except (BacklogParseError, BacklogSchemaError) as exc:
+        except (OSError, BacklogParseError, BacklogSchemaError) as exc:
             log.warning("skipping baseline %s: %s", name, exc)
             continue
         backlog, _skipped = drop_invalid_stories(backlog)
@@ -253,9 +235,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         stories, error_entries = extracted
         if error_entries:
             log.info("%s: %d stories carry extraction errors", name, error_entries)
-        extractions = {story.pid: story for story in stories}
         report.backlogs.append(
-            evaluate_backlog(backlog, extractions, embedder=embedder, options=options)
+            evaluate_backlog(backlog, stories, embedder=embedder, options=options)
         )
 
     if not report.backlogs:

@@ -213,11 +213,12 @@ def load_backlog(path: str | Path) -> Backlog:
 def validate_story(story: AnnotatedStory) -> list[str]:
     """Referential-integrity check; returns violation descriptions.
 
-    Triggers must reference annotated personas and primary actions; targets
-    must lead out of some annotated action.
+    The text must hold more than its PID tag.  Triggers must reference
+    annotated personas and primary actions; targets must lead out of some
+    annotated action.
     """
     problems = []
-    if not story.text.strip():
+    if not strip_pid_tag(story.text).strip():
         problems.append("text is empty")
     for persona, action in story.triggers:
         if persona not in story.personas:

@@ -25,7 +25,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..atomic import write_atomic
 from ..corpus import AnnotatedStory, Backlog
@@ -225,22 +225,25 @@ class _Running:
 
 def evaluate_backlog(
     backlog: Backlog,
-    extractions: Mapping[str, AnnotatedStory],
+    extractions: Iterable[AnnotatedStory],
     *,
     embedder: Embedder | None = None,
     options: CompareOptions = DEFAULT_OPTIONS,
 ) -> BacklogReport:
     """Score every story that has an extraction; others count as skipped.
 
-    ``extractions`` maps a story's pid to the story as extracted.
+    ``extractions`` holds the stories as extracted.  A story is paired with
+    the extraction of the same pid and text, as ``extract`` copies both, so
+    stories that share a pid are still scored apart.
     """
+    by_story = {(extracted.pid, extracted.text): extracted for extracted in extractions}
     running = _Running()
     evaluated = 0
     skipped = 0
     shared_embedder = embedder or OneHotEmbedder()
 
     for story in backlog.stories:
-        extracted = extractions.get(story.pid)
+        extracted = by_story.get((story.pid, story.text))
         if extracted is None:
             skipped += 1
             log.warning("no extraction for story %s in backlog %s", story.pid, backlog.name)

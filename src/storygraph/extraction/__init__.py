@@ -1,6 +1,6 @@
 """Story-to-graph extraction: prompts, backends, parsers."""
 
-from .backends import BackendReply, ChatHttpBackend, ReplayFixtureBackend
+from .backends import ChatHttpBackend, ReplayFixtureBackend
 from .config import KNOWN_BACKENDS, ExtractorConfig
 from .connector import extract_components, extract_many, make_backend
 from .parsing import (
@@ -24,7 +24,6 @@ from .rule_based import rule_based_extract
 from .types import DropCounts
 
 __all__ = [
-    "BackendReply",
     "ChatHttpBackend",
     "ReplayFixtureBackend",
     "KNOWN_BACKENDS",

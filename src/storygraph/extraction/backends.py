@@ -1,9 +1,10 @@
 """Chat backends: live HTTP and recorded replay.
 
-Both expose the same two-call surface, one request per prompt chain.  The
-HTTP backend speaks the common chat-completions wire shape; when the model
-supports function calls a single tool is attached and its arguments are
-returned pre-parsed.
+Both expose the same two-call surface, one request per prompt chain, and
+return the reply's payload: a ``dict`` for a function call or a structured
+fixture entry, a ``str`` for free text.  The HTTP backend speaks the common
+chat-completions wire shape; when the model supports function calls a single
+tool is attached and its arguments are returned pre-parsed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -22,6 +22,9 @@ from .config import ExtractorConfig
 log = logging.getLogger(__name__)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+
+# Seconds before the first retry; each later retry waits twice as long.
+_RETRY_BACKOFF = 0.5
 
 _ROLE_MAP = {"system": "system", "human": "user", "user": "user", "ai": "assistant"}
 
@@ -67,26 +70,18 @@ _TOOL_SCHEMA = {
 }
 
 
-@dataclass
-class BackendReply:
-    """Either free text or a pre-parsed function-call payload."""
-
-    content: str | None = None
-    structured: dict[str, Any] | None = None
-
-
 class ChatHttpBackend:
     def __init__(self, config: ExtractorConfig):
         self.config = config
 
-    def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> BackendReply:
+    def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
         tools = [_TOOL_SCHEMA] if self.config.supports_function_calls else None
         return self._request(messages, tools)
 
-    def run_benefit(self, story_text: str, messages: list[tuple[str, str]]) -> BackendReply:
+    def run_benefit(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
         return self._request(messages, None)
 
-    def _request(self, messages, tools) -> BackendReply:
+    def _request(self, messages, tools) -> dict | str:
         body: dict[str, Any] = {
             "model": self.config.model_name,
             "temperature": self.config.temperature,
@@ -107,7 +102,7 @@ class ChatHttpBackend:
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self.config.retry_backoff * (2 ** (attempt - 1)))
+                time.sleep(_RETRY_BACKOFF * (2 ** (attempt - 1)))
             try:
                 status, raw = post_json(
                     self.config.endpoint, body, headers, self.config.request_timeout
@@ -126,7 +121,7 @@ class ChatHttpBackend:
         raise BackendError(f"backend unavailable after {attempts} attempts: {last_error}")
 
     @staticmethod
-    def _parse_reply(raw: bytes) -> BackendReply:
+    def _parse_reply(raw: bytes) -> dict | str:
         try:
             data = json.loads(raw)
             message = data["choices"][0]["message"]
@@ -145,18 +140,23 @@ class ChatHttpBackend:
             content = message.get("content") or ""
             if not isinstance(content, str):
                 raise BackendError("malformed backend response: the content is not a string")
-            return BackendReply(content=content)
+            return content
         if not isinstance(call, dict):
             raise BackendError("malformed backend response: the function call is not an object")
         arguments = call.get("arguments", "")
-        if isinstance(arguments, dict):
-            return BackendReply(structured=arguments)
-        try:
-            return BackendReply(structured=json.loads(arguments))
-        except (ValueError, TypeError) as exc:
+        if isinstance(arguments, str):
+            try:
+                arguments = json.loads(arguments)
+            except ValueError as exc:
+                raise ResponseParseError(
+                    f"function-call arguments are not valid JSON: {exc}", raw=arguments
+                ) from exc
+        if not isinstance(arguments, dict):
             raise ResponseParseError(
-                f"function-call arguments are not valid JSON: {exc}", raw=str(arguments)
-            ) from exc
+                f"function-call arguments are not a JSON object: {type(arguments).__name__}",
+                raw=json.dumps(arguments),
+            )
+        return arguments
 
 
 class ReplayFixtureBackend:
@@ -191,14 +191,14 @@ class ReplayFixtureBackend:
             )
         return entry
 
-    @staticmethod
-    def _reply(value: Any) -> BackendReply:
+    def _reply(self, story_text: str, key: str) -> dict | str:
+        value = self._entry(story_text).get(key)
         if isinstance(value, dict):
-            return BackendReply(structured=value)
-        return BackendReply(content="" if value is None else str(value))
+            return value
+        return "" if value is None else str(value)
 
-    def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> BackendReply:
-        return self._reply(self._entry(story_text).get("main_response"))
+    def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
+        return self._reply(story_text, "main_response")
 
-    def run_benefit(self, story_text: str, messages: list[tuple[str, str]]) -> BackendReply:
-        return self._reply(self._entry(story_text).get("benefit_response"))
+    def run_benefit(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
+        return self._reply(story_text, "benefit_response")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -25,7 +26,6 @@ class ExtractorConfig:
     auth_token: str | None = None
     request_timeout: float = 60.0
     max_retries: int = 3
-    retry_backoff: float = 0.5
     retry_parse_errors: bool = False
     fixture_path: str | None = None
     max_concurrency: int = 4
@@ -41,8 +41,8 @@ class ExtractorConfig:
             raise ConfigError("replay-fixture backend requires a fixture path")
         if not 0.0 <= self.temperature <= 2.0:
             raise ConfigError(f"temperature {self.temperature} outside [0, 2]")
-        if self.request_timeout <= 0:
-            raise ConfigError("request_timeout must be positive")
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
+            raise ConfigError("request_timeout must be finite and positive")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.max_concurrency < 1:

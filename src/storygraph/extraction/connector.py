@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import ResponseParseError, StoryGraphError
 from ..model import GraphDocument, GraphNode, NodeKind
-from .backends import BackendReply, ChatHttpBackend, ReplayFixtureBackend
+from .backends import ChatHttpBackend, ReplayFixtureBackend
 from .config import ExtractorConfig
 from .parsing import (
     parse_benefit_response,
@@ -37,10 +37,10 @@ def make_backend(config: ExtractorConfig):
     return None
 
 
-def _parse_main_reply(reply: BackendReply, drops: DropCounts | None) -> GraphDocument:
-    if reply.structured is not None:
-        return parse_structured_response(reply.structured, drops)
-    return parse_unstructured_response(reply.content or "", drops)
+def _parse_main_reply(reply: dict | str, drops: DropCounts | None) -> GraphDocument:
+    if isinstance(reply, dict):
+        return parse_structured_response(reply, drops)
+    return parse_unstructured_response(reply, drops)
 
 
 def _merge_benefit(
@@ -91,21 +91,16 @@ def extract_components(
         return rule_based_extract(story_text)
 
     main_messages = render_prompt(main_prompt(config.supports_function_calls), story_text)
-    reply = backend.run_main(story_text, main_messages)
     try:
-        doc = _parse_main_reply(reply, drops)
+        doc = _parse_main_reply(backend.run_main(story_text, main_messages), drops)
     except ResponseParseError:
         if not config.retry_parse_errors:
             raise
         log.warning("main response unparseable, re-asking once")
-        reply = backend.run_main(story_text, main_messages)
-        doc = _parse_main_reply(reply, drops)
+        doc = _parse_main_reply(backend.run_main(story_text, main_messages), drops)
 
     benefit_messages = render_prompt(benefit_prompt(), story_text)
-    breply = backend.run_benefit(story_text, benefit_messages)
-    benefit = parse_benefit_response(
-        breply.structured if breply.structured is not None else breply.content
-    )
+    benefit = parse_benefit_response(backend.run_benefit(story_text, benefit_messages))
     return _merge_benefit(doc, benefit, drops)
 
 

@@ -161,12 +161,16 @@ def story_elements(
     )
 
 
-def components_to_story(pid: str, text: str, doc: GraphDocument) -> AnnotatedStory:
+def components_to_story(
+    pid: str, text: str, doc: GraphDocument, *, drops: DropCounts | None = None
+) -> AnnotatedStory:
     """Cast an extracted document into the annotation schema.
 
     Primary actions are the ones the persona triggers; primary entities are
     what those actions target.  Everything else is secondary.  Ids compare
-    by their normalized form, ignoring kind.
+    by their normalized form, ignoring kind.  A TRIGGERS or TARGETS edge
+    whose endpoint kinds contradict the ontology is dropped, so that its
+    ends are never read back as nodes of another kind.
     """
     by_kind: dict[NodeKind, list[GraphNode]] = {kind: [] for kind in NodeKind}
     for node in doc.nodes:
@@ -176,9 +180,15 @@ def components_to_story(pid: str, text: str, doc: GraphDocument) -> AnnotatedSto
     targets = []
     for rel in doc.relationships:
         if rel.kind is RelKind.TRIGGERS:
-            triggers.append(rel)
+            edges = triggers
         elif rel.kind is RelKind.TARGETS:
-            targets.append(rel)
+            edges = targets
+        else:
+            continue
+        if (rel.source.kind, rel.target.kind) == REL_ENDPOINT_KINDS[rel.kind]:
+            edges.append(rel)
+        elif drops is not None:
+            drops.relationships += 1
 
     primary_action_keys = {rel.target.key()[1] for rel in triggers}
     primary_entity_keys = {

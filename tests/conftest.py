@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from storygraph.corpus import Backlog, load_backlog
+from storygraph.extraction import backends
 
 TESTS_DIR = Path(__file__).parent
 PKG_ROOT = TESTS_DIR.parent
@@ -24,6 +25,12 @@ REPLAY_FIXTURE = TESTS_DIR / "fixtures" / "replay.json"
 SYNC_TEXT = (
     "As a user, I want to sync my data so that I can access my information from anywhere."
 )
+
+
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    """Chat retries go out at once instead of after the backend's backoff."""
+    monkeypatch.setattr(backends, "_RETRY_BACKOFF", 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_criterion_02_self_evaluation_identity():
         for path in files:
             backlog = load_backlog(path)
             backlog, _ = drop_invalid_stories(backlog)
-            extractions = {story.pid: story for story in backlog.stories}
+            extractions = backlog.stories
             report = evaluate_backlog(backlog, extractions)
             assert report.stories_evaluated == len(backlog.stories)
             checked = 0

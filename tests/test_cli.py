@@ -18,9 +18,11 @@ from conftest import (
     PKG_ROOT,
     REPLAY_FIXTURE,
     SAMPLE_BACKLOG,
+    SYNC_TEXT,
     chat_content_reply,
     neo4j_commit_reply,
 )
+from storygraph import cli
 from storygraph.cli import EXIT_BACKEND, EXIT_NO_INPUT, EXIT_OK, components_to_story, main
 from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
 
@@ -141,6 +143,63 @@ class TestExtract:
         assert "Error" not in entries[0]
         assert any("#S99#" in r.message for r in caplog.records)
 
+    def test_tag_only_story_is_skipped_as_invalid(self, workspace, caplog):
+        """A story whose text is only its PID tag was written as an Error entry."""
+        baseline_file = workspace / "pos_baseline" / "sample.json"
+        stories = json.loads(baseline_file.read_text())
+        stories.append(dict(stories[1], PID="#S98#", Text="  #S98#  "))
+        baseline_file.write_text(json.dumps(stories))
+
+        with caplog.at_level("WARNING"):
+            assert run_extract() == EXIT_OK
+            assert main(["evaluate", "--experiment", "demo"]) == EXIT_OK
+        entries = json.loads(
+            (workspace / "extracted-user-stories" / "demo" / "sample.json").read_text()
+        )
+        assert entries == stories[:3]
+        report = json.loads((workspace / "evaluation" / "demo" / "report.json").read_text())
+        (backlog,) = report["backlogs"]
+        assert (backlog["stories_evaluated"], backlog["stories_skipped"]) == (3, 0)
+        skipped = [r.getMessage() for r in caplog.records if "#S98#" in r.getMessage()]
+        assert len(skipped) == 2 and all("text is empty" in m for m in skipped)
+
+    def test_wrong_kind_edge_is_dropped_not_read_back_as_a_persona(
+        self, workspace, tmp_path, caplog, capsys
+    ):
+        """A TRIGGERS edge from an Entity turned that Entity into a Persona."""
+        fixture = json.loads(REPLAY_FIXTURE.read_text())
+        main_response = fixture[SYNC_TEXT]["main_response"]
+        main_response["relationships"].append(
+            {"source": "data", "source_type": "Entity", "target": "sync",
+             "target_type": "Action", "type": "TRIGGERS"}
+        )
+        fixture_path = tmp_path / "wrong_kind.json"
+        fixture_path.write_text(json.dumps(fixture))
+
+        with caplog.at_level("INFO"):
+            assert run_extract("--fixture", str(fixture_path)) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "demo"
+        entries = json.loads((out_dir / "sample.json").read_text())
+        assert entries == json.loads(SAMPLE_BACKLOG.read_text())
+        assert any(
+            "dropped 0 nodes and 1 relationships" in r.getMessage() for r in caplog.records
+        )
+        assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
+        script = (out_dir / "graph.cypher").read_text()
+        assert "MERGE (n:Entity {id: 'data'});" in script
+        assert "(n:Persona {id: 'data'})" not in script
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    def test_timeout_must_be_finite_and_positive(self, workspace, caplog, timeout):
+        """inf ended in an OverflowError; nan passed validation and failed every story."""
+        code = main(
+            ["extract", "--experiment", "x", "--backend", "chat-http",
+             "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--timeout", timeout]
+        )
+        assert code == EXIT_BACKEND
+        assert any("request_timeout" in r.getMessage() for r in caplog.records)
+        assert not (workspace / "extracted-user-stories" / "x").exists()
+
     def test_missing_input_dir(self, workspace):
         assert run_extract("--input", "nowhere") == EXIT_NO_INPUT
 
@@ -210,6 +269,21 @@ class TestEvaluate:
         backlog = report["backlogs"][0]
         assert backlog["stories_evaluated"] == 2
         assert backlog["stories_skipped"] == 1
+
+    def test_stories_sharing_a_pid_are_paired_by_text(self, workspace):
+        """Keyed by PID alone, the last story's extraction scored both."""
+        baseline_file = workspace / "pos_baseline" / "sample.json"
+        stories = json.loads(baseline_file.read_text())
+        stories[1]["PID"] = stories[0]["PID"]
+        baseline_file.write_text(json.dumps(stories))
+
+        assert run_extract() == EXIT_OK
+        assert main(["evaluate", "--experiment", "demo"]) == EXIT_OK
+        report = json.loads((workspace / "evaluation" / "demo" / "report.json").read_text())
+        (backlog,) = report["backlogs"]
+        assert backlog["stories_evaluated"] == 3
+        for row in backlog["rows"] + backlog["relations"]:
+            assert row["f_measure"] == 1.0, (row["kind"], row["mode"])
 
     def test_missing_extraction_dir(self, workspace):
         assert main(["evaluate", "--experiment", "ghost"]) == EXIT_NO_INPUT
@@ -346,6 +420,39 @@ class TestExtractionFiles:
             assert main(["evaluate", "--experiment", "demo"]) == EXIT_NO_INPUT
             assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
         assert any("skipping sample.json" in r.getMessage() for r in caplog.records)
+
+
+class TestUnreadableEntries:
+    def outputs(self, workspace) -> dict[str, bytes]:
+        assert run_extract() == EXIT_OK
+        assert main(["evaluate", "--experiment", "demo"]) == EXIT_OK
+        assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
+        paths = [
+            workspace / "extracted-user-stories" / "demo" / name
+            for name in ("sample.json", "graph.cypher")
+        ] + [workspace / "evaluation" / "demo" / name for name in ("report.json", "report.csv")]
+        return {path.name: path.read_bytes() for path in paths}
+
+    def test_directory_named_like_a_backlog_is_ignored(self, workspace):
+        """Each stage ended in an IsADirectoryError traceback."""
+        clean = self.outputs(workspace)
+        (workspace / "pos_baseline" / "x.json").mkdir()
+        (workspace / "extracted-user-stories" / "demo" / "x.json").mkdir()
+        assert self.outputs(workspace) == clean
+
+    def test_listed_file_that_cannot_be_read_is_skipped(self, workspace, monkeypatch, caplog):
+        listed = cli._backlog_files
+        monkeypatch.setattr(
+            cli, "_backlog_files", lambda folder: sorted(listed(folder) + [folder / "x.json"])
+        )
+        (workspace / "pos_baseline" / "x.json").mkdir()
+        (workspace / "extracted-user-stories" / "demo").mkdir(parents=True)
+        (workspace / "extracted-user-stories" / "demo" / "x.json").mkdir()
+        with caplog.at_level("WARNING"):
+            self.outputs(workspace)
+        messages = [r.getMessage() for r in caplog.records]
+        for prefix in ("skipping backlog x.json: ", "skipping baseline x: ", "skipping x.json: "):
+            assert any(m.startswith(prefix) and "Is a directory" in m for m in messages), prefix
 
 
 class TestOutputsUnchanged:

@@ -61,7 +61,7 @@ def story_cells(story: AnnotatedStory, extracted: AnnotatedStory, **options) -> 
     """One story's (precision, recall, F) per cell, None when undefined, read
     off a backlog of that story alone: the mean of one score is that score."""
     report = evaluate_backlog(
-        Backlog(name="one", stories=[story]), {story.pid: extracted}, **options
+        Backlog(name="one", stories=[story]), [extracted], **options
     )
     cells: dict = {
         (row.kind, row.mode): (row.precision, row.recall, row.f_measure)
@@ -164,7 +164,7 @@ class TestRelations:
 
 class TestEvaluateBacklog:
     def test_self_evaluation_is_perfect(self, sample_backlog):
-        extractions = {s.pid: s for s in sample_backlog.stories}
+        extractions = sample_backlog.stories
         report = evaluate_backlog(sample_backlog, extractions)
         assert report.stories_evaluated == 3
         assert report.stories_skipped == 0
@@ -172,14 +172,14 @@ class TestEvaluateBacklog:
             assert math.isclose(row.f_measure, 1.0, abs_tol=TOL), (row.kind, row.mode)
 
     def test_missing_extraction_counts_skipped(self, sample_backlog, caplog):
-        extractions = {s.pid: s for s in sample_backlog.stories[1:]}
+        extractions = sample_backlog.stories[1:]
         with caplog.at_level("WARNING"):
             report = evaluate_backlog(sample_backlog, extractions)
         assert report.stories_skipped == 1
         assert any("no extraction" in r.message for r in caplog.records)
 
     def test_undefined_stories_excluded_from_mean(self, sample_backlog):
-        extractions = {s.pid: s for s in sample_backlog.stories}
+        extractions = sample_backlog.stories
         report = evaluate_backlog(sample_backlog, extractions)
         benefit_row = next(
             r for r in report.rows if r.kind == "Benefit" and r.mode == STRICT
@@ -193,7 +193,7 @@ class TestEvaluateBacklog:
         story = story_no_benefit()
         backlog = Backlog(name="mini", stories=[story])
         report = evaluate_backlog(
-            backlog, {story.pid: story}
+            backlog, [story]
         )
         assert f"Benefit/{STRICT}" in report.omitted
         assert all(r.kind != "Benefit" for r in report.rows)
@@ -202,7 +202,7 @@ class TestEvaluateBacklog:
 class TestReportOutput:
     @pytest.fixture()
     def report(self, sample_backlog) -> ExperimentReport:
-        extractions = {s.pid: s for s in sample_backlog.stories}
+        extractions = sample_backlog.stories
         backlog_report = evaluate_backlog(sample_backlog, extractions)
         return ExperimentReport(experiment="demo", backlogs=[backlog_report])
 
@@ -229,7 +229,7 @@ class TestReportOutput:
         assert "timestamp" not in data
 
     def test_average_is_macro_mean(self, sample_backlog):
-        extractions = {s.pid: s for s in sample_backlog.stories}
+        extractions = sample_backlog.stories
         one = evaluate_backlog(sample_backlog, extractions)
         two = evaluate_backlog(
             Backlog(name="other", stories=sample_backlog.stories), extractions
@@ -262,7 +262,7 @@ class TestReportOutput:
         story = story_no_benefit()
         backlog = Backlog(name="mini", stories=[story])
         backlog_report = evaluate_backlog(
-            backlog, {story.pid: story}
+            backlog, [story]
         )
         table = strict_f_table(
             ExperimentReport(experiment="demo", backlogs=[backlog_report])
@@ -297,15 +297,15 @@ def oracle_stories(draw, pid: str) -> AnnotatedStory:
 
 
 @st.composite
-def oracle_backlogs(draw) -> tuple[Backlog, dict[str, AnnotatedStory]]:
+def oracle_backlogs(draw) -> tuple[Backlog, list[AnnotatedStory]]:
     stories = [draw(oracle_stories(f"#S{i}#")) for i in range(draw(st.integers(0, 4)))]
-    extractions = {}
+    extractions = []
     for story in stories:
         kind = draw(st.sampled_from(["self", "drawn", "missing"]))
         if kind == "self":
-            extractions[story.pid] = story
+            extractions.append(story)
         elif kind == "drawn":
-            extractions[story.pid] = draw(oracle_stories(story.pid))
+            extractions.append(draw(oracle_stories(story.pid)))
     return Backlog(name="b", stories=stories), extractions
 
 
@@ -370,7 +370,9 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
     cells: dict[tuple[str, str], list] = {}
     report = BacklogReport(backlog=backlog.name)
     for story in backlog.stories:
-        extracted = extractions.get(story.pid)
+        extracted = next(
+            (e for e in extractions if (e.pid, e.text) == (story.pid, story.text)), None
+        )
         if extracted is None:
             report.stories_skipped += 1
             continue
@@ -509,7 +511,7 @@ REPEATS_AND_UNLISTED_TARGET = AnnotatedStory(
 @example(stories=(REPEATS_AND_UNLISTED_TARGET,), options=CompareOptions())
 def test_valid_ground_truth_scores_one_against_itself(stories, options):
     backlog, _skipped = drop_invalid_stories(Backlog(name="b", stories=list(stories)))
-    extractions = {story.pid: story for story in backlog.stories}
+    extractions = backlog.stories
     report = evaluate_backlog(backlog, extractions, options=options)
     assert report.stories_evaluated == len(backlog.stories)
     for row in report.rows + report.relation_rows:

@@ -36,6 +36,12 @@ MAIN_PAYLOAD = {
 
 BENEFIT_REPLY = "Node(id='I can access my information from anywhere', type='Benefit')"
 
+# A tool call whose arguments are not JSON.
+BROKEN_TOOL_CALL = (
+    200,
+    {"choices": [{"message": {"tool_calls": [{"function": {"name": "x", "arguments": "{oops"}}]}}]},
+)
+
 
 def http_config(server, **overrides) -> ExtractorConfig:
     defaults = dict(
@@ -44,7 +50,6 @@ def http_config(server, **overrides) -> ExtractorConfig:
         model_name="test-model",
         request_timeout=5.0,
         max_retries=2,
-        retry_backoff=0.01,
     )
     defaults.update(overrides)
     return ExtractorConfig(**defaults)
@@ -135,7 +140,6 @@ class TestChatHttp:
             model_name="m",
             request_timeout=0.2,
             max_retries=0,
-            retry_backoff=0.0,
         )
         with pytest.raises(BackendError, match="request failed"):
             extract_components(config, SYNC_TEXT)
@@ -211,24 +215,47 @@ class TestChatHttp:
         assert len(components.relationships) == 2
 
     def test_bad_tool_arguments(self, stub_server):
-        broken = (
-            200,
-            {
-                "choices": [
-                    {
-                        "message": {
-                            "tool_calls": [
-                                {"function": {"name": "x", "arguments": "{oops"}}
-                            ]
-                        }
-                    }
-                ]
-            },
-        )
-        stub_server.behaviors.append(broken)
+        stub_server.behaviors.append(BROKEN_TOOL_CALL)
         config = http_config(stub_server, supports_function_calls=True)
         with pytest.raises(ResponseParseError, match="not valid JSON"):
             extract_components(config, SYNC_TEXT)
+
+    def test_bad_tool_arguments_reasked_when_enabled(self, stub_server):
+        stub_server.behaviors.extend(
+            [BROKEN_TOOL_CALL, chat_tool_reply(MAIN_PAYLOAD), chat_content_reply("''")]
+        )
+        config = http_config(
+            stub_server, supports_function_calls=True, retry_parse_errors=True
+        )
+        components = extract_components(config, SYNC_TEXT)
+        assert len(components.relationships) == 2
+        assert len(stub_server.requests) == 3
+
+    @pytest.mark.parametrize(
+        "message, reply",
+        [
+            ({"content": "[]"}, "[]"),
+            ({"content": None}, ""),
+            ({"tool_calls": [{"function": {"arguments": '{"nodes": []}'}}]}, {"nodes": []}),
+            ({"function_call": {"arguments": {"nodes": []}}}, {"nodes": []}),
+        ],
+        ids=["content", "no-content", "tool-call", "function-call-object"],
+    )
+    def test_reply_is_its_payload(self, message, reply):
+        raw = json.dumps({"choices": [{"message": message}]}).encode("utf-8")
+        assert ChatHttpBackend._parse_reply(raw) == reply
+
+    @pytest.mark.parametrize(
+        "arguments, shown",
+        [("[1, 2]", "[1, 2]"), ("5", "5"), ("null", "null"),
+         (5, "5"), ([1], "[1]"), (None, "null")],
+    )
+    def test_tool_arguments_not_an_object_are_a_parse_error(self, arguments, shown):
+        call = {"function": {"name": "x", "arguments": arguments}}
+        raw = json.dumps({"choices": [{"message": {"tool_calls": [call]}}]}).encode("utf-8")
+        with pytest.raises(ResponseParseError, match="not a JSON object") as info:
+            ChatHttpBackend._parse_reply(raw)
+        assert info.value.raw == shown
 
     @pytest.mark.parametrize(
         "message",
@@ -349,6 +376,18 @@ class TestReplayBackend:
         assert ("I can access my information from anywhere", NodeKind.BENEFIT) in ids
         triggers = [r for r in components.relationships if r.kind is RelKind.TRIGGERS]
         assert len(triggers) == 1
+
+    def test_reply_is_its_payload(self, tmp_path):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(
+            {SYNC_TEXT: {"main_response": {"nodes": []}, "benefit_response": None},
+             "other": {"main_response": 5}}
+        ))
+        backend = ReplayFixtureBackend.from_path(path)
+        assert backend.run_main(SYNC_TEXT, []) == {"nodes": []}
+        assert backend.run_benefit(SYNC_TEXT, []) == ""
+        assert backend.run_main("other", []) == "5"
+        assert backend.run_benefit("other", []) == ""
 
     def test_missing_entry(self, replay_fixture_path):
         backend = ReplayFixtureBackend.from_path(replay_fixture_path)
