@@ -13,13 +13,15 @@ configuration and connection failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+# Each command imports its own stage inside its function, so a process
+# loads only the stage it runs: ``--help`` imports no stage at all.
 from .atomic import write_atomic
 from .corpus import (
     AnnotatedStory,
@@ -37,25 +39,9 @@ from .errors import (
     SinkError,
     StoryGraphError,
 )
-from .evaluation import (
-    CompareOptions,
-    ExperimentReport,
-    HttpEmbedder,
-    OneHotEmbedder,
-    evaluate_backlog,
-    strict_f_table,
-    write_report_files,
-)
-from .extraction import (
-    KNOWN_BACKENDS,
-    PROMPT_CATALOG_VERSION,
-    DropCounts,
-    ExtractorConfig,
-    extract_many,
-    make_backend,
-)
+from .extraction.config import KNOWN_BACKENDS, ExtractorConfig, env_auth_token
+from .extraction.types import DropCounts
 from .model import validate_ontology
-from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
 from .transform import components_to_story, story_document
 
 log = logging.getLogger(__name__)
@@ -91,6 +77,11 @@ def _config_from_args(args: argparse.Namespace) -> ExtractorConfig:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from datetime import datetime, timezone
+
+    from .extraction.connector import extract_many, make_backend
+    from .extraction.prompts import PROMPT_CATALOG_VERSION
+
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         log.error("input directory not found: %s", input_dir)
@@ -195,6 +186,16 @@ def _read_extractions(path: Path) -> tuple[list[AnnotatedStory], int] | None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        CompareOptions,
+        ExperimentReport,
+        HttpEmbedder,
+        OneHotEmbedder,
+        evaluate_backlog,
+        strict_f_table,
+        write_report_files,
+    )
+
     baseline_dir = Path(args.baseline)
     extracted_dir = Path(args.extracted_root) / args.experiment
     for directory, label in ((baseline_dir, "baseline"), (extracted_dir, "extraction")):
@@ -217,7 +218,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         fold_plurals=args.fold_plurals, token_boundary=args.token_boundary
     )
     if args.embeddings_endpoint:
-        embedder = HttpEmbedder(args.embeddings_endpoint, args.embeddings_model)
+        # The bearer token of the chat backend, never written or logged.
+        embedder = HttpEmbedder(
+            args.embeddings_endpoint, args.embeddings_model, auth_token=env_auth_token()
+        )
     else:
         embedder = OneHotEmbedder()
 
@@ -251,6 +255,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_load(args: argparse.Namespace) -> int:
+    from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
+
     extracted_dir = Path(args.extracted_root) / args.experiment
     if not extracted_dir.is_dir():
         log.error("extraction directory not found: %s", extracted_dir)
@@ -368,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.  Leaves the collector alone."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -381,5 +388,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """Process entry: ``main`` on ``sys.argv``, then ``gc.freeze()``.
+
+    Freezing moves every object alive at that point out of the collector's
+    reach, so the collections the interpreter runs while it shuts down skip
+    the heap the imports and the command built.  The ``finally`` covers every
+    exit path, including the ``SystemExit`` of ``--help`` and of a usage
+    error.  Only the process entry freezes, never ``main``: a library or test
+    caller keeps its collector as it was.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -125,7 +125,7 @@ class ChatHttpBackend:
         try:
             data = json.loads(raw)
             message = data["choices"][0]["message"]
-        except (ValueError, LookupError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
         if not isinstance(message, dict):
             raise BackendError("malformed backend response: the message is not an object")
@@ -147,7 +147,7 @@ class ChatHttpBackend:
         if isinstance(arguments, str):
             try:
                 arguments = json.loads(arguments)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ResponseParseError(
                     f"function-call arguments are not valid JSON: {exc}", raw=arguments
                 ) from exc
@@ -164,7 +164,8 @@ class ReplayFixtureBackend:
 
     Fixture shape: {story_text: {"main_response": str | object,
     "benefit_response": str | object}}.  A dict-valued response is treated
-    as an already-structured payload, a string as raw model output.
+    as an already-structured payload, a string as raw model output, and any
+    other JSON value as raw output that holds that value's JSON text.
     """
 
     def __init__(self, fixture: dict[str, Any]):
@@ -193,9 +194,13 @@ class ReplayFixtureBackend:
 
     def _reply(self, story_text: str, key: str) -> dict | str:
         value = self._entry(story_text).get(key)
-        if isinstance(value, dict):
+        if value is None:
+            return ""
+        if isinstance(value, (dict, str)):
             return value
-        return "" if value is None else str(value)
+        # Any other JSON value (a record array, a number) is the text a
+        # model would have sent: JSON, not a Python repr.
+        return json.dumps(value, ensure_ascii=False)
 
     def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
         return self._reply(story_text, "main_response")

@@ -12,8 +12,14 @@ from ..errors import ConfigError, redact_url
 KNOWN_BACKENDS = ("chat-http", "replay-fixture", "rule-based")
 
 # The environment variable the chat backend's bearer token is read from
-# when the config carries none.
+# when the config carries none.  The embeddings client of ``evaluate`` reads
+# the same one.
 _AUTH_TOKEN_ENV = "LLM_API_KEY"
+
+
+def env_auth_token() -> str | None:
+    """The bearer token set in the environment, or None when unset or empty."""
+    return os.environ.get(_AUTH_TOKEN_ENV) or None
 
 
 @dataclass
@@ -49,9 +55,7 @@ class ExtractorConfig:
             raise ConfigError("max_concurrency must be >= 1")
 
     def resolved_auth_token(self) -> str | None:
-        if self.auth_token:
-            return self.auth_token
-        return os.environ.get(_AUTH_TOKEN_ENV) or None
+        return self.auth_token or env_auth_token()
 
     def to_manifest_dict(self) -> dict[str, Any]:
         """Manifest form of the config. Credentials never leave the process."""

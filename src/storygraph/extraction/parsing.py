@@ -47,7 +47,8 @@ def extract_first_json(raw: str) -> list | dict:
 
     Scans for candidate start characters and attempts a decode at each, so
     surrounding prose and markdown fences are tolerated.  Decoding starts
-    only at ``[`` or ``{``, so the result is always a list or a dict.
+    only at ``[`` or ``{``, so the result is always a list or a dict.  A
+    value nested deeper than the decoder can follow fails the reply.
     """
     decoder = json.JSONDecoder()
     for i, ch in enumerate(raw):
@@ -56,6 +57,8 @@ def extract_first_json(raw: str) -> list | dict:
                 obj, _end = decoder.raw_decode(raw, i)
             except ValueError:
                 continue
+            except RecursionError as exc:
+                raise ResponseParseError("JSON value nested too deeply", raw=raw) from exc
             return obj
     raise ResponseParseError("no JSON value found in response", raw=raw)
 

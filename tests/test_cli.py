@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -311,6 +312,29 @@ class TestEvaluate:
         assert main(["evaluate", "--experiment", "demo"]) == EXIT_OK
         for name, blob in first.items():
             assert (out_dir / name).read_bytes() == blob
+
+    def test_embeddings_requests_carry_the_chat_token(
+        self, workspace, stub_server, monkeypatch, caplog, capsys
+    ):
+        """The embeddings client sent no token, so an API needing one failed."""
+        token = "sk-embed-7f3a9c"
+        monkeypatch.setenv("LLM_API_KEY", token)
+        stub_server.default = lambda body: (200, {"data": [
+            {"embedding": [1.0, float(len(t))]} for t in body["input"]
+        ]})
+        assert run_extract() == EXIT_OK
+        with caplog.at_level("DEBUG"):
+            code = main([
+                "-v", "evaluate", "--experiment", "demo",
+                "--embeddings-endpoint", stub_server.url + "/v1/embeddings",
+            ])
+        assert code == EXIT_OK
+        assert stub_server.auth_headers
+        assert set(stub_server.auth_headers) == {f"Bearer {token}"}
+        assert token not in caplog.text + "".join(capsys.readouterr())
+        written = [path for path in workspace.rglob("*") if path.is_file()]
+        assert any(path.name == "report.json" for path in written)
+        assert not [path for path in written if token.encode() in path.read_bytes()]
 
 
 class TestLoad:
@@ -637,6 +661,84 @@ print("numpy" in sys.modules)
         report = json.loads((workspace / "evaluation" / "rb" / "report.json").read_text())
         (backlog,) = report["backlogs"]
         assert backlog["stories_evaluated"] == 3
+
+    # ``python -m storygraph.cli ARGS``, reporting the exit code, whether
+    # the heap got frozen, and the modules the run added to the interpreter.
+    ENTRY = """
+import gc, json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["storygraph", *sys.argv[1:]]
+try:
+    runpy.run_module("storygraph.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(set(sys.modules) - before)
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0, "loaded": loaded}))
+"""
+    EXTRACTION_RUNTIME = {
+        f"storygraph.extraction.{name}"
+        for name in ("backends", "connector", "parsing", "prompts", "rule_based")
+    }
+    EVALUATION = "storygraph.evaluation"
+
+    def run_entry(self, workspace, *argv: str) -> set[str]:
+        done = subprocess.run(
+            [sys.executable, "-c", self.ENTRY, *argv],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["code"] == 0, done.stderr
+        assert result["frozen"], "the process entry did not freeze the heap"
+        return set(result["loaded"])
+
+    def evaluation_modules(self, loaded: set[str]) -> set[str]:
+        return {
+            name for name in loaded
+            if name == self.EVALUATION or name.startswith(self.EVALUATION + ".")
+        }
+
+    def test_help_loads_no_stage(self, workspace):
+        loaded = self.run_entry(workspace, "--help")
+        assert not self.evaluation_modules(loaded)
+        assert not loaded & self.EXTRACTION_RUNTIME
+        assert not loaded & {
+            "storygraph.sink", "storygraph.http",
+            "concurrent.futures", "csv", "urllib.request",
+        }
+
+    def test_each_stage_loads_only_its_own(self, workspace):
+        extract = self.run_entry(
+            workspace, "extract", "--experiment", "rb", "--backend", "rule-based"
+        )
+        assert "storygraph.extraction.rule_based" in extract
+        assert not self.evaluation_modules(extract)
+        assert "storygraph.sink" not in extract
+
+        evaluate = self.run_entry(workspace, "evaluate", "--experiment", "rb")
+        assert "storygraph.evaluation.report" in evaluate
+        assert not evaluate & self.EXTRACTION_RUNTIME
+        assert "storygraph.sink" not in evaluate
+
+        load = self.run_entry(workspace, "load", "--experiment", "rb", "--dry-run")
+        assert "storygraph.sink" in load
+        assert not load & self.EXTRACTION_RUNTIME
+        assert not self.evaluation_modules(load)
+        assert (workspace / "extracted-user-stories" / "rb" / "graph.cypher").is_file()
+
+    def test_main_leaves_the_collector_alone(self, workspace):
+        frozen = gc.get_freeze_count()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_the_freezing_entry(self):
+        scripts = (PKG_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'storygraph = "storygraph.cli:console_main"' in scripts.splitlines()
 
 
 class TestEnvFile:

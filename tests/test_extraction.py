@@ -389,6 +389,22 @@ class TestReplayBackend:
         assert backend.run_main("other", []) == "5"
         assert backend.run_benefit("other", []) == ""
 
+    def test_record_array_reads_as_its_json_text(self, tmp_path):
+        """An array became its Python repr, which no JSON parser reads."""
+        records = [{"head": "customer", "head_type": "Persona", "relation": "TRIGGERS",
+                    "tail": "pay", "tail_type": "Action"}]
+        story = "As a customer, I want to pay by cash."
+        documents = []
+        for value in (records, json.dumps(records)):
+            path = tmp_path / "replay.json"
+            path.write_text(json.dumps({story: {"main_response": value}}))
+            config = ExtractorConfig(backend="replay-fixture", fixture_path=str(path))
+            documents.append(extract_components(config, story))
+        assert documents[0] == documents[1]
+        assert [(r.source.id, r.kind, r.target.id) for r in documents[0].relationships] == [
+            ("customer", RelKind.TRIGGERS, "pay")
+        ]
+
     def test_missing_entry(self, replay_fixture_path):
         backend = ReplayFixtureBackend.from_path(replay_fixture_path)
         with pytest.raises(BackendError, match="no fixture entry"):
