@@ -17,6 +17,7 @@ import gc
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -52,6 +53,9 @@ EXIT_BACKEND = 3
 
 # Files in an experiment directory that are not backlog extractions.
 _RESERVED_FILES = {"manifest.json", "graph.json"}
+
+# Flawed stories that ``load`` names one per log line; the rest are counted.
+_FLAWED_STORIES_LOGGED = 20
 
 
 def _backlog_files(directory: Path) -> list[Path]:
@@ -267,7 +271,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         return EXIT_NO_INPUT
 
     docs = []
-    flawed = 0
+    flawed = []
     for path in files:
         extracted = _read_extractions(path)
         if extracted is None:
@@ -278,15 +282,21 @@ def cmd_load(args: argparse.Namespace) -> int:
             except ValueError:
                 log.warning("%s: story %s has no text; skipped", path.name, story.pid)
                 continue
-            if validate_ontology(doc):
-                flawed += 1
+            if findings := validate_ontology(doc):
+                flawed.append((path.name, story.pid, findings))
             docs.append(doc)
 
     if not docs:
         log.error("no loadable stories in %s", extracted_dir)
         return EXIT_NO_INPUT
     if flawed:
-        log.info("%d of %d documents carry ontology violations", flawed, len(docs))
+        log.info("%d of %d documents carry ontology violations", len(flawed), len(docs))
+        kinds = Counter(str(finding) for *_, findings in flawed for finding in findings)
+        log.info("ontology findings: %s", ", ".join(f"{k} ({n})" for k, n in kinds.most_common()))
+        for name, pid, findings in flawed[:_FLAWED_STORIES_LOGGED]:
+            log.info("%s: story %s: %s", name, pid, "; ".join(map(str, findings)))
+        if len(flawed) > _FLAWED_STORIES_LOGGED:
+            log.info("and %d more", len(flawed) - _FLAWED_STORIES_LOGGED)
 
     config = SinkConfig.from_env(
         uri=args.uri, user=args.user, password=args.password, database_name=args.database

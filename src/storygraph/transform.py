@@ -5,14 +5,19 @@ a ``GraphDocument`` whose edges join its own node objects, which
 ``components_to_story`` casts into the annotation schema, and load projects
 each annotated story back into a document.  ``story_elements`` is the one
 projection of an annotated story, for evaluation and load alike.
-``build_graph_document`` adds what is never asked of a model: the story
-node is the input itself and the ownership (HAS_*) edges follow from node
-existence, so both are derived here.
+
+Two entries build the final document, one per input.
+``build_graph_document`` takes raw extractor output and first filters its
+noise; ``story_document`` takes an annotated story, whose elements hold no
+noise.  Both end in one assembly that adds what is never asked of a model:
+the story node is the input itself and the ownership (HAS_*) edges follow
+from node existence, so both are derived here.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import Iterable
 
 from .corpus import AnnotatedStory, clean_story_text
 from .extraction.types import DropCounts
@@ -33,96 +38,79 @@ log = logging.getLogger(__name__)
 _PERSONA, _ACTION, _ENTITY = NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY
 
 
-def build_graph_document(
-    doc: GraphDocument,
-    story_text: str,
-    *,
-    drops: DropCounts | None = None,
+def _story_node(story_text: str) -> GraphNode:
+    if not story_text or not story_text.strip():
+        raise ValueError("story_text must be non-empty")
+    return GraphNode(story_text, NodeKind.USERSTORY)
+
+
+def _assemble(
+    story: GraphNode, nodes: Iterable[GraphNode], rels: list[GraphRelationship], drops: DropCounts
 ) -> GraphDocument:
-    """Full assembly: add the story node, dedup, rewire, infer ownership.
+    """Dedup, rewire and infer ownership: the assembly every document gets.
+
+    The first node of each identity key is kept as it is, the story node
+    first unless one with its key is among ``nodes``.  Each edge is attached
+    once to the kept nodes of its endpoints' keys, or dropped and counted
+    when one has none.
+    """
+    index: dict[tuple[NodeKind, str], GraphNode] = {}
+    for node in nodes:
+        index.setdefault(node.key(), node)
+    owner = index.get(story.key(), story)
+    kept = [story, *index.values()] if owner is story else list(index.values())
+
+    edges: list[GraphRelationship] = []
+    seen: set[tuple[RelKind, tuple[NodeKind, str], tuple[NodeKind, str]]] = set()
+    for rel in rels:
+        src_key, tgt_key = rel.source.key(), rel.target.key()
+        source, target = index.get(src_key), index.get(tgt_key)
+        if source is None or target is None:
+            drops.relationships += 1
+        elif (rel.kind, src_key, tgt_key) not in seen:
+            seen.add((rel.kind, src_key, tgt_key))
+            if source is not rel.source or target is not rel.target:
+                rel = GraphRelationship(source, target, rel.kind)
+            edges.append(rel)
+    for node in kept:
+        if node is not owner:
+            edges.append(GraphRelationship(owner, node, HAS_REL_FOR_KIND[node.kind]))
+    return GraphDocument(nodes=kept, relationships=edges, source_text=story.id)
+
+
+def build_graph_document(
+    doc: GraphDocument, story_text: str, *, drops: DropCounts | None = None
+) -> GraphDocument:
+    """Full assembly of extractor output: filter its noise, then assemble.
 
     Model-emitted HAS_* edges are discarded (ownership is re-derived), and
     so are edges whose endpoint kinds contradict the ontology or whose
     endpoints vanished.  Raises ValueError for an empty story text, and
     otherwise never; shape problems are left for validate_ontology to
     report.
-
-    The incoming nodes are kept as they are, the first of each identity key
-    winning; each edge is attached to the kept nodes of its endpoints' keys.
     """
-    if not story_text or not story_text.strip():
-        raise ValueError("story_text must be non-empty")
-    story = GraphNode(id=story_text, kind=NodeKind.USERSTORY)
-    story_key = story.key()
+    drops = DropCounts() if drops is None else drops
+    story = _story_node(story_text)
     # A story node claiming to be a different story is extraction noise and
     # would make ownership ambiguous; drop it and everything touching it.
-    foreign = {
-        node.key()
-        for node in doc.nodes
-        if node.kind is NodeKind.USERSTORY and node.key() != story_key
-    }
-
-    nodes: list[GraphNode] = []
-    index: dict[tuple[NodeKind, str], GraphNode] = {}
-    for node in doc.nodes:
-        key = node.key()
-        if key in foreign:
-            if drops is not None:
-                drops.nodes += 1
-            log.debug("dropping foreign userstory node %r", node.id)
-            continue
-        if key not in index:
-            index[key] = node
-            nodes.append(node)
-    if story_key not in index:
-        index[story_key] = story
-        nodes.insert(0, story)
+    foreign = {node.key() for node in doc.nodes if node.kind is NodeKind.USERSTORY}
+    foreign.discard(story.key())
+    nodes = [node for node in doc.nodes if node.key() not in foreign]
+    drops.nodes += len(doc.nodes) - len(nodes)
 
     relationships: list[GraphRelationship] = []
-    seen_rels: set[tuple[RelKind, tuple[NodeKind, str], tuple[NodeKind, str]]] = set()
     for rel in doc.relationships:
-        src_key = rel.source.key()
-        tgt_key = rel.target.key()
-        if src_key in foreign or tgt_key in foreign:
-            if drops is not None:
-                drops.relationships += 1
-            continue
-        if rel.kind in HAS_RELS:
-            # Ownership is inferred below; a model's own claim is redundant
-            # at best and wrong at worst.
+        touches_foreign = rel.source.key() in foreign or rel.target.key() in foreign
+        if rel.kind in HAS_RELS and not touches_foreign:
+            # Ownership is inferred on assembly; a model's own claim is
+            # redundant at best and wrong at worst.
             log.debug("discarding model-emitted %s edge", rel.kind.value)
-            continue
-        source = index.get(src_key)
-        target = index.get(tgt_key)
-        if source is None or target is None:
-            if drops is not None:
-                drops.relationships += 1
-            continue
-        expected = REL_ENDPOINT_KINDS[rel.kind]
-        if (source.kind, target.kind) != expected:
-            if drops is not None:
-                drops.relationships += 1
-            log.debug(
-                "dropping %s edge with endpoint kinds %s->%s",
-                rel.kind.value, source.kind.value, target.kind.value,
-            )
-            continue
-        dedup_key = (rel.kind, src_key, tgt_key)
-        if dedup_key in seen_rels:
-            continue
-        seen_rels.add(dedup_key)
-        if source is not rel.source or target is not rel.target:
-            rel = GraphRelationship(source, target, rel.kind)
-        relationships.append(rel)
-
-    story_node = index[story_key]
-    for node in nodes:
-        if node.kind is not NodeKind.USERSTORY:
-            relationships.append(
-                GraphRelationship(source=story_node, target=node, kind=HAS_REL_FOR_KIND[node.kind])
-            )
-
-    return GraphDocument(nodes=nodes, relationships=relationships, source_text=story_text)
+        elif touches_foreign or (rel.source.kind, rel.target.kind) != REL_ENDPOINT_KINDS[rel.kind]:
+            drops.relationships += 1
+            log.debug("dropping %s edge %r->%r", rel.kind.value, rel.source.id, rel.target.id)
+        else:
+            relationships.append(rel)
+    return _assemble(story, nodes, relationships, drops)
 
 
 def story_elements(
@@ -133,8 +121,8 @@ def story_elements(
     Returns the nodes as (kind, id), then the TRIGGERS and the TARGETS
     pairs.  Nodes come in the order personas, actions, entities, benefit,
     then the endpoints of each trigger and each target, since an edge
-    asserts both of its ends.  Exact duplicates and empty ids are skipped,
-    and so is a pair with an empty member.
+    asserts both of its ends.  Exact duplicates and empty or blank ids are
+    skipped, and so is a pair with an empty or blank member.
 
     Evaluation reads both the ground truth and the extraction through
     here, and load builds its documents from it, so a story scores 1.0
@@ -155,9 +143,9 @@ def story_elements(
     for action, entity in story.targets:
         nodes[_ACTION, action] = nodes[_ENTITY, entity] = None
     return (
-        [key for key in nodes if key[1]],
-        [pair for pair in story.triggers if pair[0] and pair[1]],
-        [pair for pair in story.targets if pair[0] and pair[1]],
+        [key for key in nodes if key[1].strip()],
+        [pair for pair in story.triggers if pair[0].strip() and pair[1].strip()],
+        [pair for pair in story.targets if pair[0].strip() and pair[1].strip()],
     )
 
 
@@ -211,26 +199,25 @@ def components_to_story(
     )
 
 
-def annotations_to_components(story: AnnotatedStory) -> GraphDocument:
-    """Express annotations as if they were extractor output.
+def story_document(story: AnnotatedStory) -> GraphDocument:
+    """The document ``load`` writes for one annotated story.
 
-    The nodes are those of ``story_elements``; each edge joins two of them.
+    The nodes and pairs of ``story_elements`` hold no story node, no HAS_*
+    edge and no edge of the wrong endpoint kinds, so they go straight to
+    assembly.  Raises ValueError for a story without text.
     """
     keys, triggers, targets = story_elements(story)
     index = {key: GraphNode(key[1], key[0]) for key in keys}
     rels = [
         GraphRelationship(index[_PERSONA, persona], index[_ACTION, action], RelKind.TRIGGERS)
         for persona, action in triggers
-    ]
-    rels += [
+    ] + [
         GraphRelationship(index[_ACTION, action], index[_ENTITY, entity], RelKind.TARGETS)
         for action, entity in targets
     ]
-    return GraphDocument(nodes=list(index.values()), relationships=rels)
+    return _assemble(_story_node(clean_story_text(story)), index.values(), rels, DropCounts())
 
 
-def story_document(story: AnnotatedStory, *, drops: DropCounts | None = None) -> GraphDocument:
-    """Ground-truth document for one annotated story."""
-    return build_graph_document(
-        annotations_to_components(story), clean_story_text(story), drops=drops
-    )
+# The benchmark's tracer spans load's assembly under this name; the alias
+# goes with the in-program spans of ROADMAP item 3.
+annotations_to_components = story_document

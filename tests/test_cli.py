@@ -415,6 +415,28 @@ class TestLoad:
         assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
         assert "dry run: 2 documents" in capsys.readouterr().out
 
+    def test_flawed_stories_named_with_their_findings(self, workspace, caplog, monkeypatch):
+        assert run_extract() == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "demo"
+        extracted = out_dir / "sample.json"
+        entries = json.loads(extracted.read_text())
+        for entry in entries[1:]:
+            entry["Entity"] = None
+            entry["Targets"] = []
+        extracted.write_text(json.dumps(entries))
+        monkeypatch.setattr(cli, "_FLAWED_STORIES_LOGGED", 1)
+
+        with caplog.at_level("INFO"):
+            assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        first, second = (entry["PID"] for entry in entries[1:])
+        assert "2 of 3 documents carry ontology violations" in messages
+        assert "ontology findings: entity cardinality 0 < 1 (2)" in messages
+        assert f"sample.json: story {first}: entity cardinality 0 < 1" in messages
+        assert not any(second in message for message in messages)
+        assert "and 1 more" in messages
+        assert "entity cardinality" not in (out_dir / "graph.cypher").read_text()
+
 
 class TestExtractionFiles:
     def test_malformed_entry_skipped_alone_by_evaluate_and_load(self, workspace, capsys, caplog):

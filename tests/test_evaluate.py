@@ -111,6 +111,16 @@ class TestEvaluateStory:
         p, r, _f = story_cells(story, replace(story, benefit="made up"))[("Benefit", STRICT)]
         assert p == 0.0 and r == 0.0
 
+    def test_blank_expected_id_is_not_an_element(self):
+        """A blank id is skipped like an empty one, so it neither lowers
+        strict recall nor matches inside every prediction inclusively."""
+        story = replace(story_no_benefit(), personas=["customer", " "])
+        results = story_cells(story, replace(story, personas=["customer", "admin"]))
+        for mode in (STRICT, INCLUSIVE):
+            p, r, _f = results[("Persona", mode)]
+            assert math.isclose(p, 0.5, abs_tol=TOL), mode
+            assert math.isclose(r, 1.0, abs_tol=TOL), mode
+
     def test_bertscore_cell_present_for_shared_tokens(self, sample_backlog):
         story = sample_backlog.stories[0]
         results = story_cells(story, story)
@@ -273,7 +283,7 @@ class TestReportOutput:
 # -- backlog scores against a cell-by-cell oracle -----------------------------
 
 ORACLE_WORDS = ["user", "the user", "Users", "admin", "page", "web page", "pages",
-                "my data", "data", "Data  set", "sync", ""]
+                "my data", "data", "Data  set", "sync", "", "  "]
 oracle_words = st.sampled_from(ORACLE_WORDS)
 word_lists = st.lists(oracle_words, max_size=3)
 word_pairs = st.lists(st.tuples(oracle_words, oracle_words), max_size=3)
@@ -344,8 +354,8 @@ def oracle_mean(values: list[float]) -> float:
 def oracle_elements(story: AnnotatedStory):
     """A story's scored elements as the README states them, for ground truth
     and extraction alike: the annotated nodes, then each trigger's and
-    target's endpoints, without exact duplicates or empty ids; the pairs
-    without those that have an empty member."""
+    target's endpoints, without exact duplicates or empty or blank ids; the
+    pairs without those that have an empty or blank member."""
     lists = {kind: [] for kind in KIND_ORDER}
     items = [("Persona", p) for p in story.personas]
     items += [("Action", a) for a in story.primary_actions + story.secondary_actions]
@@ -356,10 +366,10 @@ def oracle_elements(story: AnnotatedStory):
     for action, entity in story.targets:
         items += [("Action", action), ("Entity", entity)]
     for kind, item in items:
-        if item and item not in lists[kind]:
+        if item and item.strip() and item not in lists[kind]:
             lists[kind].append(item)
     pairs = {
-        label: [(a, b) for a, b in source if a and b]
+        label: [(a, b) for a, b in source if a.strip() and b.strip()]
         for label, source in (("TRIGGERS", story.triggers), ("TARGETS", story.targets))
     }
     return lists, pairs

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT
-from storygraph.corpus import AnnotatedStory
+from storygraph.corpus import AnnotatedStory, clean_story_text
 from storygraph.extraction import DropCounts
 from storygraph.model import (
     HAS_REL_FOR_KIND,
@@ -22,7 +22,6 @@ from storygraph.model import (
     validate_ontology,
 )
 from storygraph.transform import (
-    annotations_to_components,
     build_graph_document,
     components_to_story,
     story_document,
@@ -291,6 +290,12 @@ fresh_rels = rel_kinds.flatmap(
 )
 
 
+# The rules a document can break by what its story holds, not by its shape.
+CARDINALITY_FINDINGS = tuple(
+    f"{rule} cardinality" for rule in ("persona", "action", "entity", "benefit", "triggers")
+)
+
+
 class TestBuildMatchesReference:
     @settings(max_examples=300)
     @given(st.lists(graph_nodes, max_size=10), st.data())
@@ -305,6 +310,22 @@ class TestBuildMatchesReference:
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
         assert doc == reference_document(components, SYNC_TEXT, reference_drops)
         assert drops == reference_drops
+
+    @settings(max_examples=300)
+    @given(st.lists(graph_nodes, max_size=10), st.data())
+    def test_only_cardinality_findings(self, nodes, data):
+        """Whatever the input, assembly leaves no structural flaw: no
+        duplicate, no wrong endpoint kind, no dangling endpoint, no missing
+        ownership edge, one story node matching the text."""
+        rels = fresh_rels
+        if nodes:
+            own = st.sampled_from(nodes)
+            rels = rels | st.builds(GraphRelationship, own, own, rel_kinds)
+        components = GraphDocument(nodes=nodes, relationships=data.draw(st.lists(rels, max_size=6)))
+        doc = build_graph_document(components, SYNC_TEXT)
+        assert all(
+            str(finding).startswith(CARDINALITY_FINDINGS) for finding in validate_ontology(doc)
+        )
 
     def test_endpoint_spelled_unlike_its_node_is_resolved(self):
         components = GraphDocument(
@@ -346,22 +367,23 @@ class TestRoundTrip:
         """An extraction written in the annotation schema reads back as itself."""
         components = sync_components()
         story = components_to_story("#P#", "#P# " + SYNC_TEXT, components)
-        again = annotations_to_components(story)
-        assert len(again.nodes) == len(components.nodes)
-        assert len(again.relationships) == len(components.relationships)
-        assert again == components
+        nodes, triggers, targets = story_elements(story)
+        assert nodes == [(n.kind, n.id) for n in components.nodes]
+        assert [(RelKind.TRIGGERS, *pair) for pair in triggers] + [
+            (RelKind.TARGETS, *pair) for pair in targets
+        ] == [(r.kind, r.source.id, r.target.id) for r in components.relationships]
+        assert story_document(story) == build_graph_document(components, SYNC_TEXT)
 
 
 class TestAnnotations:
     def test_sample_story_components(self, sample_backlog):
         story = sample_backlog.stories[0]
-        components = annotations_to_components(story)
-        ids = {(n.kind, n.id) for n in components.nodes}
-        assert (NodeKind.PERSONA, "user") in ids
-        assert (NodeKind.ACTION, "sync") in ids
-        assert (NodeKind.ENTITY, "anywhere") in ids
-        assert (NodeKind.BENEFIT, story.benefit) in ids
-        assert len(components.relationships) == 3
+        nodes, triggers, targets = story_elements(story)
+        assert (NodeKind.PERSONA, "user") in nodes
+        assert (NodeKind.ACTION, "sync") in nodes
+        assert (NodeKind.ENTITY, "anywhere") in nodes
+        assert (NodeKind.BENEFIT, story.benefit) in nodes
+        assert len(triggers) + len(targets) == 3
 
     def test_pair_lists_can_imply_nodes(self):
         from storygraph.corpus import AnnotatedStory
@@ -377,7 +399,7 @@ class TestAnnotations:
             triggers=[("user", "sync")],
             targets=[("sync", "data")],
         )
-        components = annotations_to_components(story)
+        components = story_document(story)
         kinds = {(n.kind, n.id) for n in components.nodes}
         assert (NodeKind.PERSONA, "user") in kinds
         assert (NodeKind.ACTION, "sync") in kinds
@@ -415,16 +437,103 @@ class TestAnnotations:
         assert triggers == [("user", "pay")]
         assert targets == [("pay", "cash"), ("pay", "cash")]
 
-    def test_components_are_the_story_elements(self, sample_backlog):
-        for story in sample_backlog.stories:
-            doc = annotations_to_components(story)
-            nodes, triggers, targets = story_elements(story)
-            assert [(n.kind, n.id) for n in doc.nodes] == nodes
-            assert [(r.kind, r.source.id, r.target.id) for r in doc.relationships] == [
-                (RelKind.TRIGGERS, *pair) for pair in triggers
-            ] + [(RelKind.TARGETS, *pair) for pair in targets]
-            node_ids = {id(n) for n in doc.nodes}
-            assert all(
-                id(r.source) in node_ids and id(r.target) in node_ids
-                for r in doc.relationships
-            )
+    def test_blank_ids_are_skipped_like_empty_ones(self):
+        story = AnnotatedStory(
+            pid="#X#",
+            text="#X# As a user, I want to pay by cash.",
+            personas=["user", " "],
+            primary_actions=["pay", "\t"],
+            benefit="  ",
+            triggers=[(" ", "pay"), ("admin", " ")],
+            targets=[("pay", "cash")],
+        )
+        nodes, triggers, targets = story_elements(story)
+        assert nodes == [
+            (NodeKind.PERSONA, "user"),
+            (NodeKind.ACTION, "pay"),
+            (NodeKind.PERSONA, "admin"),
+            (NodeKind.ENTITY, "cash"),
+        ]
+        assert triggers == []
+        assert targets == [("pay", "cash")]
+        assert all(node.id.strip() for node in story_document(story).nodes)
+
+
+def reference_story_document(story: AnnotatedStory) -> GraphDocument:
+    """Load's document built in two steps: the story's elements written as
+    extractor output, then the full assembly with its noise filter."""
+    keys, triggers, targets = story_elements(story)
+    index = {key: GraphNode(key[1], key[0]) for key in keys}
+    rels = [
+        GraphRelationship(index[NodeKind.PERSONA, p], index[NodeKind.ACTION, a], RelKind.TRIGGERS)
+        for p, a in triggers
+    ] + [
+        GraphRelationship(index[NodeKind.ACTION, a], index[NodeKind.ENTITY, e], RelKind.TARGETS)
+        for a, e in targets
+    ]
+    drops = DropCounts()
+    doc = build_graph_document(
+        GraphDocument(nodes=list(index.values()), relationships=rels),
+        clean_story_text(story),
+        drops=drops,
+    )
+    assert drops == DropCounts()
+    return doc
+
+
+# Ids that collide by case or whitespace, empty and blank ones, and ids that
+# only the pairs name.
+story_ids = st.sampled_from(
+    ["user", "User", " user ", "USER", "sync", "Sync ", "my data", "My  data", "", " ", "\t"]
+)
+id_lists = st.lists(story_ids, max_size=3)
+id_pairs = st.lists(st.tuples(story_ids, story_ids | st.just("only in a pair")), max_size=3)
+annotated_stories = st.builds(
+    AnnotatedStory,
+    pid=st.just("#S#"),
+    text=st.sampled_from(["#S# " + SYNC_TEXT, SYNC_TEXT, "#S#   " + SYNC_TEXT.upper()]),
+    personas=id_lists,
+    primary_actions=id_lists,
+    secondary_actions=id_lists,
+    primary_entities=id_lists,
+    secondary_entities=id_lists,
+    benefit=st.none() | story_ids,
+    triggers=id_pairs,
+    targets=id_pairs,
+)
+
+
+class TestStoryDocument:
+    @settings(max_examples=500)
+    @given(annotated_stories)
+    def test_matches_the_two_step_path(self, story):
+        doc = story_document(story)
+        assert doc == reference_story_document(story)
+        node_ids = {id(n) for n in doc.nodes}
+        assert all(id(r.source) in node_ids and id(r.target) in node_ids for r in doc.relationships)
+        assert all(
+            str(finding).startswith(CARDINALITY_FINDINGS) for finding in validate_ontology(doc)
+        )
+
+    def test_each_id_normalized_once(self, monkeypatch):
+        import storygraph.model as model
+
+        calls = []
+        original = model.normalize_id
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(model, "normalize_id", counting)
+        story = AnnotatedStory(
+            pid="#X#",
+            text="#X# As a user, I want to pay by cash.",
+            personas=["user", "User "],
+            primary_actions=["pay"],
+            triggers=[("USER", "pay"), ("admin", "Pay")],
+            targets=[("pay", "cash")],
+        )
+        nodes, _, _ = story_elements(story)
+        story_document(story)
+        assert sorted(calls) == sorted([clean_story_text(story)] + [i for _, i in nodes])
