@@ -6,8 +6,8 @@ Directory layout convention:
     extracted-user-stories/<exp>/     extraction outputs, one file per backlog
     evaluation/<exp>/                 report.json and report.csv
 
-Exit codes: 0 success, 2 missing or empty inputs, 3 backend or sink
-configuration and connection failures.
+Exit codes: 0 success, 1 any other toolchain error, 2 missing or empty
+inputs, 3 backend or sink configuration and connection failures.
 """
 
 from __future__ import annotations
@@ -390,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    load_env_file(args.env_file)
     try:
+        load_env_file(args.env_file)
         return args.func(args)
     except StoryGraphError as exc:
         log.error("%s", exc)

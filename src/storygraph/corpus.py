@@ -121,6 +121,15 @@ def story_from_dict(obj: dict[str, Any], index: int) -> AnnotatedStory:
         if key not in obj:
             raise BacklogSchemaError(f"story {index}: missing required key '{key}'")
 
+    pid, text = obj["PID"], obj["Text"]
+    if not isinstance(pid, (str, int)) or isinstance(pid, bool):
+        raise BacklogSchemaError(
+            f"story {index}: PID: expected a string or an integer, got {type(pid).__name__}"
+        )
+    if not isinstance(text, str):
+        raise BacklogSchemaError(
+            f"story {index}: Text: expected a string, got {type(text).__name__}"
+        )
     action = _object(obj["Action"], index, "Action")
     entity = _object(obj["Entity"], index, "Entity")
     benefit = obj.get("Benefit")
@@ -130,8 +139,8 @@ def story_from_dict(obj: dict[str, Any], index: int) -> AnnotatedStory:
         )
 
     return AnnotatedStory(
-        pid=str(obj["PID"]),
-        text=str(obj["Text"]),
+        pid=str(pid),
+        text=text,
         personas=_string_list(obj["Persona"], index, "Persona"),
         primary_actions=_string_list(action.get("Primary Action"), index, "Primary Action"),
         secondary_actions=_string_list(action.get("Secondary Action"), index, "Secondary Action"),

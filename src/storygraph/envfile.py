@@ -11,6 +11,8 @@ import logging
 import os
 from pathlib import Path
 
+from .errors import ConfigError
+
 log = logging.getLogger(__name__)
 
 
@@ -18,13 +20,18 @@ def load_env_file(path: str | Path = ".env") -> dict[str, str]:
     """Load variables from a dotenv-style file into os.environ.
 
     Returns the variables actually set.  A missing file is not an error;
-    it simply sets nothing.
+    it simply sets nothing.  A file that cannot be read or is not UTF-8
+    raises ConfigError naming it.
     """
     path = Path(path)
     applied: dict[str, str] = {}
     if not path.is_file():
         return applied
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read env file {path}: {exc}") from exc
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -7,7 +7,6 @@ from .compare import (
     QUALIFIER_STOP_LIST_VERSION,
     CompareOptions,
     ComparisonMode,
-    Counts,
     compare_element,
     match_sets,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "QUALIFIER_STOP_LIST_VERSION",
     "CompareOptions",
     "ComparisonMode",
-    "Counts",
     "compare_element",
     "match_sets",
     "Scores",

@@ -153,45 +153,26 @@ def compare_element(
     return forms_match(element_form(expected, options), element_form(predicted, options), mode)
 
 
-@dataclass
-class Counts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-
 def count_matches(
     expected: Sequence[AnyForm], predicted: Sequence[AnyForm], mode: ComparisonMode
-) -> int:
-    """Greedy one-to-one matching in list order; the number of matched pairs.
+) -> tuple[int, int, int]:
+    """Greedy one-to-one matching in list order, as ``(tp, fp, fn)``.
 
     Each expected element consumes the first not-yet-consumed predicted
-    element it matches.  Takes forms, so a caller scoring several modes
-    computes them once.
+    element it matches.  Leftover expected elements are false negatives,
+    leftover predicted ones false positives: the counts ``metrics.scores``
+    takes.  Takes forms, so a caller scoring several modes computes them
+    once.
     """
-    if not expected or not predicted:
-        return 0
     free = list(predicted)  # a consumed slot becomes None
-    matched = 0
+    tp = 0
     for exp in expected:
         for i, pred in enumerate(free):
             if pred is not None and forms_match(exp, pred, mode):
                 free[i] = None
-                matched += 1
+                tp += 1
                 break
-    return matched
-
-
-def match_forms(
-    expected: Sequence[AnyForm], predicted: Sequence[AnyForm], mode: ComparisonMode
-) -> Counts:
-    """Greedy one-to-one matching (see count_matches) as counts.
-
-    Leftover expected elements are false negatives, leftover predicted ones
-    false positives.
-    """
-    tp = count_matches(expected, predicted, mode)
-    return Counts(tp=tp, fp=len(predicted) - tp, fn=len(expected) - tp)
+    return tp, len(free) - tp, len(expected) - tp
 
 
 def match_sets(
@@ -199,9 +180,9 @@ def match_sets(
     predicted: Sequence[str | Sequence[str]],
     mode: ComparisonMode,
     options: CompareOptions = DEFAULT_OPTIONS,
-) -> Counts:
-    """Greedy one-to-one matching of elements (see match_forms)."""
-    return match_forms(
+) -> tuple[int, int, int]:
+    """Greedy one-to-one matching of elements (see count_matches)."""
+    return count_matches(
         [element_form(exp, options) for exp in expected],
         [element_form(pred, options) for pred in predicted],
         mode,

@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -37,11 +37,9 @@ from .compare import (
     QUALIFIER_STOP_LIST_VERSION,
     CompareOptions,
     ComparisonMode,
-    Counts,
     Form,
     count_matches,
     element_form,
-    match_forms,
 )
 from .metrics import Scores, mean_scores, scores
 
@@ -60,18 +58,6 @@ MODES_FOR_KIND = {
 }
 
 RELATION_ORDER = (RelKind.TRIGGERS.value, RelKind.TARGETS.value)
-
-CSV_COLUMNS = (
-    "backlog",
-    "kind",
-    "mode",
-    "precision",
-    "recall",
-    "f_measure",
-    "stories_counted",
-    "stories_undefined",
-)
-
 
 _KIND_OF_NODE = {NodeKind(kind): kind for kind in KIND_ORDER}
 
@@ -144,8 +130,7 @@ def _story_cells(
         exp_forms = [forms.of(item) for item in expected[label]]
         pred_forms = [forms.of(item) for item in predicted[label]]
         for mode, key in modes:
-            tp = count_matches(exp_forms, pred_forms, mode)
-            yield key, scores(tp, len(pred_forms) - tp, len(exp_forms) - tp)
+            yield key, scores(*count_matches(exp_forms, pred_forms, mode))
 
         if similarity_key is not None:
             exp_tokens, pred_tokens = _tokens(exp_forms), _tokens(pred_forms)
@@ -158,10 +143,11 @@ def match_pair_sets(
     predicted: Sequence[tuple[str, str]],
     mode: ComparisonMode,
     options: CompareOptions = DEFAULT_OPTIONS,
-) -> Counts:
-    """Greedy pair matching; a pair matches when both members match."""
+) -> tuple[int, int, int]:
+    """Greedy pair matching as ``(tp, fp, fn)``; a pair matches when both
+    members match."""
     forms = _StoryForms(options)
-    return match_forms(
+    return count_matches(
         [forms.of(pair) for pair in expected], [forms.of(pair) for pair in predicted], mode
     )
 
@@ -176,6 +162,10 @@ class ReportRow:
     f_measure: float
     stories_counted: int
     stories_undefined: int
+
+
+# The report's columns, in order: the fields of a row.
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _mean_row(
@@ -196,33 +186,6 @@ class BacklogReport:
     omitted: list[str] = field(default_factory=list)
 
 
-class _Running:
-    """Per cell key, in report order: the defined per-story scores and the
-    count of undefined ones."""
-
-    def __init__(self) -> None:
-        self.defined: dict[tuple[str, str], list[Scores]] = {key: [] for key in _KEYS}
-        self.undefined = dict.fromkeys(_KEYS, 0)
-
-    def add(self, cells: Iterator[Cell]) -> None:
-        for key, cell in cells:
-            if cell is None:
-                self.undefined[key] += 1
-            else:
-                self.defined[key].append(cell)
-
-    def rows(self, backlog: str) -> tuple[list[ReportRow], list[str]]:
-        """The mean row of each key with a defined cell; the others as omitted."""
-        rows = []
-        omitted = []
-        for key, defined in self.defined.items():
-            if defined:
-                rows.append(_mean_row(backlog, key, defined, len(defined), self.undefined[key]))
-            else:
-                omitted.append("/".join(key))
-        return rows, omitted
-
-
 def evaluate_backlog(
     backlog: Backlog,
     extractions: Iterable[AnnotatedStory],
@@ -237,7 +200,10 @@ def evaluate_backlog(
     stories that share a pid are still scored apart.
     """
     by_story = {(extracted.pid, extracted.text): extracted for extracted in extractions}
-    running = _Running()
+    # Per cell key, in report order: the defined per-story scores and the
+    # count of undefined ones.
+    defined: dict[tuple[str, str], list[Scores]] = {key: [] for key in _KEYS}
+    undefined = dict.fromkeys(_KEYS, 0)
     evaluated = 0
     skipped = 0
     shared_embedder = embedder or OneHotEmbedder()
@@ -251,16 +217,26 @@ def evaluate_backlog(
         evaluated += 1
         # One set of forms serves the story's nodes and its pairs.
         forms = _StoryForms(options)
-        running.add(_story_cells(_elements(story), _elements(extracted), shared_embedder, forms))
+        cells = _story_cells(_elements(story), _elements(extracted), shared_embedder, forms)
+        for key, cell in cells:
+            if cell is None:
+                undefined[key] += 1
+            else:
+                defined[key].append(cell)
 
-    rows, omitted = running.rows(backlog.name)
+    # The mean row of each key with a defined cell; the others as omitted.
+    rows = [
+        _mean_row(backlog.name, key, scored, len(scored), undefined[key])
+        for key, scored in defined.items()
+        if scored
+    ]
     return BacklogReport(
         backlog=backlog.name,
         rows=[row for row in rows if row.kind in KIND_ORDER],
         relation_rows=[row for row in rows if row.kind not in KIND_ORDER],
         stories_evaluated=evaluated,
         stories_skipped=skipped,
-        omitted=omitted,
+        omitted=["/".join(key) for key, scored in defined.items() if not scored],
     )
 
 
@@ -326,18 +302,8 @@ def report_to_csv(report: ExperimentReport) -> str:
     writer.writerow(CSV_COLUMNS)
 
     def emit(row: ReportRow) -> None:
-        writer.writerow(
-            [
-                row.backlog,
-                row.kind,
-                row.mode,
-                f"{row.precision:.6f}",
-                f"{row.recall:.6f}",
-                f"{row.f_measure:.6f}",
-                row.stories_counted,
-                row.stories_undefined,
-            ]
-        )
+        # The field order of ReportRow is the column order.
+        writer.writerow(f"{v:.6f}" if isinstance(v, float) else v for v in vars(row).values())
 
     for backlog_report in report.backlogs:
         for row in backlog_report.rows:

@@ -778,6 +778,15 @@ class TestEnvFile:
         assert code == EXIT_OK
         assert stub_server.auth_headers[0] is not None
 
+    def test_env_file_not_utf8_is_one_error_line(self, workspace, caplog):
+        (workspace / "bad.env").write_bytes(b"A=\xff\n")
+        code = main(["--env-file", "bad.env", "load", "--experiment", "x"])
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "bad.env" in errors[0].getMessage()
+        assert errors[0].exc_info is None
+
 
 class TestComponentsToStory:
     def test_primary_secondary_split(self):

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from storygraph.evaluation import (
     ComparisonMode,
     CompareOptions,
-    Counts,
     compare_element,
     match_pair_sets,
     match_sets,
 )
-from storygraph.evaluation.compare import Form, element_form, match_forms
+from storygraph.evaluation.compare import Form, count_matches, element_form
 from storygraph.model import normalize_id
 
 STRICT = ComparisonMode.STRICT
@@ -126,23 +125,23 @@ class TestOptions:
 class TestMatchSets:
     def test_identity(self):
         counts = match_sets(["access", "see"], ["access", "see"], STRICT)
-        assert (counts.tp, counts.fp, counts.fn) == (2, 0, 0)
+        assert counts == (2, 0, 0)
 
     def test_partial(self):
         counts = match_sets(["access", "see"], ["access", "browse"], STRICT)
-        assert (counts.tp, counts.fp, counts.fn) == (1, 1, 1)
+        assert counts == (1, 1, 1)
 
     def test_hallucination(self):
         counts = match_sets([], ["ghost"], STRICT)
-        assert (counts.tp, counts.fp, counts.fn) == (0, 1, 0)
+        assert counts == (0, 1, 0)
 
     def test_missing(self):
         counts = match_sets(["real"], [], STRICT)
-        assert (counts.tp, counts.fp, counts.fn) == (0, 0, 1)
+        assert counts == (0, 0, 1)
 
     def test_each_prediction_consumed_once(self):
         counts = match_sets(["see", "see"], ["see"], STRICT)
-        assert (counts.tp, counts.fp, counts.fn) == (1, 0, 1)
+        assert counts == (1, 0, 1)
 
     def test_greedy_takes_first_unconsumed(self):
         # Inclusive: "page" could match either prediction; the first one
@@ -150,11 +149,11 @@ class TestMatchSets:
         counts = match_sets(
             ["page", "login page"], ["the login page", "page"], INCLUSIVE
         )
-        assert (counts.tp, counts.fp, counts.fn) == (1, 1, 1)
+        assert counts == (1, 1, 1)
 
     def test_split_prediction_inclusive(self):
         counts = match_sets(["user's webpage"], [SPLIT], INCLUSIVE)
-        assert (counts.tp, counts.fp, counts.fn) == (0, 1, 1)
+        assert counts == (0, 1, 1)
 
     @given(
         st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6),
@@ -163,14 +162,15 @@ class TestMatchSets:
     )
     def test_totals_invariant(self, gt, pred, mode):
         counts = match_sets(gt, pred, mode)
-        assert counts.tp + counts.fn == len(gt)
-        assert counts.tp + counts.fp == len(pred)
-        assert min(counts.tp, counts.fp, counts.fn) >= 0
+        tp, fp, fn = counts
+        assert tp + fn == len(gt)
+        assert tp + fp == len(pred)
+        assert min(counts) >= 0
 
     @given(st.lists(st.sampled_from(["x", "y", "z"]), max_size=6))
     def test_self_match_is_perfect(self, items):
         counts = match_sets(items, items, STRICT)
-        assert (counts.tp, counts.fp, counts.fn) == (len(items), 0, 0)
+        assert counts == (len(items), 0, 0)
 
 
 @given(
@@ -209,20 +209,19 @@ elements = st.one_of(words, st.lists(words, max_size=3))
 options = st.builds(CompareOptions, fold_plurals=st.booleans(), token_boundary=st.booleans())
 
 
-def reference_greedy(expected, predicted, matches) -> Counts:
+def reference_greedy(expected, predicted, matches) -> tuple[int, int, int]:
     """Greedy matching in list order, one pairwise comparison at a time."""
     consumed = [False] * len(predicted)
-    counts = Counts()
+    tp = fn = 0
     for exp in expected:
         for i, pred in enumerate(predicted):
             if not consumed[i] and matches(exp, pred):
                 consumed[i] = True
-                counts.tp += 1
+                tp += 1
                 break
         else:
-            counts.fn += 1
-    counts.fp = consumed.count(False)
-    return counts
+            fn += 1
+    return tp, consumed.count(False), fn
 
 
 @given(
@@ -235,7 +234,7 @@ def test_form_matching_equals_pairwise_greedy(expected, predicted, mode, opts):
     reference = reference_greedy(
         expected, predicted, lambda e, p: compare_element(e, p, mode, opts)
     )
-    forms = match_forms(
+    forms = count_matches(
         [element_form(e, opts) for e in expected],
         [element_form(p, opts) for p in predicted],
         mode,
@@ -258,7 +257,7 @@ def test_pair_form_matching_equals_pairwise_greedy(expected, predicted, mode, op
     def pair_forms(pairs):
         return [(element_form(src, opts), element_form(tgt, opts)) for src, tgt in pairs]
 
-    forms = match_forms(pair_forms(expected), pair_forms(predicted), mode)
+    forms = count_matches(pair_forms(expected), pair_forms(predicted), mode)
     assert forms == reference
     assert match_pair_sets(expected, predicted, mode, opts) == reference
 

@@ -129,11 +129,19 @@ class TestParse:
             ({"Entity": "data"}, r"story 4: Entity: expected an object, got str"),
             ({"Benefit": 7}, r"story 4: Benefit: expected a string or null, got int"),
             ({"Benefit": ["I save time"]}, r"story 4: Benefit: expected a string or null, got list"),
+            ({"Text": None}, r"story 4: Text: expected a string, got NoneType"),
+            ({"Text": ["As a user"]}, r"story 4: Text: expected a string, got list"),
+            ({"PID": None}, r"story 4: PID: expected a string or an integer, got NoneType"),
+            ({"PID": True}, r"story 4: PID: expected a string or an integer, got bool"),
+            ({"PID": 1.5}, r"story 4: PID: expected a string or an integer, got float"),
         ],
     )
     def test_wrong_value_type_names_key_and_index(self, overrides, where):
         with pytest.raises(BacklogSchemaError, match=where):
             story_from_dict(minimal_story_dict(**overrides), 4)
+
+    def test_integer_pid_keeps_its_string_form(self):
+        assert story_from_dict(minimal_story_dict(PID=17), 0).pid == "17"
 
     def test_null_values_are_absent(self):
         story = story_from_dict(

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
+
+import pytest
 
 from storygraph.envfile import load_env_file
+from storygraph.errors import ConfigError
 
 
 def test_basic_assignment(tmp_path, monkeypatch):
@@ -62,3 +66,22 @@ def test_malformed_line_skipped(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         assert load_env_file(env) == {}
     assert any("without '='" in r.message for r in caplog.records)
+
+
+def test_not_utf8_raises_config_error_naming_the_file(tmp_path):
+    env = tmp_path / "bad.env"
+    env.write_bytes(b"A=\xff\n")
+    with pytest.raises(ConfigError, match="bad.env"):
+        load_env_file(env)
+
+
+def test_unreadable_file_raises_config_error(tmp_path, monkeypatch):
+    env = tmp_path / "locked.env"
+    env.write_text("A=1\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    with pytest.raises(ConfigError, match="locked.env"):
+        load_env_file(env)

@@ -19,7 +19,6 @@ from storygraph.evaluation import (
     BacklogReport,
     CompareOptions,
     ComparisonMode,
-    Counts,
     ExperimentReport,
     OneHotEmbedder,
     ReportRow,
@@ -158,13 +157,13 @@ class TestRelations:
         counts = match_pair_sets(
             [("user", "access")], [("user", "see")], ComparisonMode.STRICT
         )
-        assert (counts.tp, counts.fp, counts.fn) == (0, 1, 1)
+        assert counts == (0, 1, 1)
 
     def test_pair_greedy_consumption(self):
         counts = match_pair_sets(
             [("u", "a"), ("u", "a")], [("u", "a")], ComparisonMode.STRICT
         )
-        assert (counts.tp, counts.fp, counts.fn) == (1, 0, 1)
+        assert counts == (1, 0, 1)
 
     def test_empty_both_sides_undefined(self):
         story = story_no_benefit()
@@ -319,28 +318,28 @@ def oracle_backlogs(draw) -> tuple[Backlog, list[AnnotatedStory]]:
     return Backlog(name="b", stories=stories), extractions
 
 
-def oracle_greedy(expected, predicted, matches) -> Counts:
+def oracle_greedy(expected, predicted, matches) -> tuple[int, int, int]:
     consumed = [False] * len(predicted)
-    counts = Counts()
+    tp = fn = 0
     for exp in expected:
         for i, pred in enumerate(predicted):
             if not consumed[i] and matches(exp, pred):
                 consumed[i] = True
-                counts.tp += 1
+                tp += 1
                 break
         else:
-            counts.fn += 1
-    counts.fp = consumed.count(False)
-    return counts
+            fn += 1
+    return tp, consumed.count(False), fn
 
 
-def oracle_scores(counts: Counts):
+def oracle_scores(counts: tuple[int, int, int]):
     """(precision, recall, F), None when nothing is expected or predicted."""
-    predicted, expected = counts.tp + counts.fp, counts.tp + counts.fn
+    tp, fp, fn = counts
+    predicted, expected = tp + fp, tp + fn
     if not predicted and not expected:
         return None
-    p = counts.tp / predicted if predicted else 0.0
-    r = counts.tp / expected if expected else 0.0
+    p = tp / predicted if predicted else 0.0
+    r = tp / expected if expected else 0.0
     return p, r, 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
@@ -453,11 +452,11 @@ def test_story_rows_equal_backlog_of_one(sample_backlog):
     for kind in KIND_ORDER:
         for mode in MODES_FOR_KIND[kind]:
             counts = match_sets(expected[kind], predicted[kind], mode)
-            assert cells[(kind, mode.value)] == scores(counts.tp, counts.fp, counts.fn)
+            assert cells[(kind, mode.value)] == scores(*counts)
     for label, pairs in expected_pairs.items():
         for mode in ComparisonMode:
             counts = match_pair_sets(pairs, predicted_pairs[label], mode)
-            assert cells[(label, mode.value)] == scores(counts.tp, counts.fp, counts.fn)
+            assert cells[(label, mode.value)] == scores(*counts)
 
 
 def test_average_rows_add_left_to_right():
