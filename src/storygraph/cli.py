@@ -27,6 +27,7 @@ from .atomic import write_atomic
 from .corpus import (
     AnnotatedStory,
     clean_story_text,
+    decode_json,
     drop_invalid_stories,
     load_backlog,
     story_from_dict,
@@ -65,6 +66,17 @@ def _backlog_files(directory: Path) -> list[Path]:
     )
 
 
+def _input_backlog_files(directory: Path) -> list[Path]:
+    """``_backlog_files`` of a ground-truth directory, naming what it skips."""
+    for name in sorted(_RESERVED_FILES):
+        if (directory / name).is_file():
+            log.warning(
+                "skipping backlog %s: its name is reserved for an experiment's outputs",
+                directory / name,
+            )
+    return _backlog_files(directory)
+
+
 def _config_from_args(args: argparse.Namespace) -> ExtractorConfig:
     return ExtractorConfig(
         backend=args.backend,
@@ -90,7 +102,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not input_dir.is_dir():
         log.error("input directory not found: %s", input_dir)
         return EXIT_NO_INPUT
-    files = _backlog_files(input_dir)
+    files = _input_backlog_files(input_dir)
     if not files:
         log.error("no backlog files in %s", input_dir)
         return EXIT_NO_INPUT
@@ -165,12 +177,13 @@ def _error_entry(story: AnnotatedStory, message: str) -> dict[str, Any]:
 def _read_extractions(path: Path) -> tuple[list[AnnotatedStory], int] | None:
     """The stories of one extraction file, plus its count of ``Error`` entries.
 
-    None, with a warning, when the file cannot be read or is not a UTF-8
-    JSON array.  A malformed entry is logged and skipped on its own.
+    None, with a warning, when the file cannot be read, is not a JSON array,
+    or ``decode_json`` refuses it as backlog loading does.  A malformed entry
+    is logged and skipped on its own.
     """
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        payload = decode_json(path.read_bytes())
+    except (OSError, BacklogParseError) as exc:
         log.warning("skipping %s: %s", path.name, exc)
         return None
     if not isinstance(payload, list):
@@ -207,7 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             log.error("%s directory not found: %s", label, directory)
             return EXIT_NO_INPUT
 
-    baseline_files = {path.stem: path for path in _backlog_files(baseline_dir)}
+    baseline_files = {path.stem: path for path in _input_backlog_files(baseline_dir)}
     extracted_files = {path.stem: path for path in _backlog_files(extracted_dir)}
     shared = sorted(set(baseline_files) & set(extracted_files))
     for name in sorted(set(baseline_files) - set(extracted_files)):

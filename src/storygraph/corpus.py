@@ -20,6 +20,15 @@ log = logging.getLogger(__name__)
 
 _PID_TAG = re.compile(r"^\s*#[^#]*#\s*")
 
+# A JSON escape of a surrogate pair, or of a lone surrogate (group 1), or an
+# escaped backslash, matched so that the "u" after it is not read as an escape.
+_SURROGATE = re.compile(
+    r"\\\\|\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(\\u[dD][89a-fA-F][0-9a-fA-F]{2})"
+)
+# Cheap to search for; the exact scan above runs only where this matches.
+_MAYBE_SURROGATE = re.compile(r"\\u[dD][89a-fA-F]")
+
 _REQUIRED_KEYS = ("PID", "Text", "Persona", "Action", "Entity", "Triggers", "Targets")
 
 
@@ -178,24 +187,22 @@ def story_to_dict(story: AnnotatedStory) -> dict[str, Any]:
     }
 
 
-def parse_backlog_file(raw: bytes | BinaryIO, name: str = "") -> Backlog:
-    """Parse a backlog from raw JSON bytes.
+def decode_json(data: bytes | str) -> Any:
+    """The JSON value of a story file's bytes.
 
-    Bytes that are not UTF-8 or not JSON raise BacklogParseError carrying
-    the byte offset of the failure; structural problems raise
-    BacklogSchemaError.  An empty array is rejected: a backlog without
-    stories is useless downstream.
+    Bytes that are not UTF-8, not JSON, or that escape a lone surrogate
+    (such as ``"\\ud800"``, text no output file could hold) raise
+    BacklogParseError carrying the byte offset of the failure.  Text given
+    as ``str`` is read as its UTF-8 bytes.
     """
-    data = raw.read() if hasattr(raw, "read") else raw
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BacklogParseError(
-                f"not UTF-8 at byte offset {exc.start}", byte_offset=exc.start
-            ) from exc
-    else:
-        text = data
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BacklogParseError(
+            f"not UTF-8 at byte offset {exc.start}", byte_offset=exc.start
+        ) from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -203,7 +210,26 @@ def parse_backlog_file(raw: bytes | BinaryIO, name: str = "") -> Backlog:
         raise BacklogParseError(
             f"invalid JSON at byte offset {offset}: {exc.msg}", byte_offset=offset
         ) from exc
+    # Most files hold no backslash at all, and it is found at memchr speed.
+    if "\\" in text and _MAYBE_SURROGATE.search(text):
+        for match in _SURROGATE.finditer(text):
+            if match.group(1):
+                offset = len(text[: match.start()].encode("utf-8"))
+                raise BacklogParseError(
+                    f"lone surrogate escape at byte offset {offset}", byte_offset=offset
+                )
+    return payload
 
+
+def parse_backlog_file(raw: bytes | BinaryIO, name: str = "") -> Backlog:
+    """Parse a backlog from raw JSON bytes.
+
+    Bytes that ``decode_json`` refuses raise BacklogParseError carrying the
+    byte offset of the failure; structural problems raise
+    BacklogSchemaError.  An empty array is rejected: a backlog without
+    stories is useless downstream.
+    """
+    payload = decode_json(raw.read() if hasattr(raw, "read") else raw)
     if not isinstance(payload, list):
         raise BacklogSchemaError("expected a JSON array of stories")
     if not payload:

@@ -19,6 +19,7 @@ from .parsing import (
     parse_benefit_response,
     parse_structured_response,
     parse_unstructured_response,
+    usable_text,
 )
 from .prompts import benefit_prompt, main_prompt, render_prompt
 from .rule_based import rule_based_extract
@@ -37,31 +38,37 @@ def make_backend(config: ExtractorConfig):
     return None
 
 
-def _parse_main_reply(reply: dict | str, drops: DropCounts | None) -> GraphDocument:
+def _parse_main_reply(reply: dict | str, drops: DropCounts) -> GraphDocument:
+    """Parse one main reply; what it dropped is tallied only if it parses."""
+    own = DropCounts()
     if isinstance(reply, dict):
-        return parse_structured_response(reply, drops)
-    return parse_unstructured_response(reply, drops)
+        doc = parse_structured_response(reply, own)
+    else:
+        doc = parse_unstructured_response(reply, own)
+    drops.merge(own)
+    return doc
 
 
-def _merge_benefit(
-    doc: GraphDocument, benefit: str | None, drops: DropCounts | None
-) -> GraphDocument:
+def _merge_benefit(doc: GraphDocument, benefit: str | None, drops: DropCounts) -> GraphDocument:
     """Reduce to at most one Benefit node, placed last.
 
     The benefit chain's answer wins; the first main-chain benefit node
     survives only when that chain stayed silent.  Edges touching a
-    main-chain benefit node go, even when that node survives.
+    main-chain benefit node go, even when that node survives.  A chain
+    answer that is not valid Unicode text is a dropped node, and silence.
     """
+    if benefit is not None and usable_text(benefit) is None:
+        drops.nodes += 1
+        benefit = None
     main_benefits = [n for n in doc.nodes if n.kind is NodeKind.BENEFIT]
     nodes = [n for n in doc.nodes if n.kind is not NodeKind.BENEFIT]
     rels = [
         rel for rel in doc.relationships
         if rel.source.kind is not NodeKind.BENEFIT and rel.target.kind is not NodeKind.BENEFIT
     ]
-    if drops is not None:
-        drops.relationships += len(doc.relationships) - len(rels)
-        if main_benefits:
-            drops.nodes += len(main_benefits) - (0 if benefit else 1)
+    drops.relationships += len(doc.relationships) - len(rels)
+    if main_benefits:
+        drops.nodes += len(main_benefits) - (0 if benefit else 1)
 
     if benefit:
         nodes.append(GraphNode(benefit, NodeKind.BENEFIT))
@@ -89,6 +96,7 @@ def extract_components(
         backend = make_backend(config)
     if backend is None:
         return rule_based_extract(story_text)
+    drops = drops if drops is not None else DropCounts()
 
     main_messages = render_prompt(main_prompt(config.supports_function_calls), story_text)
     try:

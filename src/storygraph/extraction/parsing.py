@@ -5,9 +5,9 @@ calls ({"nodes": [...], "relationships": [...]}) and the free-text reply of
 models without function-call support, which is expected to carry a JSON list
 of head-relation-tail records, or a graph object, somewhere in the prose.
 
-Unknown node kinds and relationship kinds are dropped rather than failing
-the whole story; the caller can observe how much was lost through the
-optional DropCounts accumulator.
+Unknown kinds, and ids that are blank or not valid Unicode text, are dropped
+rather than failing the whole story; the caller can observe how much was
+lost through the optional DropCounts accumulator.
 """
 
 from __future__ import annotations
@@ -63,26 +63,54 @@ def extract_first_json(raw: str) -> list | dict:
     raise ResponseParseError("no JSON value found in response", raw=raw)
 
 
-class _DocumentBuilder:
-    """Accumulates nodes, one per exact (kind, id), and edges between them."""
+def usable_text(value: Any) -> str | None:
+    """``str(value)`` stripped; None when blank or not valid Unicode text."""
+    text = str(value).strip()
+    try:
+        text.encode("utf-8")  # a lone surrogate, such as JSON's "\ud800", fails
+    except UnicodeEncodeError:
+        return None
+    return text or None
 
-    def __init__(self) -> None:
+
+class _DocumentBuilder:
+    """Nodes, one per exact (kind, id), and edges: the one rule for both.
+
+    A node needs a known kind and a ``usable_text`` id; an edge needs a
+    known kind and two such ends.  Whatever is refused is counted.
+    """
+
+    def __init__(self, drops: DropCounts) -> None:
+        self.drops = drops
         self.nodes: dict[tuple[NodeKind, str], GraphNode] = {}
         self.relationships: list[GraphRelationship] = []
 
-    def add_node(self, node_id: str, kind: NodeKind) -> GraphNode:
+    def _node(self, node_id: str, kind: NodeKind) -> GraphNode:
         node = self.nodes.get((kind, node_id))
         if node is None:
             node = self.nodes[(kind, node_id)] = GraphNode(node_id, kind)
         return node
 
+    def add_node(self, node_id: Any, kind: NodeKind | None) -> None:
+        text = usable_text(node_id)
+        if kind is None or text is None:
+            log.debug("dropping node %r of kind %s", node_id, kind)
+            self.drops.nodes += 1
+        else:
+            self._node(text, kind)
+
     def add_relationship(
-        self, source_id: str, source_kind: NodeKind,
-        target_id: str, target_kind: NodeKind, kind: RelKind,
+        self, source_id: Any, source_kind: NodeKind | None,
+        target_id: Any, target_kind: NodeKind | None, kind: RelKind | None,
     ) -> None:
         """An edge asserts both of its ends: missing endpoints become nodes."""
-        source = self.add_node(source_id, source_kind)
-        target = self.add_node(target_id, target_kind)
+        source_text, target_text = usable_text(source_id), usable_text(target_id)
+        if None in (kind, source_kind, target_kind, source_text, target_text):
+            log.debug("dropping %s edge %r -> %r", kind, source_id, target_id)
+            self.drops.relationships += 1
+            return
+        source = self._node(source_text, source_kind)
+        target = self._node(target_text, target_kind)
         self.relationships.append(GraphRelationship(source, target, kind))
 
     def build(self) -> GraphDocument:
@@ -96,9 +124,9 @@ def parse_structured_response(
 
     A payload carrying neither key is rejected: it cannot be a graph.
     Relationship endpoints missing from the node list are added, since an
-    edge asserts the existence of both of its ends.
+    edge asserts the existence of both of its ends, of the kinds its
+    relationship kind expects unless the edge names known ones.
     """
-    drops = drops if drops is not None else DropCounts()
     if not isinstance(payload, dict):
         raise ResponseParseError(
             f"expected a JSON object, got {type(payload).__name__}",
@@ -117,37 +145,20 @@ def parse_structured_response(
             "'nodes' and 'relationships' must be lists", raw=json.dumps(payload)
         )
 
-    builder = _DocumentBuilder()
-    for item in nodes:
-        if not isinstance(item, dict):
-            drops.nodes += 1
-            continue
-        kind = node_kind_from_name(str(item.get("type", "")))
-        node_id = str(item.get("id", "")).strip()
-        if kind is None or not node_id:
-            log.debug("dropping node with unknown shape: %r", item)
-            drops.nodes += 1
-            continue
-        builder.add_node(node_id, kind)
-
-    for item in relationships:
-        if not isinstance(item, dict):
-            drops.relationships += 1
-            continue
+    builder = _DocumentBuilder(drops if drops is not None else DropCounts())
+    # An item that is not an object has no kind, so the builder refuses it.
+    for item in (item if isinstance(item, dict) else {} for item in nodes):
+        builder.add_node(item.get("id", ""), node_kind_from_name(str(item.get("type", ""))))
+    for item in (item if isinstance(item, dict) else {} for item in relationships):
         rel_kind = rel_kind_from_name(str(item.get("type", item.get("relation", ""))))
-        if rel_kind is None:
-            log.debug("dropping relationship with unknown kind: %r", item)
-            drops.relationships += 1
-            continue
-        source_id = str(item.get("source", "")).strip()
-        target_id = str(item.get("target", "")).strip()
-        if not source_id or not target_id:
-            drops.relationships += 1
-            continue
-        expected_src, expected_tgt = REL_ENDPOINT_KINDS[rel_kind]
-        source_kind = node_kind_from_name(str(item.get("source_type", ""))) or expected_src
-        target_kind = node_kind_from_name(str(item.get("target_type", ""))) or expected_tgt
-        builder.add_relationship(source_id, source_kind, target_id, target_kind, rel_kind)
+        expected_src, expected_tgt = REL_ENDPOINT_KINDS.get(rel_kind, (None, None))
+        builder.add_relationship(
+            item.get("source", ""),
+            node_kind_from_name(str(item.get("source_type", ""))) or expected_src,
+            item.get("target", ""),
+            node_kind_from_name(str(item.get("target_type", ""))) or expected_tgt,
+            rel_kind,
+        )
     return builder.build()
 
 
@@ -159,41 +170,22 @@ def components_from_records(
     A record naming an unknown node type loses that node and the edge with
     it; an unknown relation keeps both nodes but loses the edge.
     """
-    drops = drops if drops is not None else DropCounts()
-    builder = _DocumentBuilder()
+    builder = _DocumentBuilder(drops if drops is not None else DropCounts())
     for i, item in enumerate(items):
         if not isinstance(item, dict):
-            drops.relationships += 1
+            builder.drops.relationships += 1
             continue
         for key in _RECORD_KEYS:
             if key not in item:
                 raise ResponseParseError(f"record {i} is missing key '{key}'", raw=raw)
         head_kind = node_kind_from_name(str(item["head_type"]))
         tail_kind = node_kind_from_name(str(item["tail_type"]))
-        rel_kind = rel_kind_from_name(str(item["relation"]))
-        head_id = str(item["head"]).strip()
-        tail_id = str(item["tail"]).strip()
-
-        if head_kind is not None and head_id:
-            builder.add_node(head_id, head_kind)
-        else:
-            drops.nodes += 1
-        if tail_kind is not None and tail_id:
-            builder.add_node(tail_id, tail_kind)
-        else:
-            drops.nodes += 1
-
-        if (
-            rel_kind is None
-            or head_kind is None
-            or tail_kind is None
-            or not head_id
-            or not tail_id
-        ):
-            log.debug("dropping record with unknown parts: %r", item)
-            drops.relationships += 1
-            continue
-        builder.add_relationship(head_id, head_kind, tail_id, tail_kind, rel_kind)
+        builder.add_node(item["head"], head_kind)
+        builder.add_node(item["tail"], tail_kind)
+        builder.add_relationship(
+            item["head"], head_kind, item["tail"], tail_kind,
+            rel_kind_from_name(str(item["relation"])),
+        )
     return builder.build()
 
 

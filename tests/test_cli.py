@@ -821,3 +821,110 @@ class TestComponentsToStory:
         assert story.secondary_actions == ["read"]
         assert story.secondary_entities == ["book"]
         assert story.benefit is None
+
+
+class TestLoneSurrogates:
+    """A JSON ``\\ud800`` escape decodes to text no output file can hold; each
+    run below ended in a ``UnicodeEncodeError`` traceback at a write.  The
+    inputs are written by ``json.dumps``, which escapes a lone surrogate so."""
+
+    def surrogate_fixture(self, workspace) -> Path:
+        fixture = json.loads(REPLAY_FIXTURE.read_text())
+        sync, cash, email = fixture.values()
+        sync["main_response"]["nodes"] += [
+            {"id": "x\ud800", "type": "Entity"},
+            {"id": "smile \U0001F600", "type": "Entity"},
+        ]
+        sync["main_response"]["relationships"].append(
+            {"source": "sync", "target": "\udc00", "type": "TARGETS"}
+        )
+        records = [
+            {"head": "pay", "head_type": "Action", "relation": "TARGETS",
+             "tail": "\ud800", "tail_type": "Entity"},
+        ]
+        cash["main_response"] = "Records:\n" + json.dumps(records)
+        email["benefit_response"] = "Node(id='\ud800', type='Benefit')"
+        path = workspace / "surrogates.json"
+        path.write_text(json.dumps(fixture))
+        return path
+
+    def test_reply_ids_are_dropped_and_counted(self, workspace, caplog):
+        fixture = self.surrogate_fixture(workspace)
+        with caplog.at_level("INFO"):
+            assert run_extract("--fixture", str(fixture)) == EXIT_OK
+        raw = (workspace / "extracted-user-stories" / "demo" / "sample.json").read_bytes()
+        entries = json.loads(raw.decode("utf-8"))
+        assert not any("Error" in entry for entry in entries)
+        assert "\\ud8" not in raw.decode("utf-8") and "\\udc" not in raw.decode("utf-8")
+        assert "smile \U0001F600" in entries[0]["Entity"]["Secondary Entity"]
+        assert entries[2]["Benefit"] == ""
+        # Two nodes and one edge from the structured reply, one of each from
+        # the records, and the benefit.
+        messages = [r.getMessage() for r in caplog.records]
+        assert "dropped 3 nodes and 2 relationships from model output" in messages
+
+    def surrogate_story(self) -> dict:
+        story = json.loads(SAMPLE_BACKLOG.read_text())[0]
+        persona = "user\ud800"
+        return story | {
+            "Text": story["Text"] + " \ud800",
+            "Persona": [persona],
+            "Triggers": [[persona, action] for _persona, action in story["Triggers"]],
+        }
+
+    def test_backlog_is_skipped_by_extract_and_evaluate(self, workspace, caplog):
+        bad = workspace / "pos_baseline" / "bad.json"
+        bad.write_text(json.dumps([self.surrogate_story()]))
+        offset = bad.read_bytes().index(b"\\ud800")
+        with caplog.at_level("WARNING"):
+            assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        assert not (out_dir / "bad.json").exists()
+        warning = f"skipping backlog bad.json: lone surrogate escape at byte offset {offset}"
+        assert warning in [r.getMessage() for r in caplog.records]
+
+        shutil.copy(out_dir / "sample.json", out_dir / "bad.json")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+        report = json.loads((workspace / "evaluation" / "rb" / "report.json").read_text())
+        assert [backlog["backlog"] for backlog in report["backlogs"]] == ["sample"]
+        warning = f"skipping baseline bad: lone surrogate escape at byte offset {offset}"
+        assert warning in [r.getMessage() for r in caplog.records]
+
+    def test_extraction_file_is_skipped_by_evaluate_and_load(self, workspace, capsys, caplog):
+        assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        shutil.copy(out_dir / "sample.json", out_dir / "good.json")
+        entries = json.loads((out_dir / "sample.json").read_text())
+        entries[1]["Persona"] = ["\ud800"]
+        (out_dir / "sample.json").write_text(json.dumps(entries))
+        with caplog.at_level("WARNING"):
+            # The only extraction with a baseline is refused: nothing to score.
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_NO_INPUT
+            assert main(["load", "--experiment", "rb", "--dry-run"]) == EXIT_OK
+        assert "dry run: 3 documents" in capsys.readouterr().out
+        skipped = [
+            r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("skipping sample.json: lone surrogate escape")
+        ]
+        assert len(skipped) == 2
+
+
+class TestReservedNames:
+    def test_ground_truth_with_a_reserved_name_is_named(self, workspace, caplog):
+        for name in ("manifest.json", "graph.json"):
+            shutil.copy(SAMPLE_BACKLOG, workspace / "pos_baseline" / name)
+        with caplog.at_level("WARNING"):
+            assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+            assert main(["load", "--experiment", "rb", "--dry-run"]) == EXIT_OK
+        reserved = [r.getMessage() for r in caplog.records if "reserved" in r.getMessage()]
+        # Once per command that reads the ground truth; the experiment
+        # directory's own manifest.json is not named.
+        expected = [
+            f"skipping backlog {Path('pos_baseline') / name}: "
+            "its name is reserved for an experiment's outputs"
+            for name in ("graph.json", "manifest.json")
+        ]
+        assert reserved == expected * 2

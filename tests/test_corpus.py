@@ -24,6 +24,12 @@ from storygraph.errors import BacklogParseError, BacklogSchemaError
 from conftest import SAMPLE_BACKLOG
 
 
+def backlog_with_contains(json_text: str) -> bytes:
+    """A one-story backlog whose ``Contains`` holds a string written as ``json_text``."""
+    raw = json.dumps([minimal_story_dict(Contains=["@"])], ensure_ascii=False)
+    return raw.replace('"@"', f'"{json_text}"').encode("utf-8")
+
+
 def minimal_story_dict(**overrides):
     obj = {
         "PID": "#X01#",
@@ -71,6 +77,21 @@ class TestParse:
         text = raw.decode("utf-8")
         char_pos = exc_info.value.byte_offset - 1  # one 2-byte char before it
         assert raw[: exc_info.value.byte_offset] == text[:char_pos].encode("utf-8")
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\ud83d\\u0041"])
+    def test_lone_surrogate_escape_reports_byte_offset(self, escape):
+        """``Contains`` is carried through untouched, so the whole file is checked."""
+        raw = backlog_with_contains("Ä" + escape)
+        with pytest.raises(BacklogParseError, match="lone surrogate") as exc_info:
+            parse_backlog_file(raw)
+        assert exc_info.value.byte_offset == raw.index(escape[:6].encode())
+
+    @pytest.mark.parametrize(
+        ("escape", "text"), [("\\ud83d\\ude00", "\U0001F600"), ("\\\\ud800", "\\ud800")]
+    )
+    def test_surrogate_pair_and_escaped_backslash_pass(self, escape, text):
+        (story,) = parse_backlog_file(backlog_with_contains(escape)).stories
+        assert story.contains == [text]
 
     def test_missing_key_names_key_and_index(self):
         obj = minimal_story_dict()

@@ -508,3 +508,48 @@ class TestBatch:
         drops = DropCounts()
         extract_many(config, [SYNC_TEXT] * 2, drops=drops)
         assert drops.nodes == 2
+
+
+class ScriptedBackend:
+    """Answers each chain from its own list of replies, in order."""
+
+    def __init__(self, main: list, benefit: list):
+        self.main, self.benefit = list(main), list(benefit)
+
+    def run_main(self, story_text, messages):
+        return self.main.pop(0)
+
+    def run_benefit(self, story_text, messages):
+        return self.benefit.pop(0)
+
+
+class TestDropTally:
+    def test_only_the_kept_reply_is_counted(self):
+        """The re-asked reply's drops used to stay in the story's tally."""
+        dropping_then_broken = json.dumps([
+            {"head": "x", "head_type": "Concept", "relation": "TRIGGERS",
+             "tail": "sync", "tail_type": "Action"},
+            {"head": "user", "head_type": "Persona"},
+        ])
+        backend = ScriptedBackend([dropping_then_broken, MAIN_PAYLOAD], ["''"])
+        config = ExtractorConfig(retry_parse_errors=True)
+        drops = DropCounts()
+        doc = extract_components(config, SYNC_TEXT, backend=backend, drops=drops)
+        assert len(doc.relationships) == 2
+        assert drops == DropCounts()
+
+    def test_benefit_that_is_not_unicode_text_is_a_dropped_node(self):
+        main = dict(MAIN_PAYLOAD, nodes=MAIN_PAYLOAD["nodes"] + [{"id": "guess", "type": "Benefit"}])
+        backend = ScriptedBackend([main], ["Node(id='\ud800', type='Benefit')"])
+        drops = DropCounts()
+        doc = extract_components(ExtractorConfig(), SYNC_TEXT, backend=backend, drops=drops)
+        # The chain's answer is unusable, so it is silence: the main guess stays.
+        assert benefit_ids(doc) == ["guess"]
+        assert drops == DropCounts(nodes=1)
+
+    def test_benefit_holding_a_surrogate_pair_is_kept(self):
+        backend = ScriptedBackend([MAIN_PAYLOAD], ["'save \U0001F600'"])
+        drops = DropCounts()
+        doc = extract_components(ExtractorConfig(), SYNC_TEXT, backend=backend, drops=drops)
+        assert benefit_ids(doc) == ["save \U0001F600"]
+        assert drops == DropCounts()

@@ -5,16 +5,28 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storygraph.errors import ResponseParseError
 from storygraph.extraction import (
     DropCounts,
+    components_from_records,
     extract_first_json,
     parse_benefit_response,
     parse_structured_response,
     parse_unstructured_response,
 )
-from storygraph.model import NodeKind, RelKind
+from storygraph.model import (
+    REL_ENDPOINT_KINDS,
+    GraphDocument,
+    GraphNode,
+    GraphRelationship,
+    NodeKind,
+    RelKind,
+    node_kind_from_name,
+    rel_kind_from_name,
+)
 
 
 def sync_payload() -> dict:
@@ -254,3 +266,175 @@ class TestBenefit:
 
     def test_fenced_empty(self):
         assert parse_benefit_response("```\n''\n```") is None
+
+
+class TestOneRuleForBothShapes:
+    """A lone surrogate, such as JSON's ``"\\ud800"``, has no UTF-8 form, so
+    a node or edge end carrying one is dropped and counted like a blank one,
+    in both reply shapes; a surrogate pair is text like any other."""
+
+    def test_structured_ids(self):
+        drops = DropCounts()
+        payload = json.loads(
+            '{"nodes": [{"id": "\\ud800", "type": "Entity"},'
+            ' {"id": "smile \\ud83d\\ude00", "type": "Entity"}],'
+            ' "relationships": [{"source": "sync", "target": "x\\udc00", "type": "TARGETS"}]}'
+        )
+        doc = parse_structured_response(payload, drops)
+        assert [n.id for n in doc.nodes] == ["smile \U0001F600"]
+        assert doc.relationships == []
+        assert drops == DropCounts(nodes=1, relationships=1)
+
+    def test_record_ids(self):
+        drops = DropCounts()
+        raw = (
+            '[{"head": "pay", "head_type": "Action", "relation": "TARGETS",'
+            ' "tail": "\\ud800", "tail_type": "Entity"}]'
+        )
+        doc = parse_unstructured_response(raw, drops)
+        assert [n.id for n in doc.nodes] == ["pay"]
+        assert doc.relationships == []
+        assert drops == DropCounts(nodes=1, relationships=1)
+
+
+# The two reply loops as they stood before both went through one builder;
+# the property below holds the parsers to them on surrogate-free input.
+
+
+def reference_structured(payload, drops):
+    if not isinstance(payload, dict):
+        raise ResponseParseError(f"expected a JSON object, got {type(payload).__name__}")
+    if "nodes" not in payload and "relationships" not in payload:
+        raise ResponseParseError("response carries neither 'nodes' nor 'relationships'")
+    nodes = payload.get("nodes") or []
+    relationships = payload.get("relationships") or []
+    if not isinstance(nodes, list) or not isinstance(relationships, list):
+        raise ResponseParseError("'nodes' and 'relationships' must be lists")
+    built: dict = {}
+    rels = []
+    for item in nodes:
+        if not isinstance(item, dict):
+            drops.nodes += 1
+            continue
+        kind = node_kind_from_name(str(item.get("type", "")))
+        node_id = str(item.get("id", "")).strip()
+        if kind is None or not node_id:
+            drops.nodes += 1
+            continue
+        built.setdefault((kind, node_id), GraphNode(node_id, kind))
+    for item in relationships:
+        if not isinstance(item, dict):
+            drops.relationships += 1
+            continue
+        rel_kind = rel_kind_from_name(str(item.get("type", item.get("relation", ""))))
+        if rel_kind is None:
+            drops.relationships += 1
+            continue
+        source_id = str(item.get("source", "")).strip()
+        target_id = str(item.get("target", "")).strip()
+        if not source_id or not target_id:
+            drops.relationships += 1
+            continue
+        expected_src, expected_tgt = REL_ENDPOINT_KINDS[rel_kind]
+        source_kind = node_kind_from_name(str(item.get("source_type", ""))) or expected_src
+        target_kind = node_kind_from_name(str(item.get("target_type", ""))) or expected_tgt
+        source = built.setdefault((source_kind, source_id), GraphNode(source_id, source_kind))
+        target = built.setdefault((target_kind, target_id), GraphNode(target_id, target_kind))
+        rels.append(GraphRelationship(source, target, rel_kind))
+    return GraphDocument(nodes=list(built.values()), relationships=rels)
+
+
+def reference_records(items, drops):
+    built: dict = {}
+    rels = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            drops.relationships += 1
+            continue
+        for key in ("head", "head_type", "relation", "tail", "tail_type"):
+            if key not in item:
+                raise ResponseParseError(f"record {i} is missing key '{key}'")
+        head_kind = node_kind_from_name(str(item["head_type"]))
+        tail_kind = node_kind_from_name(str(item["tail_type"]))
+        rel_kind = rel_kind_from_name(str(item["relation"]))
+        head_id = str(item["head"]).strip()
+        tail_id = str(item["tail"]).strip()
+        if head_kind is not None and head_id:
+            built.setdefault((head_kind, head_id), GraphNode(head_id, head_kind))
+        else:
+            drops.nodes += 1
+        if tail_kind is not None and tail_id:
+            built.setdefault((tail_kind, tail_id), GraphNode(tail_id, tail_kind))
+        else:
+            drops.nodes += 1
+        if rel_kind is None or head_kind is None or tail_kind is None or not head_id or not tail_id:
+            drops.relationships += 1
+            continue
+        rels.append(
+            GraphRelationship(built[(head_kind, head_id)], built[(tail_kind, tail_id)], rel_kind)
+        )
+    return GraphDocument(nodes=list(built.values()), relationships=rels)
+
+
+# Kind names in mixed case, unknown or not strings; ids blank, repeated or
+# not strings.  ``st.text`` draws no surrogates.
+known_kinds = st.sampled_from(["Persona", "Action", "Entity", "Benefit", "Userstory"])
+known_rels = st.sampled_from(["TRIGGERS", "Targets", "HAS_PERSONA", "has_benefit"])
+kind_names = known_kinds | known_kinds.map(str.lower) | st.sampled_from(["Concept", "", None, 0])
+rel_names = known_rels | known_rels.map(str.lower) | st.sampled_from(["KNOWS", "", None, 1])
+ids = st.sampled_from(["user", "pay", "cash"]) | st.sampled_from([" user ", "", "   ", None, 0]) \
+    | st.text(max_size=4)
+not_objects = st.none() | st.integers() | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
+
+
+def objects(required=None, **optional) -> st.SearchStrategy:
+    """Objects carrying the ``required`` fields and any subset of the others."""
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+node_fields = dict(id=ids, type=kind_names)
+rel_fields = dict(source=ids, target=ids, type=rel_names)
+rel_extras = dict(source_type=kind_names, target_type=kind_names, relation=rel_names)
+record_fields = dict(head=ids, head_type=kind_names, relation=rel_names, tail=ids, tail_type=kind_names)
+
+node_items = objects(node_fields) | objects(**node_fields) | not_objects
+rel_items = objects(rel_fields, **rel_extras) | objects(**rel_fields, **rel_extras) | not_objects
+graph_parts = dict(
+    nodes=st.lists(node_items, max_size=6), relationships=st.lists(rel_items, max_size=6)
+)
+payloads = (
+    objects(graph_parts)
+    | objects(**graph_parts, other=ids)
+    | objects(nodes=not_objects, relationships=not_objects)
+    | not_objects
+)
+records = st.lists(objects(record_fields, text=ids) | not_objects, max_size=6) | st.lists(
+    objects(record_fields) | objects(**record_fields) | not_objects, max_size=4
+)
+
+
+def outcome(parse, reply):
+    """Nodes, edges as indices into the node list, drops, or the error message."""
+    drops = DropCounts()
+    try:
+        doc = parse(reply, drops)
+    except ResponseParseError as exc:
+        return ("error", str(exc))
+    position = {id(node): i for i, node in enumerate(doc.nodes)}
+    return (
+        [(node.id, node.kind) for node in doc.nodes],
+        [(position[id(r.source)], position[id(r.target)], r.kind) for r in doc.relationships],
+        drops,
+    )
+
+
+class TestMatchesTheLoopsItReplaced:
+    @settings(max_examples=400, deadline=None)
+    @given(payloads)
+    def test_structured_payloads(self, payload):
+        assert outcome(parse_structured_response, payload) == outcome(reference_structured, payload)
+
+    @settings(max_examples=400, deadline=None)
+    @given(records)
+    def test_record_lists(self, items):
+        assert outcome(components_from_records, items) == outcome(reference_records, items)
