@@ -539,7 +539,8 @@ class TestDropTally:
         assert drops == DropCounts()
 
     def test_benefit_that_is_not_unicode_text_is_a_dropped_node(self):
-        main = dict(MAIN_PAYLOAD, nodes=MAIN_PAYLOAD["nodes"] + [{"id": "guess", "type": "Benefit"}])
+        guess = {"id": "guess", "type": "Benefit"}
+        main = dict(MAIN_PAYLOAD, nodes=MAIN_PAYLOAD["nodes"] + [guess])
         backend = ScriptedBackend([main], ["Node(id='\ud800', type='Benefit')"])
         drops = DropCounts()
         doc = extract_components(ExtractorConfig(), SYNC_TEXT, backend=backend, drops=drops)

@@ -395,7 +395,9 @@ def objects(required=None, **optional) -> st.SearchStrategy:
 node_fields = dict(id=ids, type=kind_names)
 rel_fields = dict(source=ids, target=ids, type=rel_names)
 rel_extras = dict(source_type=kind_names, target_type=kind_names, relation=rel_names)
-record_fields = dict(head=ids, head_type=kind_names, relation=rel_names, tail=ids, tail_type=kind_names)
+record_fields = dict(
+    head=ids, head_type=kind_names, relation=rel_names, tail=ids, tail_type=kind_names
+)
 
 node_items = objects(node_fields) | objects(**node_fields) | not_objects
 rel_items = objects(rel_fields, **rel_extras) | objects(**rel_fields, **rel_extras) | not_objects
