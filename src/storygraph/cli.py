@@ -150,7 +150,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 entries.append(_error_entry(story, str(result)))
                 failed += 1
             else:
-                extracted = components_to_story(story.pid, story.text, result, drops=drops)
+                extracted = components_to_story(story.pid, story.text, result)
                 entries.append(story_to_dict(extracted))
         total += len(backlog.stories)
 

@@ -192,8 +192,9 @@ def decode_json(data: bytes | str) -> Any:
 
     Bytes that are not UTF-8, not JSON, or that escape a lone surrogate
     (such as ``"\\ud800"``, text no output file could hold) raise
-    BacklogParseError carrying the byte offset of the failure.  Text given
-    as ``str`` is read as its UTF-8 bytes.
+    BacklogParseError carrying the byte offset of the failure; so does a
+    value nested deeper than the decoder can follow, without an offset.
+    Text given as ``str`` is read as its UTF-8 bytes.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -210,6 +211,8 @@ def decode_json(data: bytes | str) -> Any:
         raise BacklogParseError(
             f"invalid JSON at byte offset {offset}: {exc.msg}", byte_offset=offset
         ) from exc
+    except RecursionError as exc:
+        raise BacklogParseError("JSON value nested too deeply") from exc
     # Most files hold no backslash at all, and it is found at memchr speed.
     if "\\" in text and _MAYBE_SURROGATE.search(text):
         for match in _SURROGATE.finditer(text):

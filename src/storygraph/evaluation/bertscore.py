@@ -93,7 +93,7 @@ class HttpEmbedder:
         try:
             vectors = [item["embedding"] for item in json.loads(raw)["data"]]
             _check_vectors(vectors, len(tokens))
-        except (ValueError, LookupError, TypeError, OverflowError) as exc:
+        except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
             raise EvaluationError(
                 f"embeddings endpoint {redact_url(self.endpoint)} sent a malformed reply: "
                 f"{type(exc).__name__}: {exc}"

@@ -176,8 +176,11 @@ class ReplayFixtureBackend:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"replay fixture not found: {path}")
-        with path.open("rb") as fh:
-            fixture = json.load(fh)
+        try:
+            # Not corpus.decode_json: the parsers drop a lone surrogate id.
+            fixture = json.loads(path.read_bytes())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"replay fixture {path} is not readable JSON: {exc}") from exc
         if not isinstance(fixture, dict):
             raise ConfigError(f"replay fixture must be a JSON object: {path}")
         return cls(fixture)

@@ -19,11 +19,10 @@ from .parsing import (
     parse_benefit_response,
     parse_structured_response,
     parse_unstructured_response,
-    usable_text,
 )
 from .prompts import benefit_prompt, main_prompt, render_prompt
 from .rule_based import rule_based_extract
-from .types import DropCounts
+from .types import DropCounts, usable_text
 
 log = logging.getLogger(__name__)
 
@@ -53,20 +52,15 @@ def _merge_benefit(doc: GraphDocument, benefit: str | None, drops: DropCounts) -
     """Reduce to at most one Benefit node, placed last.
 
     The benefit chain's answer wins; the first main-chain benefit node
-    survives only when that chain stayed silent.  Edges touching a
-    main-chain benefit node go, even when that node survives.  A chain
-    answer that is not valid Unicode text is a dropped node, and silence.
+    survives only when that chain stayed silent.  A chain answer that is
+    not valid Unicode text is a dropped node, and silence.  No edge touches
+    a benefit node: the builder keeps none.
     """
     if benefit is not None and usable_text(benefit) is None:
         drops.nodes += 1
         benefit = None
     main_benefits = [n for n in doc.nodes if n.kind is NodeKind.BENEFIT]
     nodes = [n for n in doc.nodes if n.kind is not NodeKind.BENEFIT]
-    rels = [
-        rel for rel in doc.relationships
-        if rel.source.kind is not NodeKind.BENEFIT and rel.target.kind is not NodeKind.BENEFIT
-    ]
-    drops.relationships += len(doc.relationships) - len(rels)
     if main_benefits:
         drops.nodes += len(main_benefits) - (0 if benefit else 1)
 
@@ -74,7 +68,7 @@ def _merge_benefit(doc: GraphDocument, benefit: str | None, drops: DropCounts) -
         nodes.append(GraphNode(benefit, NodeKind.BENEFIT))
     elif main_benefits:
         nodes.append(main_benefits[0])
-    return GraphDocument(nodes=nodes, relationships=rels)
+    return GraphDocument(nodes=nodes, relationships=doc.relationships)
 
 
 def extract_components(
@@ -87,8 +81,9 @@ def extract_components(
     """Run the full extraction conversation for one story.
 
     ``backend`` runs the conversation; without one, the config is validated
-    and a backend built from it.  Every relationship endpoint of the
-    returned document is one of its nodes.
+    and a backend built from it.  The returned document holds only what
+    ``DocumentBuilder`` keeps, and every relationship endpoint of it is one
+    of its nodes.
     """
     if not story_text or not story_text.strip():
         raise ValueError("story_text must be non-empty")

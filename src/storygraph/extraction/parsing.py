@@ -5,15 +5,16 @@ calls ({"nodes": [...], "relationships": [...]}) and the free-text reply of
 models without function-call support, which is expected to carry a JSON list
 of head-relation-tail records, or a graph object, somewhere in the prose.
 
-Unknown kinds, and ids that are blank or not valid Unicode text, are dropped
-rather than failing the whole story; the caller can observe how much was
-lost through the optional DropCounts accumulator.
+Both shapes only map their wire form onto ``types.DocumentBuilder``, which
+drops what extraction never returns (unknown kinds, story nodes, ownership
+and wrong-kind edges, ids that are blank or not valid Unicode text) rather
+than failing the whole story; the caller can observe how much was lost
+through the optional DropCounts accumulator.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import re
 from typing import Any
 
@@ -21,16 +22,11 @@ from ..errors import ResponseParseError
 from ..model import (
     REL_ENDPOINT_KINDS,
     GraphDocument,
-    GraphNode,
-    GraphRelationship,
     NodeKind,
-    RelKind,
     node_kind_from_name,
     rel_kind_from_name,
 )
-from .types import DropCounts
-
-log = logging.getLogger(__name__)
+from .types import DocumentBuilder, DropCounts
 
 _RECORD_KEYS = ("head", "head_type", "relation", "tail", "tail_type")
 
@@ -63,60 +59,6 @@ def extract_first_json(raw: str) -> list | dict:
     raise ResponseParseError("no JSON value found in response", raw=raw)
 
 
-def usable_text(value: Any) -> str | None:
-    """``str(value)`` stripped; None when blank or not valid Unicode text."""
-    text = str(value).strip()
-    try:
-        text.encode("utf-8")  # a lone surrogate, such as JSON's "\ud800", fails
-    except UnicodeEncodeError:
-        return None
-    return text or None
-
-
-class _DocumentBuilder:
-    """Nodes, one per exact (kind, id), and edges: the one rule for both.
-
-    A node needs a known kind and a ``usable_text`` id; an edge needs a
-    known kind and two such ends.  Whatever is refused is counted.
-    """
-
-    def __init__(self, drops: DropCounts) -> None:
-        self.drops = drops
-        self.nodes: dict[tuple[NodeKind, str], GraphNode] = {}
-        self.relationships: list[GraphRelationship] = []
-
-    def _node(self, node_id: str, kind: NodeKind) -> GraphNode:
-        node = self.nodes.get((kind, node_id))
-        if node is None:
-            node = self.nodes[(kind, node_id)] = GraphNode(node_id, kind)
-        return node
-
-    def add_node(self, node_id: Any, kind: NodeKind | None) -> None:
-        text = usable_text(node_id)
-        if kind is None or text is None:
-            log.debug("dropping node %r of kind %s", node_id, kind)
-            self.drops.nodes += 1
-        else:
-            self._node(text, kind)
-
-    def add_relationship(
-        self, source_id: Any, source_kind: NodeKind | None,
-        target_id: Any, target_kind: NodeKind | None, kind: RelKind | None,
-    ) -> None:
-        """An edge asserts both of its ends: missing endpoints become nodes."""
-        source_text, target_text = usable_text(source_id), usable_text(target_id)
-        if None in (kind, source_kind, target_kind, source_text, target_text):
-            log.debug("dropping %s edge %r -> %r", kind, source_id, target_id)
-            self.drops.relationships += 1
-            return
-        source = self._node(source_text, source_kind)
-        target = self._node(target_text, target_kind)
-        self.relationships.append(GraphRelationship(source, target, kind))
-
-    def build(self) -> GraphDocument:
-        return GraphDocument(nodes=list(self.nodes.values()), relationships=self.relationships)
-
-
 def parse_structured_response(
     payload: dict[str, Any], drops: DropCounts | None = None
 ) -> GraphDocument:
@@ -145,7 +87,7 @@ def parse_structured_response(
             "'nodes' and 'relationships' must be lists", raw=json.dumps(payload)
         )
 
-    builder = _DocumentBuilder(drops if drops is not None else DropCounts())
+    builder = DocumentBuilder(drops if drops is not None else DropCounts())
     # An item that is not an object has no kind, so the builder refuses it.
     for item in (item if isinstance(item, dict) else {} for item in nodes):
         builder.add_node(item.get("id", ""), node_kind_from_name(str(item.get("type", ""))))
@@ -170,10 +112,11 @@ def components_from_records(
     A record naming an unknown node type loses that node and the edge with
     it; an unknown relation keeps both nodes but loses the edge.
     """
-    builder = _DocumentBuilder(drops if drops is not None else DropCounts())
+    builder = DocumentBuilder(drops if drops is not None else DropCounts())
     for i, item in enumerate(items):
         if not isinstance(item, dict):
-            builder.drops.relationships += 1
+            # It names no kinds, so the builder refuses it as one lost edge.
+            builder.add_relationship(item, None, item, None, None)
             continue
         for key in _RECORD_KEYS:
             if key not in item:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 
-from ..model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
+from ..model import GraphDocument, NodeKind, RelKind
+from .types import DocumentBuilder, DropCounts
 
 _PERSONA = re.compile(r"^\s*As an?\s+(.+?)\s*,", re.IGNORECASE)
 _BENEFIT = re.compile(r"\b(?:so that|in order to)\s+", re.IGNORECASE)
@@ -30,37 +31,26 @@ def _entity_phrase(fragment: str) -> str:
 
 
 def rule_based_extract(story_text: str) -> GraphDocument:
-    nodes: list[GraphNode] = []
-    rels: list[GraphRelationship] = []
+    # The builder refuses what a pattern leaves blank; its tally is not read.
+    builder = DocumentBuilder(DropCounts())
+    persona = _PERSONA.match(story_text)
+    persona_id = persona.group(1) if persona else ""
+    builder.add_node(persona_id, NodeKind.PERSONA)
 
-    persona = None
-    match = _PERSONA.match(story_text)
-    persona_id = match.group(1).strip() if match else ""
-    if persona_id:
-        persona = GraphNode(persona_id, NodeKind.PERSONA)
-        nodes.append(persona)
-
-    benefit = None
-    benefit_match = _BENEFIT.search(story_text)
-    want_end = len(story_text)
-    if benefit_match:
-        benefit = story_text[benefit_match.end() :].strip().rstrip(".").strip()
-        want_end = benefit_match.start()
-
-    action = None
-    want_match = _WANT.search(story_text)
-    if want_match and want_match.start() < want_end:
-        action = GraphNode(want_match.group(1), NodeKind.ACTION)
-        nodes.append(action)
-        entity_id = _entity_phrase(story_text[want_match.end() : want_end])
-        if entity_id:
-            entity = GraphNode(entity_id, NodeKind.ENTITY)
-            nodes.append(entity)
-            rels.append(GraphRelationship(action, entity, RelKind.TARGETS))
-
-    if persona and action:
-        rels.insert(0, GraphRelationship(persona, action, RelKind.TRIGGERS))
+    benefit = _BENEFIT.search(story_text)
+    want_end = benefit.start() if benefit else len(story_text)
+    want = _WANT.search(story_text)
+    if want and want.start() < want_end:
+        action_id = want.group(1)
+        builder.add_node(action_id, NodeKind.ACTION)
+        builder.add_relationship(
+            persona_id, NodeKind.PERSONA, action_id, NodeKind.ACTION, RelKind.TRIGGERS
+        )
+        builder.add_relationship(
+            action_id, NodeKind.ACTION,
+            _entity_phrase(story_text[want.end() : want_end]), NodeKind.ENTITY,
+            RelKind.TARGETS,
+        )
     if benefit:
-        nodes.append(GraphNode(benefit, NodeKind.BENEFIT))
-
-    return GraphDocument(nodes=nodes, relationships=rels)
+        builder.add_node(story_text[benefit.end() :].strip().rstrip("."), NodeKind.BENEFIT)
+    return builder.build()

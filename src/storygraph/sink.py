@@ -235,7 +235,7 @@ def _reply_counts(raw: bytes) -> tuple[int, int]:
     """
     try:
         data = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):
         data = None
     if not isinstance(data, dict):
         raise ValueError("the reply is not a JSON object")

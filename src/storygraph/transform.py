@@ -149,34 +149,21 @@ def story_elements(
     )
 
 
-def components_to_story(
-    pid: str, text: str, doc: GraphDocument, *, drops: DropCounts | None = None
-) -> AnnotatedStory:
-    """Cast an extracted document into the annotation schema.
+def components_to_story(pid: str, text: str, doc: GraphDocument) -> AnnotatedStory:
+    """Cast what extraction returns into the annotation schema.
 
-    Primary actions are the ones the persona triggers; primary entities are
-    what those actions target.  Everything else is secondary.  Ids compare
-    by their normalized form, ignoring kind.  A TRIGGERS or TARGETS edge
-    whose endpoint kinds contradict the ontology is dropped, so that its
-    ends are never read back as nodes of another kind.
+    Its input holds only Persona, Action, Entity and Benefit nodes and
+    TRIGGERS and TARGETS edges of the ontology's endpoint kinds, as
+    ``extraction.types.DocumentBuilder`` keeps them.  Primary actions are
+    the ones the persona triggers; primary entities are what those actions
+    target.  Everything else is secondary.  Ids compare by their normalized
+    form, ignoring kind.
     """
     by_kind: dict[NodeKind, list[GraphNode]] = {kind: [] for kind in NodeKind}
     for node in doc.nodes:
         by_kind[node.kind].append(node)
-
-    triggers = []
-    targets = []
-    for rel in doc.relationships:
-        if rel.kind is RelKind.TRIGGERS:
-            edges = triggers
-        elif rel.kind is RelKind.TARGETS:
-            edges = targets
-        else:
-            continue
-        if (rel.source.kind, rel.target.kind) == REL_ENDPOINT_KINDS[rel.kind]:
-            edges.append(rel)
-        elif drops is not None:
-            drops.relationships += 1
+    triggers = [rel for rel in doc.relationships if rel.kind is RelKind.TRIGGERS]
+    targets = [rel for rel in doc.relationships if rel.kind is RelKind.TARGETS]
 
     primary_action_keys = {rel.target.key()[1] for rel in triggers}
     primary_entity_keys = {

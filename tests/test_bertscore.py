@@ -296,12 +296,13 @@ class TestHttpEmbedder:
             vectors_reply([float("nan"), 0.0], [1.0, 0.0]),
             vectors_reply([float("inf"), 0.0], [1.0, 0.0]),
             b'{"data": [{"embedding": [1%s]}, {"embedding": [1]}]}' % (b"0" * 400),
+            b'{"data": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         ],
         ids=[
             "not-json", "no-data", "no-embedding", "data-not-list", "not-object",
             "one-vector-short", "string-vector", "null-vector", "ragged",
             "empty-vectors", "bool-value", "string-value", "nan", "infinity",
-            "int-beyond-float",
+            "int-beyond-float", "nested-too-deep",
         ],
     )
     def test_malformed_reply(self, stub_server, payload):

@@ -237,6 +237,22 @@ class TestExtract:
         )
         assert code == EXIT_BACKEND
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff{", b"{not json", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "not-json", "nested-too-deep"],
+    )
+    def test_unreadable_fixture_exits_3(self, workspace, caplog, content):
+        """Each ended in a UnicodeDecodeError, JSONDecodeError or RecursionError traceback."""
+        (workspace / "bad.json").write_bytes(content)
+        with caplog.at_level("ERROR"):
+            code = main(
+                ["extract", "--experiment", "x", "--backend", "replay-fixture",
+                 "--fixture", "bad.json"]
+            )
+        assert code == EXIT_BACKEND
+        (message,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert message.startswith("extractor configuration: replay fixture bad.json ")
+
 
 class TestEvaluate:
     def test_identity_scores(self, workspace, capsys):
@@ -751,6 +767,25 @@ print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0, "loaded": l
         assert not self.evaluation_modules(load)
         assert (workspace / "extracted-user-stories" / "rb" / "graph.cypher").is_file()
 
+    def test_rule_based_extractor_loads_no_chat_stack(self, workspace):
+        """Its builder lives with the drop tally, not with the reply parsers."""
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, storygraph.extraction.rule_based; print(*sys.modules)"],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded = set(done.stdout.split())
+        chat_stack = {
+            f"storygraph.{name}"
+            for name in ("extraction.parsing", "extraction.backends", "extraction.prompts", "http")
+        }
+        assert "storygraph.extraction.types" in loaded
+        assert not loaded & chat_stack
+
     def test_main_leaves_the_collector_alone(self, workspace):
         frozen = gc.get_freeze_count()
         with pytest.raises(SystemExit):
@@ -907,6 +942,47 @@ class TestLoneSurrogates:
         skipped = [
             r.getMessage() for r in caplog.records
             if r.getMessage().startswith("skipping sample.json: lone surrogate escape")
+        ]
+        assert len(skipped) == 2
+
+
+class TestDeeplyNestedFiles:
+    """A story file nested deeper than the JSON decoder follows ended
+    ``extract``, ``evaluate`` and ``load`` in a RecursionError traceback."""
+
+    DEEP = b"[" * 100_000 + b"]" * 100_000
+
+    def test_backlog_is_skipped_by_extract_and_evaluate(self, workspace, caplog):
+        (workspace / "pos_baseline" / "deep.json").write_bytes(self.DEEP)
+        with caplog.at_level("WARNING"):
+            assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        assert not (out_dir / "deep.json").exists()
+        warning = "skipping backlog deep.json: JSON value nested too deeply"
+        assert warning in [r.getMessage() for r in caplog.records]
+
+        shutil.copy(out_dir / "sample.json", out_dir / "deep.json")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+        report = json.loads((workspace / "evaluation" / "rb" / "report.json").read_text())
+        assert [backlog["backlog"] for backlog in report["backlogs"]] == ["sample"]
+        warning = "skipping baseline deep: JSON value nested too deeply"
+        assert warning in [r.getMessage() for r in caplog.records]
+
+    def test_extraction_file_is_skipped_by_evaluate_and_load(self, workspace, capsys, caplog):
+        assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        shutil.copy(out_dir / "sample.json", out_dir / "good.json")
+        (out_dir / "sample.json").write_bytes(self.DEEP)
+        with caplog.at_level("WARNING"):
+            # The only extraction with a baseline is refused: nothing to score.
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_NO_INPUT
+            assert main(["load", "--experiment", "rb", "--dry-run"]) == EXIT_OK
+        assert "dry run: 3 documents" in capsys.readouterr().out
+        skipped = [
+            r.getMessage() for r in caplog.records
+            if r.getMessage() == "skipping sample.json: JSON value nested too deeply"
         ]
         assert len(skipped) == 2
 

@@ -93,6 +93,11 @@ class TestParse:
         (story,) = parse_backlog_file(backlog_with_contains(escape)).stories
         assert story.contains == [text]
 
+    def test_nesting_too_deep_to_decode_is_a_parse_error(self):
+        """json.loads let its RecursionError through."""
+        with pytest.raises(BacklogParseError, match="nested too deeply"):
+            parse_backlog_file(b"[" * 100_000 + b"]" * 100_000)
+
     def test_missing_key_names_key_and_index(self):
         obj = minimal_story_dict()
         del obj["Entity"]

@@ -538,6 +538,26 @@ class TestDropTally:
         assert len(doc.relationships) == 2
         assert drops == DropCounts()
 
+    def test_ownership_in_a_reply_is_dropped_and_counted(self):
+        """A story node, a HAS_* edge and a wrong-kind HAS_* edge ended in
+        ``DropCounts(nodes=0, relationships=0)``."""
+        main = {
+            "nodes": MAIN_PAYLOAD["nodes"] + [{"id": "story", "type": "Userstory"}],
+            "relationships": MAIN_PAYLOAD["relationships"] + [
+                {"source": "story", "target": "user", "type": "HAS_PERSONA"},
+                {"source": "user", "source_type": "Persona", "target": "sync",
+                 "type": "HAS_ACTION"},
+            ],
+        }
+        backend = ScriptedBackend([main], ["''"])
+        drops = DropCounts()
+        doc = extract_components(ExtractorConfig(), SYNC_TEXT, backend=backend, drops=drops)
+        assert [node.kind for node in doc.nodes] == [
+            NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY
+        ]
+        assert [rel.kind for rel in doc.relationships] == [RelKind.TRIGGERS, RelKind.TARGETS]
+        assert drops == DropCounts(nodes=1, relationships=2)
+
     def test_benefit_that_is_not_unicode_text_is_a_dropped_node(self):
         guess = {"id": "guess", "type": "Benefit"}
         main = dict(MAIN_PAYLOAD, nodes=MAIN_PAYLOAD["nodes"] + [guess])

@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 from storygraph.errors import ResponseParseError
 from storygraph.extraction import (
     DropCounts,
+    ExtractorConfig,
+    ReplayFixtureBackend,
     components_from_records,
+    extract_components,
     extract_first_json,
     parse_benefit_response,
     parse_structured_response,
     parse_unstructured_response,
+    rule_based_extract,
 )
 from storygraph.model import (
     REL_ENDPOINT_KINDS,
@@ -297,8 +301,13 @@ class TestOneRuleForBothShapes:
         assert drops == DropCounts(nodes=1, relationships=1)
 
 
-# The two reply loops as they stood before both went through one builder;
-# the property below holds the parsers to them on surrogate-free input.
+# The two reply loops as they stood before both went through one builder,
+# plus the rule that extraction returns no story node and only TRIGGERS and
+# TARGETS edges of the ontology's endpoint kinds (the lines marked "kept
+# kinds"); the property below holds the parsers to them on surrogate-free
+# input.
+
+KEPT_EDGES = {kind: REL_ENDPOINT_KINDS[kind] for kind in (RelKind.TRIGGERS, RelKind.TARGETS)}
 
 
 def reference_structured(payload, drops):
@@ -318,7 +327,7 @@ def reference_structured(payload, drops):
             continue
         kind = node_kind_from_name(str(item.get("type", "")))
         node_id = str(item.get("id", "")).strip()
-        if kind is None or not node_id:
+        if kind in (None, NodeKind.USERSTORY) or not node_id:  # kept kinds
             drops.nodes += 1
             continue
         built.setdefault((kind, node_id), GraphNode(node_id, kind))
@@ -338,6 +347,12 @@ def reference_structured(payload, drops):
         expected_src, expected_tgt = REL_ENDPOINT_KINDS[rel_kind]
         source_kind = node_kind_from_name(str(item.get("source_type", ""))) or expected_src
         target_kind = node_kind_from_name(str(item.get("target_type", ""))) or expected_tgt
+        if KEPT_EDGES.get(rel_kind) != (source_kind, target_kind):  # kept kinds
+            drops.relationships += 1
+            for end_id, end_kind in ((source_id, source_kind), (target_id, target_kind)):
+                if end_kind is not NodeKind.USERSTORY:
+                    built.setdefault((end_kind, end_id), GraphNode(end_id, end_kind))
+            continue
         source = built.setdefault((source_kind, source_id), GraphNode(source_id, source_kind))
         target = built.setdefault((target_kind, target_id), GraphNode(target_id, target_kind))
         rels.append(GraphRelationship(source, target, rel_kind))
@@ -359,15 +374,18 @@ def reference_records(items, drops):
         rel_kind = rel_kind_from_name(str(item["relation"]))
         head_id = str(item["head"]).strip()
         tail_id = str(item["tail"]).strip()
-        if head_kind is not None and head_id:
+        if head_kind not in (None, NodeKind.USERSTORY) and head_id:  # kept kinds
             built.setdefault((head_kind, head_id), GraphNode(head_id, head_kind))
         else:
             drops.nodes += 1
-        if tail_kind is not None and tail_id:
+        if tail_kind not in (None, NodeKind.USERSTORY) and tail_id:  # kept kinds
             built.setdefault((tail_kind, tail_id), GraphNode(tail_id, tail_kind))
         else:
             drops.nodes += 1
         if rel_kind is None or head_kind is None or tail_kind is None or not head_id or not tail_id:
+            drops.relationships += 1
+            continue
+        if KEPT_EDGES.get(rel_kind) != (head_kind, tail_kind):  # kept kinds
             drops.relationships += 1
             continue
         rels.append(
@@ -440,3 +458,119 @@ class TestMatchesTheLoopsItReplaced:
     @given(records)
     def test_record_lists(self, items):
         assert outcome(components_from_records, items) == outcome(reference_records, items)
+
+
+class TestOwnershipIsNotExtracted:
+    """A model's story nodes and HAS_* edges vanished uncounted: ownership
+    is derived at load, so extraction drops and counts them."""
+
+    def test_structured_reply(self):
+        payload = {
+            "nodes": [{"id": "story", "type": "Userstory"}, {"id": "user", "type": "Persona"}],
+            "relationships": [
+                {"source": "story", "target": "user", "type": "HAS_PERSONA"},
+                {"source": "user", "target": "sync", "type": "TRIGGERS"},
+            ],
+        }
+        drops = DropCounts()
+        doc = parse_structured_response(payload, drops)
+        assert [(n.id, n.kind) for n in doc.nodes] == [
+            ("user", NodeKind.PERSONA), ("sync", NodeKind.ACTION)
+        ]
+        assert [r.kind for r in doc.relationships] == [RelKind.TRIGGERS]
+        assert drops == DropCounts(nodes=1, relationships=1)
+
+    def test_record_reply(self):
+        records = [
+            {"head": "story", "head_type": "Userstory", "relation": "HAS_ACTION",
+             "tail": "sync", "tail_type": "Action"},
+            {"head": "user", "head_type": "Persona", "relation": "TRIGGERS",
+             "tail": "sync", "tail_type": "Action"},
+        ]
+        drops = DropCounts()
+        doc = parse_unstructured_response(json.dumps(records), drops)
+        assert [(n.id, n.kind) for n in doc.nodes] == [
+            ("sync", NodeKind.ACTION), ("user", NodeKind.PERSONA)
+        ]
+        assert [r.kind for r in doc.relationships] == [RelKind.TRIGGERS]
+        assert drops == DropCounts(nodes=1, relationships=1)
+
+    def test_refused_edge_still_asserts_its_ends(self):
+        payload = {"relationships": [
+            {"source": "data", "source_type": "Entity", "target": "sync", "type": "TRIGGERS"},
+            {"source": "story", "target": "cash", "type": "HAS_ENTITY"},
+        ]}
+        drops = DropCounts()
+        doc = parse_structured_response(payload, drops)
+        assert [(n.id, n.kind) for n in doc.nodes] == [
+            ("data", NodeKind.ENTITY), ("sync", NodeKind.ACTION), ("cash", NodeKind.ENTITY)
+        ]
+        assert doc.relationships == []
+        assert drops == DropCounts(relationships=2)
+
+
+KEPT_NODES = frozenset({NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY, NodeKind.BENEFIT})
+
+
+def assert_extraction_output(doc: GraphDocument) -> None:
+    """Persona, Action, Entity and Benefit nodes only, and TRIGGERS and
+    TARGETS edges of the ontology's endpoint kinds between those very nodes."""
+    own = {id(node) for node in doc.nodes}
+    assert all(node.kind in KEPT_NODES for node in doc.nodes)
+    for rel in doc.relationships:
+        assert KEPT_EDGES.get(rel.kind) == (rel.source.kind, rel.target.kind)
+        assert id(rel.source) in own and id(rel.target) in own
+
+
+STORY = "As a user, I want to sync my data, so that I can access it anywhere."
+# The graph replies of the property above, records as their JSON text, with
+# or without prose around it, and benefit replies of each shape.
+free_texts = st.tuples(st.text(max_size=4), payloads | records, st.text(max_size=4)).map(
+    lambda parts: f"{parts[0]}{json.dumps(parts[1])}{parts[2]}"
+)
+benefit_replies = st.none() | ids | payloads | st.sampled_from(
+    ["Node(id='save time', type='Benefit')", "'save time'", "", "{}"]
+)
+story_texts = st.text(max_size=30) | st.tuples(ids, ids, ids, ids).map(
+    lambda p: f"As a {p[0]}, I want to {p[1]} {p[2]}, so that {p[3]}."
+)
+
+
+def extraction_outcome(extract, reply) -> None:
+    try:
+        doc = extract(reply)
+    except ResponseParseError:
+        return
+    assert_extraction_output(doc)
+
+
+class TestWhatExtractionReturns:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads)
+    def test_structured_payloads(self, payload):
+        extraction_outcome(parse_structured_response, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records)
+    def test_record_lists(self, items):
+        extraction_outcome(components_from_records, items)
+
+    @settings(max_examples=300, deadline=None)
+    @given(free_texts)
+    def test_free_text(self, raw):
+        extraction_outcome(parse_unstructured_response, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(story_texts)
+    def test_rule_based(self, text):
+        assert_extraction_output(rule_based_extract(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads | free_texts, benefit_replies)
+    def test_replayed_conversation(self, main_reply, benefit_reply):
+        backend = ReplayFixtureBackend(
+            {STORY: {"main_response": main_reply, "benefit_response": benefit_reply}}
+        )
+        extraction_outcome(
+            lambda _: extract_components(ExtractorConfig(), STORY, backend=backend), None
+        )

@@ -1,11 +1,13 @@
-"""Properties of the chat boundary: any JSON a service sends is untrusted.
+"""Properties of the service boundaries: any JSON a service sends is untrusted.
 
 Arbitrary JSON values, built over the keys a chat reply and a graph payload
 are read by, go to ``ChatHttpBackend._parse_reply`` and to the three reply
 parsers.  Each returns its result or raises its own error, never any other
 exception: ``extract_many`` fails a story only on a ``StoryGraphError``, so
-anything else would end the whole run.  The plain tests below pin the
-inputs that once escaped.
+anything else would end the whole run.  Values built over the keys of a
+Neo4j transactional-endpoint reply go to ``sink.store`` through the stub
+server, which returns a ``LoadSummary`` or raises ``SinkError``.  The plain
+tests below pin the inputs that once escaped.
 """
 
 from __future__ import annotations
@@ -13,17 +15,21 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from storygraph.errors import BackendError, ResponseParseError, StoryGraphError
+from conftest import SYNC_TEXT
+from storygraph.errors import BackendError, ResponseParseError, SinkError, StoryGraphError
 from storygraph.extraction import (
     ChatHttpBackend,
     parse_benefit_response,
     parse_structured_response,
     parse_unstructured_response,
 )
+from storygraph.extraction import rule_based_extract
 from storygraph.model import GraphDocument
+from storygraph.sink import LoadSummary, SinkConfig, store
+from storygraph.transform import build_graph_document
 
 REPLY_KEYS = (
     "choices", "message", "content", "tool_calls", "function", "function_call",
@@ -67,6 +73,11 @@ replies = st.one_of(
         "tool_calls": [{"function": {"arguments": json.dumps(arguments)}}]}}]}),
 )
 graph_values = json_values(GRAPH_KEYS)
+# What ``sink`` reads in a transactional-endpoint reply.
+STORE_KEYS = (
+    "results", "errors", "stats", "nodes_created", "relationships_created", "message",
+)
+store_replies = json_values(STORE_KEYS)
 # Free text holding a JSON value, with or without prose around it.
 free_texts = st.one_of(
     st.text(max_size=12),
@@ -115,6 +126,22 @@ def test_benefit_parser_returns_text_none_or_a_parse_error(reply):
     except ResponseParseError:
         return
     assert benefit is None or isinstance(benefit, str)
+
+
+# The server is one for all examples; each example sets the reply it sends.
+@settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(reply=store_replies)
+def test_store_reply_is_a_summary_or_a_sink_error(stub_server, reply):
+    stub_server.default = (200, reply)
+    doc = build_graph_document(rule_based_extract(SYNC_TEXT), SYNC_TEXT)
+    try:
+        summary = store(SinkConfig(uri=stub_server.url), [doc, doc])
+    except SinkError:
+        return
+    assert isinstance(summary, LoadSummary)
 
 
 # Nested deeper than the JSON decoder follows: each raised RecursionError.

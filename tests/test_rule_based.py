@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from storygraph.extraction import rule_based_extract
-from storygraph.model import NodeKind, RelKind
+from storygraph.extraction.rule_based import _BENEFIT, _PERSONA, _WANT, _entity_phrase
+from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
 
 SYNC_TEXT = (
     "As a user, I want to sync my data, "
@@ -89,3 +93,80 @@ def test_blank_persona_slot_gives_no_persona_node():
     assert ids_of_kind(components, NodeKind.PERSONA) == []
     assert ("pay", NodeKind.ACTION) in kinds(components)
     assert all(r.kind is not RelKind.TRIGGERS for r in components.relationships)
+
+
+# The extractor as it stood before it built through DocumentBuilder; the
+# property below holds the builder-based one to it.
+
+
+def reference_extract(story_text: str) -> GraphDocument:
+    nodes: list[GraphNode] = []
+    rels: list[GraphRelationship] = []
+
+    persona = None
+    match = _PERSONA.match(story_text)
+    persona_id = match.group(1).strip() if match else ""
+    if persona_id:
+        persona = GraphNode(persona_id, NodeKind.PERSONA)
+        nodes.append(persona)
+
+    benefit = None
+    benefit_match = _BENEFIT.search(story_text)
+    want_end = len(story_text)
+    if benefit_match:
+        benefit = story_text[benefit_match.end() :].strip().rstrip(".").strip()
+        want_end = benefit_match.start()
+
+    action = None
+    want_match = _WANT.search(story_text)
+    if want_match and want_match.start() < want_end:
+        action = GraphNode(want_match.group(1), NodeKind.ACTION)
+        nodes.append(action)
+        entity_id = _entity_phrase(story_text[want_match.end() : want_end])
+        if entity_id:
+            entity = GraphNode(entity_id, NodeKind.ENTITY)
+            nodes.append(entity)
+            rels.append(GraphRelationship(action, entity, RelKind.TARGETS))
+
+    if persona and action:
+        rels.insert(0, GraphRelationship(persona, action, RelKind.TRIGGERS))
+    if benefit:
+        nodes.append(GraphNode(benefit, NodeKind.BENEFIT))
+
+    return GraphDocument(nodes=nodes, relationships=rels)
+
+
+def outcome(doc: GraphDocument):
+    """Nodes, then edges as indices into the node list."""
+    position = {id(node): i for i, node in enumerate(doc.nodes)}
+    return (
+        [(node.id, node.kind) for node in doc.nodes],
+        [(position[id(r.source)], position[id(r.target)], r.kind) for r in doc.relationships],
+    )
+
+
+# Connextra fragments, blanks and stray punctuation, joined with and
+# without spaces.  ``st.text`` draws no surrogates.
+pieces = st.sampled_from([
+    "As a", "As an", "as an", "", " ", "  ", ",", ".", "..", "I want to",
+    "I want to be able to", "so that", "in order to", "user", "pay", "re-run",
+    "the", "by", "my", "data", "with", "\t", "\n",
+])
+slots = st.lists(pieces | st.text(max_size=4), max_size=4).map(" ".join)
+connextra = st.tuples(
+    st.sampled_from(["As a", "As an", "as an", ""]), slots,
+    st.sampled_from(["I want to", "I want to be able to", "I want"]), slots, slots,
+    st.sampled_from(["so that", "in order to", ""]), slots,
+).map(lambda p: f"{p[0]} {p[1]}, {p[2]} {p[3]} {p[4]}, {p[5]} {p[6]}.")
+story_texts = st.one_of(
+    connextra,
+    st.lists(pieces | st.text(max_size=4), max_size=14).map(" ".join),
+    st.lists(pieces, max_size=14).map("".join),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(story_texts)
+def test_matches_the_extractor_it_replaced(text):
+    assert outcome(rule_based_extract(text)) == outcome(reference_extract(text))

@@ -384,10 +384,12 @@ class TestStoreHttp:
             {"results": [{"stats": {"nodes_created": "3"}}]},
             {"results": [{"stats": {"relationships_created": 1.5}}]},
             {"results": [{"stats": {"nodes_created": True}}]},
+            b'{"results": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         ],
         ids=[
             "results-number", "stats-number", "result-number", "error-number",
             "errors-string", "counter-string", "counter-float", "counter-bool",
+            "nested-too-deep",
         ],
     )
     def test_malformed_reply_is_a_sink_error(self, stub_server, sync_doc, reply):
