@@ -21,7 +21,8 @@ def load_env_file(path: str | Path = ".env") -> dict[str, str]:
 
     Returns the variables actually set.  A missing file is not an error;
     it simply sets nothing.  A file that cannot be read or is not UTF-8
-    raises ConfigError naming it.
+    raises ConfigError naming it, and so does a line holding a NUL byte,
+    which no environment variable can hold.
     """
     path = Path(path)
     applied: dict[str, str] = {}
@@ -43,6 +44,8 @@ def load_env_file(path: str | Path = ".env") -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
+        if "\0" in key + value:
+            raise ConfigError(f"env file {path}, line {line_no}: NUL byte in a name or value")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
         if key and key not in os.environ:

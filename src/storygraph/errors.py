@@ -1,8 +1,8 @@
-"""Exception hierarchy shared across the toolchain, plus credential redaction."""
+"""Exception hierarchy shared across the toolchain, plus URL checks and redaction."""
 
 from __future__ import annotations
 
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import SplitResult, urlsplit, urlunsplit
 
 
 class StoryGraphError(Exception):
@@ -48,9 +48,21 @@ class SinkError(StoryGraphError):
     """Graph persistence failed."""
 
 
+def split_url(url: str, error: type[StoryGraphError], what: str) -> SplitResult:
+    """``urlsplit(url)``; a URL it refuses raises ``error`` naming ``what``."""
+    try:
+        return urlsplit(url)
+    except ValueError as exc:
+        raise error(f"{what} is not a valid URL: {exc}") from exc
+
+
 def redact_url(url: str) -> str:
-    """``url`` without its user and password, for messages and manifests."""
-    parts = urlsplit(url)
+    """``url`` without its user and password, for messages and manifests.
+    Never raises: a URL that ``urlsplit`` refuses reads as ``<invalid URL>``."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return "<invalid URL>"
     if "@" in parts.netloc:
         parts = parts._replace(netloc=parts.netloc.rsplit("@", 1)[1])
     return urlunsplit(parts)

@@ -25,7 +25,7 @@ import math
 from operator import mul
 from typing import Protocol, Sequence
 
-from ..errors import EvaluationError, redact_url
+from ..errors import EvaluationError, redact_url, split_url
 from ..http import TransportError, post_json
 from .metrics import Scores, f_measure, left_sum
 
@@ -70,6 +70,7 @@ class HttpEmbedder:
         auth_token: str | None = None,
         request_timeout: float = 60.0,
     ):
+        split_url(endpoint, EvaluationError, "embeddings endpoint")
         self.endpoint = endpoint
         self.model_name = model_name
         self.auth_token = auth_token

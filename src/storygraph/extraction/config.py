@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ConfigError, redact_url
+from ..errors import ConfigError, redact_url, split_url
 
 KNOWN_BACKENDS = ("chat-http", "replay-fixture", "rule-based")
 
@@ -43,6 +43,8 @@ class ExtractorConfig:
             )
         if self.backend == "chat-http" and not self.endpoint:
             raise ConfigError("chat-http backend requires an endpoint URL")
+        if self.backend == "chat-http":
+            split_url(self.endpoint, ConfigError, "chat-http endpoint")
         if self.backend == "replay-fixture" and not self.fixture_path:
             raise ConfigError("replay-fixture backend requires a fixture path")
         if not 0.0 <= self.temperature <= 2.0:

@@ -19,9 +19,8 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
-from urllib.parse import urlsplit
 
-from .errors import SinkError, redact_url
+from .errors import SinkError, redact_url, split_url
 from .http import TransportError, post_json
 from .model import GraphDocument, NodeKind, RelKind, document_to_dict
 
@@ -325,7 +324,7 @@ def _commit_batch(
 
 
 def _check_scheme(config: SinkConfig) -> str:
-    scheme = urlsplit(config.uri).scheme
+    scheme = split_url(config.uri, SinkError, "graph store URI").scheme
     if scheme not in _HTTP_SCHEMES + _BOLT_SCHEMES:
         raise SinkError(f"unsupported graph store scheme {scheme!r}")
     return scheme

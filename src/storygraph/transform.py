@@ -7,32 +7,28 @@ each annotated story back into a document.  ``story_elements`` is the one
 projection of an annotated story, for evaluation and load alike.
 
 Two entries build the final document, one per input.
-``build_graph_document`` takes raw extractor output and first filters its
-noise; ``story_document`` takes an annotated story, whose elements hold no
-noise.  Both end in one assembly that adds what is never asked of a model:
-the story node is the input itself and the ownership (HAS_*) edges follow
-from node existence, so both are derived here.
+``build_graph_document`` takes any graph document and sends it through
+``extraction.types.DocumentBuilder``, the one rule for what a graph may hold;
+``story_document`` takes an annotated story, whose elements already keep that
+rule.  Both end in one assembly that adds what is never asked of a model: the
+story node is the input itself and the ownership (HAS_*) edges follow from
+node existence, so both are derived here.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable
 
 from .corpus import AnnotatedStory, clean_story_text
-from .extraction.types import DropCounts
+from .extraction.types import DocumentBuilder, DropCounts
 from .model import (
     HAS_REL_FOR_KIND,
-    HAS_RELS,
-    REL_ENDPOINT_KINDS,
     GraphDocument,
     GraphNode,
     GraphRelationship,
     NodeKind,
     RelKind,
 )
-
-log = logging.getLogger(__name__)
 
 # Enum member lookups cost more than a global read on the per-story paths.
 _PERSONA, _ACTION, _ENTITY = NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY
@@ -45,72 +41,54 @@ def _story_node(story_text: str) -> GraphNode:
 
 
 def _assemble(
-    story: GraphNode, nodes: Iterable[GraphNode], rels: list[GraphRelationship], drops: DropCounts
+    story: GraphNode, nodes: Iterable[GraphNode], rels: list[GraphRelationship]
 ) -> GraphDocument:
     """Dedup, rewire and infer ownership: the assembly every document gets.
 
-    The first node of each identity key is kept as it is, the story node
-    first unless one with its key is among ``nodes``.  Each edge is attached
-    once to the kept nodes of its endpoints' keys, or dropped and counted
-    when one has none.
+    ``story`` goes first, and then the first node of each identity key, as
+    it is.  Each edge, whose ends are among ``nodes``, is attached once to
+    the kept nodes of its ends' keys.  Every kept node gets its ownership
+    edge from ``story``.
     """
     index: dict[tuple[NodeKind, str], GraphNode] = {}
     for node in nodes:
         index.setdefault(node.key(), node)
-    owner = index.get(story.key(), story)
-    kept = [story, *index.values()] if owner is story else list(index.values())
 
     edges: list[GraphRelationship] = []
     seen: set[tuple[RelKind, tuple[NodeKind, str], tuple[NodeKind, str]]] = set()
     for rel in rels:
         src_key, tgt_key = rel.source.key(), rel.target.key()
-        source, target = index.get(src_key), index.get(tgt_key)
-        if source is None or target is None:
-            drops.relationships += 1
-        elif (rel.kind, src_key, tgt_key) not in seen:
+        if (rel.kind, src_key, tgt_key) not in seen:
             seen.add((rel.kind, src_key, tgt_key))
+            source, target = index[src_key], index[tgt_key]
             if source is not rel.source or target is not rel.target:
                 rel = GraphRelationship(source, target, rel.kind)
             edges.append(rel)
-    for node in kept:
-        if node is not owner:
-            edges.append(GraphRelationship(owner, node, HAS_REL_FOR_KIND[node.kind]))
-    return GraphDocument(nodes=kept, relationships=edges, source_text=story.id)
+    for node in index.values():
+        edges.append(GraphRelationship(story, node, HAS_REL_FOR_KIND[node.kind]))
+    return GraphDocument(nodes=[story, *index.values()], relationships=edges, source_text=story.id)
 
 
 def build_graph_document(
     doc: GraphDocument, story_text: str, *, drops: DropCounts | None = None
 ) -> GraphDocument:
-    """Full assembly of extractor output: filter its noise, then assemble.
+    """Full assembly of a graph document under the rule of extraction.
 
-    Model-emitted HAS_* edges are discarded (ownership is re-derived), and
-    so are edges whose endpoint kinds contradict the ontology or whose
-    endpoints vanished.  Raises ValueError for an empty story text, and
-    otherwise never; shape problems are left for validate_ontology to
-    report.
+    Each node and edge goes through ``extraction.types.DocumentBuilder``,
+    as a model reply's do: story nodes, HAS_* edges, edges of the wrong
+    endpoint kinds and blank ids are dropped and counted in ``drops``, ids
+    are stripped, and an edge's missing ends become nodes.  Raises
+    ValueError for an empty story text, and otherwise never; shape problems
+    are left for validate_ontology to report.
     """
-    drops = DropCounts() if drops is None else drops
     story = _story_node(story_text)
-    # A story node claiming to be a different story is extraction noise and
-    # would make ownership ambiguous; drop it and everything touching it.
-    foreign = {node.key() for node in doc.nodes if node.kind is NodeKind.USERSTORY}
-    foreign.discard(story.key())
-    nodes = [node for node in doc.nodes if node.key() not in foreign]
-    drops.nodes += len(doc.nodes) - len(nodes)
-
-    relationships: list[GraphRelationship] = []
+    builder = DocumentBuilder(DropCounts() if drops is None else drops)
+    for node in doc.nodes:
+        builder.add_node(node.id, node.kind)
     for rel in doc.relationships:
-        touches_foreign = rel.source.key() in foreign or rel.target.key() in foreign
-        if rel.kind in HAS_RELS and not touches_foreign:
-            # Ownership is inferred on assembly; a model's own claim is
-            # redundant at best and wrong at worst.
-            log.debug("discarding model-emitted %s edge", rel.kind.value)
-        elif touches_foreign or (rel.source.kind, rel.target.kind) != REL_ENDPOINT_KINDS[rel.kind]:
-            drops.relationships += 1
-            log.debug("dropping %s edge %r->%r", rel.kind.value, rel.source.id, rel.target.id)
-        else:
-            relationships.append(rel)
-    return _assemble(story, nodes, relationships, drops)
+        source, target = rel.source, rel.target
+        builder.add_relationship(source.id, source.kind, target.id, target.kind, rel.kind)
+    return _assemble(story, builder.nodes.values(), builder.relationships)
 
 
 def story_elements(
@@ -202,7 +180,7 @@ def story_document(story: AnnotatedStory) -> GraphDocument:
         GraphRelationship(index[_ACTION, action], index[_ENTITY, entity], RelKind.TARGETS)
         for action, entity in targets
     ]
-    return _assemble(_story_node(clean_story_text(story)), index.values(), rels, DropCounts())
+    return _assemble(_story_node(clean_story_text(story)), index.values(), rels)
 
 
 # The benchmark's tracer spans load's assembly under this name; the alias

@@ -230,6 +230,17 @@ class TestExtract:
         code = main(["extract", "--experiment", "x", "--backend", "chat-http"])
         assert code == EXIT_BACKEND
 
+    def test_unsplittable_endpoint_exits_3(self, workspace, caplog):
+        """``urlsplit`` refuses it; the manifest's redaction ended in a traceback."""
+        code = main(
+            ["extract", "--experiment", "x", "--backend", "chat-http", "--endpoint", "http://[::1"]
+        )
+        assert code == EXIT_BACKEND
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "not a valid URL" in error.getMessage()
+        assert error.exc_info is None
+        assert not (workspace / "extracted-user-stories" / "x").exists()
+
     def test_missing_fixture_exits_3(self, workspace):
         code = main(
             ["extract", "--experiment", "x", "--backend", "replay-fixture",
@@ -329,6 +340,19 @@ class TestEvaluate:
         for name, blob in first.items():
             assert (out_dir / name).read_bytes() == blob
 
+    def test_unsplittable_embeddings_endpoint_exits_as_unreachable(self, workspace, caplog):
+        """The error message's redaction of the endpoint ended in a traceback."""
+        assert run_extract() == EXIT_OK
+        unreachable = main(
+            ["evaluate", "--experiment", "demo", "--embeddings-endpoint", "http://127.0.0.1:9"]
+        )
+        caplog.clear()
+        code = main(["evaluate", "--experiment", "demo", "--embeddings-endpoint", "http://[::1"])
+        assert code == unreachable == 1
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "not a valid URL" in error.getMessage()
+        assert error.exc_info is None
+
     def test_embeddings_requests_carry_the_chat_token(
         self, workspace, stub_server, monkeypatch, caplog, capsys
     ):
@@ -392,6 +416,15 @@ class TestLoad:
 
     def test_missing_experiment(self, workspace):
         assert main(["load", "--experiment", "ghost"]) == EXIT_NO_INPUT
+
+    def test_unsplittable_uri_exits_3(self, workspace, caplog):
+        """The scheme check ended in a traceback."""
+        assert run_extract() == EXIT_OK
+        code = main(["load", "--experiment", "demo", "--uri", "http://[::1"])
+        assert code == EXIT_BACKEND
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "not a valid URL" in error.getMessage()
+        assert error.exc_info is None
 
     def test_documents_rendered_once(self, workspace, stub_server, monkeypatch):
         import storygraph.sink as sink
@@ -821,6 +854,15 @@ class TestEnvFile:
         assert len(errors) == 1
         assert "bad.env" in errors[0].getMessage()
         assert errors[0].exc_info is None
+
+    def test_env_file_nul_byte_is_one_error_line(self, workspace, caplog):
+        """``os.environ`` refused the value with a traceback."""
+        (workspace / "nul.env").write_bytes(b"A=b\x00c\n")
+        code = main(["--env-file", "nul.env", "load", "--experiment", "x"])
+        assert code == 1
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "nul.env, line 1" in error.getMessage()
+        assert error.exc_info is None
 
 
 class TestComponentsToStory:

@@ -75,6 +75,15 @@ def test_not_utf8_raises_config_error_naming_the_file(tmp_path):
         load_env_file(env)
 
 
+@pytest.mark.parametrize("line", [b"A=b\x00c\n", b"A\x00B=c\n"], ids=["value", "name"])
+def test_nul_byte_raises_config_error_naming_file_and_line(tmp_path, monkeypatch, line):
+    env = tmp_path / "nul.env"
+    env.write_bytes(b"# first\n" + line)
+    monkeypatch.delenv("A", raising=False)
+    with pytest.raises(ConfigError, match="nul.env, line 2"):
+        load_env_file(env)
+
+
 def test_unreadable_file_raises_config_error(tmp_path, monkeypatch):
     env = tmp_path / "locked.env"
     env.write_text("A=1\n")

@@ -10,7 +10,7 @@ import pytest
 from conftest import SAMPLE_BACKLOG, SYNC_TEXT, CutShort, Redirect, StubHttpServer
 from storygraph import http
 from storygraph.corpus import load_backlog
-from storygraph.errors import BackendError, EvaluationError, SinkError
+from storygraph.errors import BackendError, EvaluationError, SinkError, redact_url
 from storygraph.evaluation import HttpEmbedder
 from storygraph.extraction import ExtractorConfig, make_backend
 from storygraph.sink import SinkConfig, store
@@ -147,3 +147,9 @@ def test_http_requests_load_no_trust_store(stub_server, tls_contexts):
     stub_server.behaviors.append((200, embeddings_reply))
     assert embeddings(stub_server.url) == [[1.0]]
     assert tls_contexts == []
+
+
+def test_redact_url_never_raises():
+    """Error messages call it, also on a URL that ``urlsplit`` refuses."""
+    assert redact_url("http://user:pw@host:7474/db") == "http://host:7474/db"
+    assert redact_url("http://[::1") == "<invalid URL>"

@@ -1,4 +1,4 @@
-"""Document assembly: story node, ownership edges, noise filtering."""
+"""Document assembly: story node, ownership edges, the extraction rule."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import SYNC_TEXT
 from storygraph.corpus import AnnotatedStory, clean_story_text
-from storygraph.extraction import DropCounts
+from storygraph.extraction import DropCounts, parse_structured_response
 from storygraph.model import (
     HAS_REL_FOR_KIND,
     HAS_RELS,
@@ -122,10 +122,8 @@ class TestBuildDocument:
     def test_incoming_nodes_and_edges_kept_as_they_are(self):
         components = sync_components()
         doc = build_graph_document(components, SYNC_TEXT)
-        assert all(a is b for a, b in zip(doc.nodes[1:], components.nodes))
-        assert all(
-            a is b for a, b in zip(doc.relationships, components.relationships)
-        )
+        assert doc.nodes[1:] == components.nodes
+        assert doc.relationships[:len(components.relationships)] == components.relationships
 
     def test_duplicate_nodes_keep_first_casing(self):
         components = sync_components()
@@ -151,7 +149,8 @@ class TestBuildDocument:
         has_persona = [r for r in doc.relationships if r.kind is RelKind.HAS_PERSONA]
         assert len(has_persona) == 1
 
-    def test_dangling_endpoint_dropped_and_counted(self):
+    def test_dangling_endpoint_becomes_a_node(self):
+        """An edge asserts both of its ends, as in a model reply."""
         components = sync_components()
         components.relationships.append(
             GraphRelationship(GraphNode("ghost", NodeKind.ACTION),
@@ -159,7 +158,10 @@ class TestBuildDocument:
         )
         drops = DropCounts()
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
-        assert drops.relationships == 1
+        assert drops == DropCounts()
+        ghost = node_of(doc, "ghost")
+        assert ghost.kind is NodeKind.ACTION
+        assert GraphRelationship(ghost, node_of(doc, "data"), RelKind.TARGETS) in doc.relationships
         assert validate_ontology(doc) == []
 
     def test_wrong_endpoint_kinds_dropped(self):
@@ -225,52 +227,73 @@ class TestBuildDocument:
             assert id(rel.target) in node_ids
 
 
-def reference_document(
-    components: GraphDocument, story_text: str, drops: DropCounts
+EXTRACTED_KINDS = (NodeKind.PERSONA, NodeKind.ACTION, NodeKind.ENTITY, NodeKind.BENEFIT)
+
+
+def reference_rule(
+    components: GraphDocument, drops: DropCounts
+) -> tuple[list[GraphNode], list[GraphRelationship]]:
+    """The extraction rule spelled out step by step.
+
+    A node needs a Persona, Action, Entity or Benefit kind and a non-blank
+    id; it is kept stripped, once per exact (kind, id).  An edge with two
+    non-blank ids asserts its ends of those kinds as nodes, and is kept when
+    it is a TRIGGERS or TARGETS edge whose ends have the ontology's kinds.
+    Whatever is refused is counted.
+    """
+    nodes: dict[tuple[NodeKind, str], GraphNode] = {}
+    for node in components.nodes:
+        if node.kind in EXTRACTED_KINDS and node.id.strip():
+            nodes.setdefault((node.kind, node.id.strip()), GraphNode(node.id.strip(), node.kind))
+        else:
+            drops.nodes += 1
+    rels = []
+    for rel in components.relationships:
+        ends = (rel.source, rel.target)
+        if not all(end.id.strip() for end in ends):
+            drops.relationships += 1
+            continue
+        for end in ends:
+            if end.kind in EXTRACTED_KINDS:
+                nodes.setdefault((end.kind, end.id.strip()), GraphNode(end.id.strip(), end.kind))
+        if rel.kind in (RelKind.TRIGGERS, RelKind.TARGETS) and (
+            (rel.source.kind, rel.target.kind) == REL_ENDPOINT_KINDS[rel.kind]
+        ):
+            source, target = (nodes[end.kind, end.id.strip()] for end in ends)
+            rels.append(GraphRelationship(source, target, rel.kind))
+        else:
+            drops.relationships += 1
+    return list(nodes.values()), rels
+
+
+def reference_assembly(
+    story_text: str, nodes: list[GraphNode], rels: list[GraphRelationship]
 ) -> GraphDocument:
     """Assembly spelled out step by step, normalizing at every lookup."""
     def key(node):
         return (node.kind, normalize_id(node.id))
 
-    story_key = (NodeKind.USERSTORY, normalize_id(story_text))
-    foreign = {
-        key(n) for n in components.nodes
-        if n.kind is NodeKind.USERSTORY and key(n) != story_key
-    }
-    kept = [n for n in components.nodes if key(n) not in foreign]
-    drops.nodes += len(components.nodes) - len(kept)
-    rels = []
-    for rel in components.relationships:
-        if key(rel.source) in foreign or key(rel.target) in foreign:
-            drops.relationships += 1
-        else:
-            rels.append(rel)
-    # The story node goes first, unless an equivalent one is there already.
-    if story_key not in {key(n) for n in kept}:
-        kept.insert(0, GraphNode(story_text, NodeKind.USERSTORY))
+    story = GraphNode(story_text, NodeKind.USERSTORY)
     index = {}
-    for n in kept:
+    for n in nodes:
         index.setdefault(key(n), n)
-    nodes = list(index.values())
     out, seen = [], set()
     for rel in rels:
-        if rel.kind in HAS_RELS:
-            continue
         src_key, tgt_key = key(rel.source), key(rel.target)
-        source, target = index.get(src_key), index.get(tgt_key)
-        if source is None or target is None or (
-            (source.kind, target.kind) != REL_ENDPOINT_KINDS[rel.kind]
-        ):
-            drops.relationships += 1
-        elif (rel.kind, src_key, tgt_key) not in seen:
+        if (rel.kind, src_key, tgt_key) not in seen:
             seen.add((rel.kind, src_key, tgt_key))
-            out.append(GraphRelationship(source=source, target=target, kind=rel.kind))
-    # One ownership edge per satellite node, in node order.
-    (story,) = [n for n in nodes if n.kind is NodeKind.USERSTORY]
-    for n in nodes:
-        if n.kind is not NodeKind.USERSTORY:
-            out.append(GraphRelationship(source=story, target=n, kind=HAS_REL_FOR_KIND[n.kind]))
-    return GraphDocument(nodes=nodes, relationships=out, source_text=story_text)
+            out.append(GraphRelationship(index[src_key], index[tgt_key], rel.kind))
+    # The story node goes first, with one ownership edge per node, in node order.
+    for n in index.values():
+        out.append(GraphRelationship(source=story, target=n, kind=HAS_REL_FOR_KIND[n.kind]))
+    return GraphDocument(nodes=[story, *index.values()], relationships=out, source_text=story_text)
+
+
+def reference_document(
+    components: GraphDocument, story_text: str, drops: DropCounts
+) -> GraphDocument:
+    """The extraction rule, then assembly."""
+    return reference_assembly(story_text, *reference_rule(components, drops))
 
 
 # Few spellings, so that duplicates, case variants and story look-alikes occur.
@@ -339,7 +362,8 @@ class TestBuildMatchesReference:
         doc = build_graph_document(components, SYNC_TEXT, drops=drops)
         triggers = [r for r in doc.relationships if r.kind is RelKind.TRIGGERS]
         assert [(r.source.id, r.target.id) for r in triggers] == [("user", "sync")]
-        assert triggers[0].source is components.nodes[0]
+        assert triggers[0].source == components.nodes[0]
+        assert triggers[0].source is doc.nodes[1]
         assert drops == DropCounts()
 
     def test_each_id_normalized_once(self, monkeypatch):
@@ -355,7 +379,59 @@ class TestBuildMatchesReference:
         monkeypatch.setattr(model, "normalize_id", counting)
         components = sync_components()
         build_graph_document(components, SYNC_TEXT)
-        assert sorted(calls) == sorted([SYNC_TEXT] + [c.id for c in components.nodes])
+        assert sorted(calls) == sorted(c.id for c in components.nodes)
+
+
+# Story nodes of this and of another story, case and blank variants, and
+# endpoints that name no drawn node.
+parity_ids = st.sampled_from(
+    ["user", "USER", " user", "sync", "Sync", "data", "", " ", "\t",
+     SYNC_TEXT, SYNC_TEXT.upper(), "some other story"]
+)
+parity_nodes = st.builds(GraphNode, parity_ids, kinds)
+parity_rels = st.builds(GraphRelationship, parity_nodes, parity_nodes, rel_kinds)
+
+
+def as_payload(doc: GraphDocument) -> dict:
+    """A document written as a model's structured reply."""
+    return {
+        "nodes": [{"id": n.id, "type": n.kind.value} for n in doc.nodes],
+        "relationships": [
+            {"source": r.source.id, "source_type": r.source.kind.value,
+             "target": r.target.id, "target_type": r.target.kind.value, "type": r.kind.value}
+            for r in doc.relationships
+        ],
+    }
+
+
+class TestExtractionParity:
+    """A hand-built document and the same graph as a model reply meet one rule."""
+
+    @settings(max_examples=500)
+    @given(st.lists(parity_nodes, max_size=8), st.data())
+    def test_same_drops_and_document(self, nodes, data):
+        rels = parity_rels
+        if nodes:
+            own = st.sampled_from(nodes)
+            rels = rels | st.builds(GraphRelationship, own, own, rel_kinds)
+        components = GraphDocument(nodes=nodes, relationships=data.draw(st.lists(rels, max_size=6)))
+        reply_drops, drops, again = DropCounts(), DropCounts(), DropCounts()
+        parsed = parse_structured_response(as_payload(components), reply_drops)
+        doc = build_graph_document(components, SYNC_TEXT, drops=drops)
+        assert drops == reply_drops
+        assert build_graph_document(parsed, SYNC_TEXT, drops=again) == doc
+        assert again == DropCounts()
+
+    def test_story_node_and_ownership_edge_counted_alike(self):
+        story = GraphNode(SYNC_TEXT, NodeKind.USERSTORY)
+        user = GraphNode("user", NodeKind.PERSONA)
+        components = GraphDocument(
+            nodes=[story, user], relationships=[GraphRelationship(story, user, RelKind.HAS_PERSONA)]
+        )
+        reply_drops, drops = DropCounts(), DropCounts()
+        parse_structured_response(as_payload(components), reply_drops)
+        build_graph_document(components, SYNC_TEXT, drops=drops)
+        assert drops == reply_drops == DropCounts(nodes=1, relationships=1)
 
 
 class TestRoundTrip:
@@ -461,7 +537,9 @@ class TestAnnotations:
 
 def reference_story_document(story: AnnotatedStory) -> GraphDocument:
     """Load's document built in two steps: the story's elements written as
-    extractor output, then the full assembly with its noise filter."""
+    graph nodes and edges, then the reference assembly.  The elements keep
+    the extraction rule already, so they skip it, which keeps their ids as
+    written."""
     keys, triggers, targets = story_elements(story)
     index = {key: GraphNode(key[1], key[0]) for key in keys}
     rels = [
@@ -472,13 +550,9 @@ def reference_story_document(story: AnnotatedStory) -> GraphDocument:
         for a, e in targets
     ]
     drops = DropCounts()
-    doc = build_graph_document(
-        GraphDocument(nodes=list(index.values()), relationships=rels),
-        clean_story_text(story),
-        drops=drops,
-    )
+    reference_rule(GraphDocument(nodes=list(index.values()), relationships=rels), drops)
     assert drops == DropCounts()
-    return doc
+    return reference_assembly(clean_story_text(story), list(index.values()), rels)
 
 
 # Ids that collide by case or whitespace, empty and blank ones, and ids that
@@ -536,4 +610,4 @@ class TestStoryDocument:
         )
         nodes, _, _ = story_elements(story)
         story_document(story)
-        assert sorted(calls) == sorted([clean_story_text(story)] + [i for _, i in nodes])
+        assert sorted(calls) == sorted(i for _, i in nodes)
