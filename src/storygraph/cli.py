@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 from collections import Counter
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,7 @@ from .errors import (
     SinkError,
     StoryGraphError,
 )
-from .extraction.config import KNOWN_BACKENDS, ExtractorConfig, env_auth_token
+from .extraction.config import KNOWN_BACKENDS, ExtractorConfig
 from .extraction.types import DropCounts
 from .model import validate_ontology
 from .transform import components_to_story, story_document
@@ -77,21 +78,6 @@ def _input_backlog_files(directory: Path) -> list[Path]:
     return _backlog_files(directory)
 
 
-def _config_from_args(args: argparse.Namespace) -> ExtractorConfig:
-    return ExtractorConfig(
-        backend=args.backend,
-        endpoint=args.endpoint,
-        model_name=args.model,
-        temperature=args.temperature,
-        supports_function_calls=args.function_calls,
-        request_timeout=args.timeout,
-        max_retries=args.max_retries,
-        retry_parse_errors=args.retry_parse_errors,
-        fixture_path=args.fixture,
-        max_concurrency=args.concurrency,
-    )
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     from datetime import datetime, timezone
 
@@ -107,7 +93,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         log.error("no backlog files in %s", input_dir)
         return EXIT_NO_INPUT
 
-    config = _config_from_args(args)
+    config = ExtractorConfig(**{f.name: getattr(args, f.name) for f in fields(ExtractorConfig)})
     try:
         # One backend serves every backlog of the run.
         backend = make_backend(config)
@@ -235,10 +221,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         fold_plurals=args.fold_plurals, token_boundary=args.token_boundary
     )
     if args.embeddings_endpoint:
-        # The bearer token of the chat backend, never written or logged.
-        embedder = HttpEmbedder(
-            args.embeddings_endpoint, args.embeddings_model, auth_token=env_auth_token()
-        )
+        embedder = HttpEmbedder(args.embeddings_endpoint, args.embeddings_model)
     else:
         embedder = OneHotEmbedder()
 
@@ -283,6 +266,18 @@ def cmd_load(args: argparse.Namespace) -> int:
         log.error("no extraction files in %s", extracted_dir)
         return EXIT_NO_INPUT
 
+    config = SinkConfig.from_env(
+        uri=args.uri, user=args.user, password=args.password, database_name=args.database
+    )
+    # Checked before any file is read or written.  A dry run connects to
+    # nothing, so a bad NEO4J_URI in the environment does not stop it.
+    if not args.dry_run:
+        try:
+            config.scheme()
+        except SinkError as exc:
+            log.error("%s", exc)
+            return EXIT_BACKEND
+
     docs = []
     flawed = []
     for path in files:
@@ -311,9 +306,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         if len(flawed) > _FLAWED_STORIES_LOGGED:
             log.info("and %d more", len(flawed) - _FLAWED_STORIES_LOGGED)
 
-    config = SinkConfig.from_env(
-        uri=args.uri, user=args.user, password=args.password, database_name=args.database
-    )
     # Rendered once: the script and the store write the same statements.
     rendered = render(docs)
     cypher_path = extracted_dir / "graph.cypher"
@@ -353,21 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("extract", help="run extraction over a backlog directory")
     ex.add_argument("--experiment", required=True)
-    ex.add_argument("--backend", default="rule-based", choices=KNOWN_BACKENDS)
-    ex.add_argument("--model", default="", help="model name for chat-http")
-    ex.add_argument("--temperature", type=float, default=0.0)
-    ex.add_argument("--endpoint", default="", help="chat completions URL")
-    ex.add_argument("--function-calls", action="store_true",
+    # Each extractor flag's dest is its ExtractorConfig field, whose default
+    # is the flag's default.
+    ex.add_argument("--backend", choices=KNOWN_BACKENDS)
+    ex.add_argument("--model", dest="model_name", help="model name for chat-http")
+    ex.add_argument("--temperature", type=float)
+    ex.add_argument("--endpoint", help="chat completions URL")
+    ex.add_argument("--function-calls", dest="supports_function_calls", action="store_true",
                     help="model supports function calls")
-    ex.add_argument("--fixture", default=None, help="replay fixture path")
+    ex.add_argument("--fixture", dest="fixture_path", help="replay fixture path")
     ex.add_argument("--input", default="pos_baseline")
     ex.add_argument("--output-root", default="extracted-user-stories")
-    ex.add_argument("--concurrency", type=int, default=4)
-    ex.add_argument("--timeout", type=float, default=60.0)
-    ex.add_argument("--max-retries", type=int, default=3)
+    ex.add_argument("--concurrency", dest="max_concurrency", type=int)
+    ex.add_argument("--timeout", dest="request_timeout", type=float)
+    ex.add_argument("--max-retries", type=int)
     ex.add_argument("--retry-parse-errors", action="store_true",
                     help="re-ask once when a response cannot be parsed")
-    ex.set_defaults(func=cmd_extract)
+    ex.set_defaults(func=cmd_extract, **asdict(ExtractorConfig()))
 
     ev = sub.add_parser("evaluate", help="score an experiment against the baseline")
     ev.add_argument("--experiment", required=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from urllib.parse import SplitResult, urlsplit, urlunsplit
+from urllib.parse import urlsplit, urlunsplit
 
 
 class StoryGraphError(Exception):
@@ -48,12 +48,19 @@ class SinkError(StoryGraphError):
     """Graph persistence failed."""
 
 
-def split_url(url: str, error: type[StoryGraphError], what: str) -> SplitResult:
-    """``urlsplit(url)``; a URL it refuses raises ``error`` naming ``what``."""
+def check_url(
+    url: str, error: type[Exception], what: str, schemes: tuple[str, ...] = ("http", "https")
+) -> str:
+    """The scheme of ``url``.  A URL that ``urlsplit`` refuses, or whose
+    scheme is not in ``schemes``, raises ``error`` naming ``what``; the
+    message never holds the URL, so no credential leaks through it."""
     try:
-        return urlsplit(url)
+        scheme = urlsplit(url).scheme
     except ValueError as exc:
         raise error(f"{what} is not a valid URL: {exc}") from exc
+    if scheme not in schemes:
+        raise error(f"{what} has unsupported scheme {scheme!r}; expected {', '.join(schemes)}")
+    return scheme
 
 
 def redact_url(url: str) -> str:

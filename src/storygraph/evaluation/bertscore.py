@@ -25,8 +25,8 @@ import math
 from operator import mul
 from typing import Protocol, Sequence
 
-from ..errors import EvaluationError, redact_url, split_url
-from ..http import TransportError, post_json
+from ..errors import EvaluationError, check_url, redact_url
+from ..http import TransportError, bearer_headers, post_json
 from .metrics import Scores, f_measure, left_sum
 
 
@@ -61,28 +61,19 @@ class OneHotEmbedder:
 
 
 class HttpEmbedder:
-    """Fetches embeddings from an embeddings API endpoint."""
+    """Fetches embeddings from an embeddings API endpoint; the bearer token
+    comes from ``LLM_API_KEY`` (see ``http.bearer_headers``)."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model_name: str = "",
-        auth_token: str | None = None,
-        request_timeout: float = 60.0,
-    ):
-        split_url(endpoint, EvaluationError, "embeddings endpoint")
+    def __init__(self, endpoint: str, model_name: str = "", request_timeout: float = 60.0):
+        check_url(endpoint, EvaluationError, "embeddings endpoint")
         self.endpoint = endpoint
         self.model_name = model_name
-        self.auth_token = auth_token
         self.request_timeout = request_timeout
 
     def embed(self, tokens: Sequence[str]) -> list[list[float]]:
-        headers = {}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
         body = {"model": self.model_name, "input": list(tokens)}
         try:
-            status, raw = post_json(self.endpoint, body, headers, self.request_timeout)
+            status, raw = post_json(self.endpoint, body, bearer_headers(), self.request_timeout)
         except TransportError as exc:
             raise EvaluationError(
                 f"cannot reach embeddings endpoint {redact_url(self.endpoint)}: {exc}"

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import BackendError, ConfigError, ResponseParseError
-from ..http import TransportError, post_json
+from ..http import TransportError, bearer_headers, post_json
 from .config import ExtractorConfig
 
 log = logging.getLogger(__name__)
@@ -93,11 +93,7 @@ class ChatHttpBackend:
         if tools:
             body["tools"] = tools
 
-        headers = {}
-        token = self.config.resolved_auth_token()
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-
+        headers = bearer_headers()
         last_error = "no attempt made"
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):

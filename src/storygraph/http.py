@@ -9,15 +9,23 @@ from __future__ import annotations
 
 import functools
 import json
-from urllib.parse import urlsplit
+import os
 
-from .errors import redact_url
+from .errors import check_url, redact_url
 
 
 class TransportError(Exception):
     """The request got no HTTP status: no connection, a timeout, a reply
     cut short or a bad URL.  The message names the cause, never the URL's
     credentials."""
+
+
+def bearer_headers() -> dict[str, str]:
+    """The Authorization header for the token in ``LLM_API_KEY``, read at
+    each call; no header when the variable is unset or empty.  The token is
+    never written or logged."""
+    token = os.environ.get("LLM_API_KEY")
+    return {"Authorization": f"Bearer {token}"} if token else {}
 
 
 @functools.cache
@@ -55,10 +63,8 @@ def post_json(url: str, body, headers: dict[str, str], timeout: float) -> tuple[
     from urllib.error import HTTPError
     from urllib.request import Request
 
+    scheme = check_url(url, TransportError, "request URL")
     try:
-        scheme = urlsplit(url).scheme
-        if scheme not in ("http", "https"):
-            raise ValueError("not an http or https URL")
         request = Request(
             redact_url(url),
             data=json.dumps(body).encode("utf-8"),

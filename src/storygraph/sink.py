@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import SinkError, redact_url, split_url
+from .errors import SinkError, check_url, redact_url
 from .http import TransportError, post_json
 from .model import GraphDocument, NodeKind, RelKind, document_to_dict
 
@@ -55,6 +55,10 @@ class SinkConfig:
             if value is not None:
                 setattr(config, key, value)
         return config
+
+    def scheme(self) -> str:
+        """The URI's scheme; a URI that is not http, https or Bolt raises SinkError."""
+        return check_url(self.uri, SinkError, "graph store URI", _HTTP_SCHEMES + _BOLT_SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -323,20 +327,12 @@ def _commit_batch(
     return True
 
 
-def _check_scheme(config: SinkConfig) -> str:
-    scheme = split_url(config.uri, SinkError, "graph store URI").scheme
-    if scheme not in _HTTP_SCHEMES + _BOLT_SCHEMES:
-        raise SinkError(f"unsupported graph store scheme {scheme!r}")
-    return scheme
-
-
 def store(config: SinkConfig, docs: Sequence[GraphDocument]) -> LoadSummary:
     """Write documents to Neo4j, one transaction per batch of documents.
 
     Every document is rendered before anything is sent, so an id the sink
     refuses stops the load with nothing written.  See store_rendered.
     """
-    _check_scheme(config)
     return store_rendered(config, render(docs))
 
 
@@ -347,7 +343,7 @@ def store_rendered(config: SinkConfig, rendered: Sequence[Rendered]) -> LoadSumm
     back is sent again one document per transaction, so only the documents
     that fail on their own are lost and counted in ``documents_failed``.
     """
-    scheme = _check_scheme(config)
+    scheme = config.scheme()
     summary = LoadSummary()
     writer = (
         nullcontext(_http_commit(config)) if scheme in _HTTP_SCHEMES else _bolt_commit(config)

@@ -245,7 +245,8 @@ class TestOneHotEmbedder:
 
 
 class TestHttpEmbedder:
-    def test_request_and_response_shape(self, stub_server):
+    def test_request_and_response_shape(self, stub_server, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "tok")
         payload = {
             "data": [
                 {"embedding": [1.0, 0.0]},
@@ -253,10 +254,7 @@ class TestHttpEmbedder:
             ]
         }
         stub_server.behaviors.append((200, payload))
-        embedder = HttpEmbedder(
-            f"{stub_server.url}/v1/embeddings", model_name="embed-model",
-            auth_token="tok",
-        )
+        embedder = HttpEmbedder(f"{stub_server.url}/v1/embeddings", model_name="embed-model")
         vecs = embedder.embed(["a", "b"])
         assert vecs == [[1.0, 0.0], [0.0, 1.0]]
         body = stub_server.requests[0]

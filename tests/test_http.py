@@ -19,18 +19,22 @@ from storygraph.transform import story_document
 DOC = story_document(load_backlog(SAMPLE_BACKLOG).stories[0])
 
 
+@pytest.fixture(autouse=True)
+def bearer_token(monkeypatch):
+    """The chat and embeddings callers send a bearer token."""
+    monkeypatch.setenv("LLM_API_KEY", "t0ken")
+
+
 def chat(url: str):
     config = ExtractorConfig(
         backend="chat-http", endpoint=f"{url}/v1/chat/completions", model_name="m",
-        auth_token="t0ken", request_timeout=2.0, max_retries=1,
+        request_timeout=2.0, max_retries=1,
     )
     return make_backend(config).run_benefit(SYNC_TEXT, [("human", SYNC_TEXT)])
 
 
 def embeddings(url: str):
-    return HttpEmbedder(f"{url}/v1/embeddings", auth_token="t0ken", request_timeout=2.0).embed(
-        ["a"]
-    )
+    return HttpEmbedder(f"{url}/v1/embeddings", request_timeout=2.0).embed(["a"])
 
 
 def neo4j(url: str):
