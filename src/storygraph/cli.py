@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 # Each command imports its own stage inside its function, so a process
 # loads only the stage it runs: ``--help`` imports no stage at all.
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .extraction.config import KNOWN_BACKENDS, ExtractorConfig
 from .extraction.types import DropCounts
-from .model import validate_ontology
+from .model import OntologyViolation, document_to_dict, validate_ontology
 from .transform import components_to_story, story_document
 
 log = logging.getLogger(__name__)
@@ -58,6 +58,21 @@ _RESERVED_FILES = {"manifest.json", "graph.json"}
 
 # Flawed stories that ``load`` names one per log line; the rest are counted.
 _FLAWED_STORIES_LOGGED = 20
+
+
+class _FileGraphs(NamedTuple):
+    """What ``load`` takes from one extraction file.  Plain values: they
+    cross from a worker process far faster than the documents would."""
+
+    documents: int
+    # (file name, pid, findings) of each document that breaks the ontology.
+    flawed: list[tuple[str, str, list[OntologyViolation]]]
+    # The file's share of graph.cypher, or the error of an id the sink refuses.
+    script: str
+    refused: SinkError | None = None
+    # For a store load: its share of graph.json and of the statements sent.
+    payload: list[dict[str, Any]] | None = None
+    statements: list[tuple[str, list[tuple[str, dict[str, Any], bool]]]] | None = None
 
 
 def _backlog_files(directory: Path) -> list[Path]:
@@ -83,6 +98,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     from .extraction.connector import extract_many, make_backend
     from .extraction.prompts import PROMPT_CATALOG_VERSION
+    from .fanout import fan_out
 
     input_dir = Path(args.input)
     if not input_dir.is_dir():
@@ -114,22 +130,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
     }
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    total = 0
-    failed = 0
-    usable_backlogs = 0
-    drops = DropCounts()
-    for path in files:
+    def extract_backlog(path: Path) -> tuple[int, int, DropCounts] | None:
+        """Extract one backlog file and write its extraction file; returns its
+        story, failure and drop counts, or None when it cannot be loaded."""
         try:
             backlog = load_backlog(path)
         except (OSError, BacklogParseError, BacklogSchemaError) as exc:
             log.warning("skipping backlog %s: %s", path.name, exc)
-            continue
-        usable_backlogs += 1
+            return None
         backlog, _skipped = drop_invalid_stories(backlog)
 
+        drops = DropCounts()
         texts = [clean_story_text(story) for story in backlog.stories]
         results = extract_many(config, texts, backend=backend, drops=drops)
         entries = []
+        failed = 0
         for story, result in zip(backlog.stories, results):
             if isinstance(result, StoryGraphError):
                 log.warning("story %s failed: %s", story.pid, result)
@@ -138,15 +153,27 @@ def cmd_extract(args: argparse.Namespace) -> int:
             else:
                 extracted = components_to_story(story.pid, story.text, result)
                 entries.append(story_to_dict(extracted))
-        total += len(backlog.stories)
 
         out_path = out_dir / f"{backlog.name}.json"
         write_atomic(out_path, json.dumps(entries, indent=2, ensure_ascii=False) + "\n")
         log.info("wrote %s (%d stories)", out_path, len(entries))
+        return len(backlog.stories), failed, drops
 
-    if usable_backlogs == 0:
+    if config.backend == "chat-http":
+        # One process, so that --concurrency bounds the requests in flight.
+        outcomes = [extract_backlog(path) for path in files]
+    else:
+        outcomes = fan_out(extract_backlog, files)
+    backlogs = [outcome for outcome in outcomes if outcome is not None]
+    if not backlogs:
         log.error("no parseable backlog files in %s", input_dir)
         return EXIT_NO_INPUT
+    total = failed = 0
+    drops = DropCounts()
+    for stories, backlog_failed, backlog_drops in backlogs:
+        total += stories
+        failed += backlog_failed
+        drops.merge(backlog_drops)
     if drops.nodes or drops.relationships:
         log.info(
             "dropped %d nodes and %d relationships from model output",
@@ -190,6 +217,7 @@ def _read_extractions(path: Path) -> tuple[list[AnnotatedStory], int] | None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import (
+        BacklogReport,
         CompareOptions,
         ExperimentReport,
         HttpEmbedder,
@@ -198,6 +226,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         strict_f_table,
         write_report_files,
     )
+    from .fanout import fan_out
 
     baseline_dir = Path(args.baseline)
     extracted_dir = Path(args.extracted_root) / args.experiment
@@ -225,23 +254,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         embedder = OneHotEmbedder()
 
-    report = ExperimentReport(experiment=args.experiment, options=options)
-    for name in shared:
+    def evaluate_shared(name: str) -> BacklogReport | None:
+        """Score one backlog's extraction file; None when either file cannot be read."""
         try:
             backlog = load_backlog(baseline_files[name])
         except (OSError, BacklogParseError, BacklogSchemaError) as exc:
             log.warning("skipping baseline %s: %s", name, exc)
-            continue
+            return None
         backlog, _skipped = drop_invalid_stories(backlog)
         extracted = _read_extractions(extracted_files[name])
         if extracted is None:
-            continue
+            return None
         stories, error_entries = extracted
         if error_entries:
             log.info("%s: %d stories carry extraction errors", name, error_entries)
-        report.backlogs.append(
-            evaluate_backlog(backlog, stories, embedder=embedder, options=options)
-        )
+        return evaluate_backlog(backlog, stories, embedder=embedder, options=options)
+
+    report = ExperimentReport(experiment=args.experiment, options=options)
+    report.backlogs = [scored for scored in fan_out(evaluate_shared, shared) if scored is not None]
 
     if not report.backlogs:
         log.error("nothing evaluated")
@@ -255,7 +285,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_load(args: argparse.Namespace) -> int:
-    from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
+    from .fanout import fan_out
+    from .sink import (
+        CypherStatement,
+        SinkConfig,
+        documents_json,
+        render,
+        rendered_script,
+        store_rendered,
+    )
 
     extracted_dir = Path(args.extracted_root) / args.experiment
     if not extracted_dir.is_dir():
@@ -278,12 +316,14 @@ def cmd_load(args: argparse.Namespace) -> int:
             log.error("%s", exc)
             return EXIT_BACKEND
 
-    docs = []
-    flawed = []
-    for path in files:
+    def load_file(path: Path) -> _FileGraphs | None:
+        """One extraction file's documents, checked and rendered; None when
+        the file cannot be read."""
         extracted = _read_extractions(path)
         if extracted is None:
-            continue
+            return None
+        docs = []
+        flawed = []
         for story in extracted[0]:
             try:
                 doc = story_document(story)
@@ -293,32 +333,57 @@ def cmd_load(args: argparse.Namespace) -> int:
             if findings := validate_ontology(doc):
                 flawed.append((path.name, story.pid, findings))
             docs.append(doc)
+        try:
+            # Rendered once: the script and the store write the same statements.
+            rendered = render(docs)
+        except SinkError as exc:
+            return _FileGraphs(len(docs), flawed, "", refused=exc)
+        script = rendered_script(rendered)
+        if args.dry_run:
+            return _FileGraphs(len(docs), flawed, script)
+        return _FileGraphs(
+            len(docs), flawed, script,
+            payload=[document_to_dict(doc) for doc in docs],
+            statements=[
+                (text, [(s.text, s.params, s.is_node) for s in statements])
+                for text, statements in rendered
+            ],
+        )
 
-    if not docs:
+    graphs = [graph for graph in fan_out(load_file, files) if graph is not None]
+    documents = sum(graph.documents for graph in graphs)
+    flawed = [entry for graph in graphs for entry in graph.flawed]
+    if not documents:
         log.error("no loadable stories in %s", extracted_dir)
         return EXIT_NO_INPUT
     if flawed:
-        log.info("%d of %d documents carry ontology violations", len(flawed), len(docs))
+        log.info("%d of %d documents carry ontology violations", len(flawed), documents)
         kinds = Counter(str(finding) for *_, findings in flawed for finding in findings)
         log.info("ontology findings: %s", ", ".join(f"{k} ({n})" for k, n in kinds.most_common()))
         for name, pid, findings in flawed[:_FLAWED_STORIES_LOGGED]:
             log.info("%s: story %s: %s", name, pid, "; ".join(map(str, findings)))
         if len(flawed) > _FLAWED_STORIES_LOGGED:
             log.info("and %d more", len(flawed) - _FLAWED_STORIES_LOGGED)
+    # An id the sink refuses stops the load with nothing written or sent.
+    for graph in graphs:
+        if graph.refused is not None:
+            raise graph.refused
 
-    # Rendered once: the script and the store write the same statements.
-    rendered = render(docs)
     cypher_path = extracted_dir / "graph.cypher"
-    write_atomic(cypher_path, rendered_script(rendered))
+    write_atomic(cypher_path, "".join(graph.script for graph in graphs))
     log.info("wrote %s", cypher_path)
     if args.dry_run:
-        print(f"dry run: {len(docs)} documents rendered to {cypher_path}")
+        print(f"dry run: {documents} documents rendered to {cypher_path}")
         return EXIT_OK
 
     json_path = extracted_dir / "graph.json"
-    write_atomic(json_path, export_json(docs))
+    write_atomic(json_path, documents_json([doc for graph in graphs for doc in graph.payload]))
     log.info("wrote %s", json_path)
 
+    rendered = [
+        (text, [CypherStatement(*statement) for statement in statements])
+        for graph in graphs for text, statements in graph.statements
+    ]
     try:
         summary = store_rendered(config, rendered)
     except SinkError as exc:

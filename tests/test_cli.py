@@ -24,7 +24,7 @@ from conftest import (
     chat_content_reply,
     neo4j_commit_reply,
 )
-from storygraph import cli
+from storygraph import cli, fanout
 from storygraph.cli import EXIT_BACKEND, EXIT_NO_INPUT, EXIT_OK, components_to_story, main
 from storygraph.extraction import ExtractorConfig
 from storygraph.model import GraphDocument, GraphNode, GraphRelationship, NodeKind, RelKind
@@ -701,6 +701,118 @@ class TestOutputsUnchanged:
         assert hashes == self.LOAD_GOLDEN[backend]
 
 
+class TestFanOut:
+    """Several backlogs over forked workers give what one process gives."""
+
+    @staticmethod
+    def write_corpus(directory: Path) -> None:
+        stories = json.loads(SAMPLE_BACKLOG.read_text())
+        # The replay fixture holds no reply for the stranger: an Error entry.
+        stranger = dict(stories[1], PID="#S99#", Text="#S99# As a stranger, I want to hide.")
+        tag_only = dict(stories[1], PID="#S98#", Text="  #S98#  ")
+        directory.mkdir(parents=True)
+        for name, backlog in {
+            "a": stories + [stranger], "b": stories + [tag_only], "d": stories, "e": stories,
+        }.items():
+            (directory / f"{name}.json").write_text(json.dumps(backlog))
+        (directory / "c.json").write_bytes(b"\xff[]")
+
+    @staticmethod
+    def edit_extraction(path: Path, index: int, **fields) -> None:
+        entries = json.loads(path.read_text())
+        entries[index].update(fields)
+        path.write_text(json.dumps(entries))
+
+    def run(self, root: Path, monkeypatch, caplog, capsys) -> tuple:
+        self.write_corpus(root / "pos_baseline")
+        monkeypatch.chdir(root)
+        caplog.clear()
+        out_dir = root / "extracted-user-stories" / "demo"
+        codes = [run_extract()]
+        # A flawed document: its story lost its entities.
+        self.edit_extraction(out_dir / "b.json", 0, Entity=None, Targets=[])
+        codes.append(main(["evaluate", "--experiment", "demo"]))
+        codes.append(main(["load", "--experiment", "demo", "--dry-run"]))
+        outputs = {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*.*")) if path.name != "manifest.json"
+        }
+        # An id the sink refuses, in the last extraction file.
+        (out_dir / "graph.cypher").unlink()
+        self.edit_extraction(out_dir / "e.json", -1, Persona=["x" * 5000])
+        codes.append(main(["load", "--experiment", "demo", "--dry-run"]))
+        assert not (out_dir / "graph.cypher").exists()
+        messages = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
+        return codes, outputs, messages, capsys.readouterr().out
+
+    def test_outputs_and_log_lines_equal_those_of_one_process(
+        self, tmp_path, monkeypatch, caplog, capsys
+    ):
+        caplog.set_level("INFO")
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(fanout, "_usable_cores", lambda: workers)
+            outcome = self.run(tmp_path / str(workers), monkeypatch, caplog, capsys)
+            runs[workers] = outcome, len(forks)
+        (one, forks_one), (three, forks_three) = runs[1], runs[3]
+        assert forks_one == 0 and forks_three > 0
+        assert one == three
+        codes, outputs, messages, _out = three
+        assert codes == [EXIT_OK] * 3 + [1]
+        assert "extracted-user-stories/demo/graph.cypher" in outputs
+        text = "\n".join(message for *_, message in messages)
+        for seen in ("skipping backlog c.json: not UTF-8", "story #S99# failed",
+                     "skipping story #S98#", "1 of 12 documents carry ontology violations",
+                     "node id exceeds 4000 characters"):
+            assert seen in text, seen
+
+    STORE_LOAD = """
+import os, sys
+from storygraph import fanout
+from storygraph.cli import main
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+fanout._usable_cores = lambda: int(sys.argv[2])
+code = main(["load", "--experiment", "demo", "--uri", sys.argv[1]])
+print("forks:", len(forks))
+sys.exit(code)
+"""
+
+    def test_store_load_writes_and_sends_what_one_process_does(
+        self, workspace, graph_store, stub_server
+    ):
+        for name in ("b", "c", "d"):
+            shutil.copy(SAMPLE_BACKLOG, workspace / "pos_baseline" / f"{name}.json")
+        assert run_extract() == EXIT_OK
+        runs = {}
+        for workers in (1, 3):
+            graph_store.nodes.clear()
+            graph_store.rels.clear()
+            stub_server.requests.clear()
+            # Its own process: the stub server's thread keeps this one from forking.
+            done = subprocess.run(
+                [sys.executable, "-c", self.STORE_LOAD, stub_server.url, str(workers)],
+                cwd=workspace,
+                env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            *out, forks = done.stdout.splitlines()
+            graph = (workspace / "extracted-user-stories" / "demo" / "graph.json").read_bytes()
+            runs[workers] = forks, (out, done.stderr, graph, list(stub_server.requests))
+        assert runs[1][0] == "forks: 0" and runs[3][0] == "forks: 2"
+        assert runs[1][1] == runs[3][1]
+        assert runs[3][1][0] == [
+            "loaded 12 documents: 19 nodes created, 57 nodes matched, "
+            "24 relationships created, 0 documents failed"
+        ]
+
+
 class TestAtomicOutputs:
     def test_failed_rewrite_keeps_previous_report(self, workspace, monkeypatch):
         import storygraph.atomic as atomic
@@ -855,8 +967,8 @@ print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0, "loaded": l
         assert not self.evaluation_modules(loaded)
         assert not loaded & self.EXTRACTION_RUNTIME
         assert not loaded & {
-            "storygraph.sink", "storygraph.http",
-            "concurrent.futures", "csv", "urllib.request",
+            "storygraph.sink", "storygraph.http", "storygraph.fanout",
+            "concurrent.futures", "csv", "pickle", "urllib.request",
         }
 
     def test_each_stage_loads_only_its_own(self, workspace):
