@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 # Each command imports its own stage inside its function, so a process
 # loads only the stage it runs: ``--help`` imports no stage at all.
@@ -44,8 +44,11 @@ from .errors import (
 )
 from .extraction.config import KNOWN_BACKENDS, ExtractorConfig
 from .extraction.types import DropCounts
-from .model import OntologyViolation, document_to_dict, validate_ontology
+from .model import OntologyViolation, validate_ontology
 from .transform import components_to_story, story_document
+
+if TYPE_CHECKING:
+    from .sink import Rendered
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +64,9 @@ _FLAWED_STORIES_LOGGED = 20
 
 
 class _FileGraphs(NamedTuple):
-    """What ``load`` takes from one extraction file.  Plain values: they
-    cross from a worker process far faster than the documents would."""
+    """What ``load`` takes from one extraction file.  A dry run's workers
+    send back counts, findings and text only: these cross from a worker
+    process far faster than the documents would."""
 
     documents: int
     # (file name, pid, findings) of each document that breaks the ontology.
@@ -70,9 +74,8 @@ class _FileGraphs(NamedTuple):
     # The file's share of graph.cypher, or the error of an id the sink refuses.
     script: str
     refused: SinkError | None = None
-    # For a store load: its share of graph.json and of the statements sent.
-    payload: list[dict[str, Any]] | None = None
-    statements: list[tuple[str, list[tuple[str, dict[str, Any], bool]]]] | None = None
+    # For a store load: the documents with the statements that write them.
+    rendered: list[Rendered] | None = None
 
 
 def _backlog_files(directory: Path) -> list[Path]:
@@ -159,11 +162,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         log.info("wrote %s (%d stories)", out_path, len(entries))
         return len(backlog.stories), failed, drops
 
-    if config.backend == "chat-http":
-        # One process, so that --concurrency bounds the requests in flight.
-        outcomes = [extract_backlog(path) for path in files]
-    else:
-        outcomes = fan_out(extract_backlog, files)
+    # chat-http stays in one process, so that --concurrency bounds the
+    # requests in flight.
+    outcomes = fan_out(extract_backlog, files, fork=args.forks and config.backend != "chat-http")
     backlogs = [outcome for outcome in outcomes if outcome is not None]
     if not backlogs:
         log.error("no parseable backlog files in %s", input_dir)
@@ -271,7 +272,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return evaluate_backlog(backlog, stories, embedder=embedder, options=options)
 
     report = ExperimentReport(experiment=args.experiment, options=options)
-    report.backlogs = [scored for scored in fan_out(evaluate_shared, shared) if scored is not None]
+    # An embeddings API is asked from one process, one request at a time.
+    scored = fan_out(evaluate_shared, shared, fork=args.forks and not args.embeddings_endpoint)
+    report.backlogs = [backlog for backlog in scored if backlog is not None]
 
     if not report.backlogs:
         log.error("nothing evaluated")
@@ -286,14 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_load(args: argparse.Namespace) -> int:
     from .fanout import fan_out
-    from .sink import (
-        CypherStatement,
-        SinkConfig,
-        documents_json,
-        render,
-        rendered_script,
-        store_rendered,
-    )
+    from .sink import SinkConfig, export_json, render, rendered_script, store_rendered
 
     extracted_dir = Path(args.extracted_root) / args.experiment
     if not extracted_dir.is_dir():
@@ -338,19 +334,15 @@ def cmd_load(args: argparse.Namespace) -> int:
             rendered = render(docs)
         except SinkError as exc:
             return _FileGraphs(len(docs), flawed, "", refused=exc)
-        script = rendered_script(rendered)
-        if args.dry_run:
-            return _FileGraphs(len(docs), flawed, script)
         return _FileGraphs(
-            len(docs), flawed, script,
-            payload=[document_to_dict(doc) for doc in docs],
-            statements=[
-                (text, [(s.text, s.params, s.is_node) for s in statements])
-                for text, statements in rendered
-            ],
+            len(docs), flawed, rendered_script(rendered),
+            rendered=None if args.dry_run else rendered,
         )
 
-    graphs = [graph for graph in fan_out(load_file, files) if graph is not None]
+    # A store load keeps its documents in one process: sending them back
+    # from a worker would cost more than building them.
+    loaded = fan_out(load_file, files, fork=args.forks and args.dry_run)
+    graphs = [graph for graph in loaded if graph is not None]
     documents = sum(graph.documents for graph in graphs)
     flawed = [entry for graph in graphs for entry in graph.flawed]
     if not documents:
@@ -376,14 +368,11 @@ def cmd_load(args: argparse.Namespace) -> int:
         print(f"dry run: {documents} documents rendered to {cypher_path}")
         return EXIT_OK
 
+    rendered = [document for graph in graphs for document in graph.rendered]
     json_path = extracted_dir / "graph.json"
-    write_atomic(json_path, documents_json([doc for graph in graphs for doc in graph.payload]))
+    write_atomic(json_path, export_json([doc for doc, _statements in rendered]))
     log.info("wrote %s", json_path)
 
-    rendered = [
-        (text, [CypherStatement(*statement) for statement in statements])
-        for graph in graphs for text, statements in graph.statements
-    ]
     try:
         summary = store_rendered(config, rendered)
     except SinkError as exc:
@@ -455,9 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns its exit code.  Leaves the collector alone."""
+def main(argv: list[str] | None = None, *, forks: bool = False) -> int:
+    """Run one command; returns its exit code.  Leaves the collector alone.
+
+    With ``forks`` false, as a library, test or tracer calls it, every
+    stage runs in the caller's process; only ``console_main``, the process
+    entry, lets the offline stages fork workers for their backlogs.
+    """
     args = build_parser().parse_args(argv)
+    args.forks = forks
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -471,17 +466,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> int:
-    """Process entry: ``main`` on ``sys.argv``, then ``gc.freeze()``.
+    """Process entry: ``main`` on ``sys.argv`` with stage workers allowed,
+    then ``gc.freeze()``.
 
     Freezing moves every object alive at that point out of the collector's
     reach, so the collections the interpreter runs while it shuts down skip
     the heap the imports and the command built.  The ``finally`` covers every
     exit path, including the ``SystemExit`` of ``--help`` and of a usage
-    error.  Only the process entry freezes, never ``main``: a library or test
-    caller keeps its collector as it was.
+    error.  Only the process entry forks and freezes, never ``main``: a
+    library or test caller keeps its process and its collector as they were.
     """
     try:
-        return main()
+        return main(forks=True)
     finally:
         gc.freeze()
 

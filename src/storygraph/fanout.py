@@ -5,13 +5,18 @@ The offline stages do one independent piece of work per backlog.
 The caller works through the first share itself while each forked worker
 works through one of the others, so a stage pays no interpreter start-up
 and sends no function or argument between processes.  Each worker writes
-its results, pickled, to its own unlinked temporary file, which never
-fills up as a pipe would while the caller is still busy with its share.
+its results, pickled, to its own anonymous file, which never fills up as a
+pipe would while the caller is still busy with its share.
 
 Forking a process that runs other threads can deadlock, so any other live
 thread keeps the work in the calling process, as do one usable core, one
-item and a platform without ``os.fork``.  Either way the results, the log
-records and the first exception come out as from a plain loop.
+item, a platform without ``os.fork`` and a caller that asks for no fork.
+Either way the results, the log records and the first exception come out
+as from a plain loop.
+
+No worker outlives its caller's work: the caller kills and reaps them on
+every path it leaves by, a SIGTERM that would otherwise end it at once
+included, and a worker whose caller is gone stops before its next item.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import logging
 import os
 import pickle
 import signal
-import tempfile
 import threading
-from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, NoReturn, Sequence, TypeVar
 
 from .errors import StoryGraphError
 
@@ -46,15 +50,32 @@ def _plain(record: logging.LogRecord) -> logging.LogRecord:
     return record
 
 
-def _work(fn: Callable, share: Sequence, out: BinaryIO) -> NoReturn:
+def _results_file() -> BinaryIO:
+    """An anonymous file, in memory where the platform allows."""
+    if hasattr(os, "memfd_create"):
+        return open(os.memfd_create("fan_out"), "w+b")
+    import tempfile
+
+    return tempfile.TemporaryFile()
+
+
+def _work(
+    fn: Callable, share: Sequence, out: BinaryIO, caller: int, mask: Iterable[int]
+) -> NoReturn:
     """A worker's life: one pickled (ok, result or exception, log records)
-    message per item, up to the first failure; then ``os._exit``, so no
-    exit handler or buffered stream of the caller runs a second time."""
+    message per item, up to the first failure or until the caller is gone;
+    then ``os._exit``, so no exit handler or buffered stream of the caller
+    runs a second time.  SIGTERM, blocked across the fork, gets its default
+    action back before the caller's signal ``mask`` is restored."""
     status = 1
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         records: list[logging.LogRecord] = []
         logging.Logger.callHandlers = lambda _logger, record: records.append(_plain(record))
         for item in share:
+            if os.getppid() != caller:  # nobody is left to read the results
+                break
             try:
                 ok, value = True, fn(item)
             except Exception as exc:  # sent to the caller, which raises it
@@ -69,28 +90,64 @@ def _work(fn: Callable, share: Sequence, out: BinaryIO) -> NoReturn:
         os._exit(status)
 
 
-def fan_out(fn: Callable[[Item], Result], items: Sequence[Item]) -> list[Result]:
+def fan_out(
+    fn: Callable[[Item], Result], items: Sequence[Item], fork: bool = True
+) -> list[Result]:
     """``[fn(item) for item in items]``, over up to one process per usable core.
 
     Log records a worker emits reach the caller's handlers in item order.
     The exception of the first failing item is raised, after every worker
     has been reaped; a worker that dies without a result is a
-    ``StoryGraphError`` naming the item it did not finish.
+    ``StoryGraphError`` naming the item it did not finish.  With ``fork``
+    false every item runs in the calling process.
     """
-    workers = min(_usable_cores(), len(items))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    workers = min(_usable_cores(), len(items)) if fork else 1
+    if (
+        workers < 2
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+        or threading.current_thread() is not threading.main_thread()
+    ):
         return [fn(item) for item in items]
     bounds = [len(items) * k // workers for k in range(workers + 1)]
     children: list[tuple[int, BinaryIO, Sequence[Item]]] = []
     running: set[int] = set()
+
+    def stop_workers() -> None:
+        while running:
+            pid = running.pop()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped a moment ago
+                pass
+
+    def terminated(signum: int, _frame: object) -> None:
+        # SIGTERM's default action ends the caller without its ``finally``:
+        # stop the workers first, then take that action.
+        stop_workers()
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    # A caller that handles SIGTERM itself unwinds through the ``finally``.
+    own_handler = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    if own_handler:
+        signal.signal(signal.SIGTERM, terminated)
+    caller = os.getpid()
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            out = tempfile.TemporaryFile()
-            pid = os.fork()
-            if pid == 0:
-                _work(fn, items[start:stop], out)
-            running.add(pid)
-            children.append((pid, out, items[start:stop]))
+            out = _results_file()
+            # Blocked until the pid is in ``running``: a SIGTERM in between
+            # would leave this worker out, or run ``terminated`` in it.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, items[start:stop], out, caller, mask)
+                running.add(pid)
+                children.append((pid, out, items[start:stop]))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = [fn(item) for item in items[: bounds[1]]]
         for pid, out, share in children:
             os.waitpid(pid, 0)
@@ -110,8 +167,8 @@ def fan_out(fn: Callable[[Item], Result], items: Sequence[Item]) -> list[Result]
                 results.append(value)
         return results
     finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if own_handler:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        stop_workers()
         for _pid, out, _share in children:
             out.close()

@@ -128,8 +128,8 @@ def _cypher_literal(value: Any) -> str:
     return f"'{escaped}'"
 
 
-# A document's story text with the statements that write it.
-Rendered = tuple[str, list[CypherStatement]]
+# A document with the statements that write it.
+Rendered = tuple[GraphDocument, list[CypherStatement]]
 
 
 def render(docs: Iterable[GraphDocument]) -> list[Rendered]:
@@ -138,7 +138,7 @@ def render(docs: Iterable[GraphDocument]) -> list[Rendered]:
     An id the sink refuses raises here, before anything is
     written or sent.
     """
-    return [(doc.source_text, to_cypher(doc)) for doc in docs]
+    return [(doc, to_cypher(doc)) for doc in docs]
 
 
 def _script_format(text: str) -> tuple[str, list[str]]:
@@ -158,7 +158,7 @@ def rendered_script(rendered: Iterable[Rendered]) -> str:
     """
     formats: dict[str, tuple[str, list[str]]] = {}
     lines = []
-    for _text, statements in rendered:
+    for _doc, statements in rendered:
         for statement in statements:
             text = statement.text
             split = formats.get(text)
@@ -315,7 +315,7 @@ def _commit_batch(
     except _Rejected as exc:
         if len(batch) == 1:
             summary.documents_failed += 1
-            log.warning("document for %r failed: %s", batch[0][0][:60], exc)
+            log.warning("document for %r failed: %s", batch[0][0].source_text[:60], exc)
         else:
             log.info("batch of %d documents rolled back (%s); retrying each alone",
                      len(batch), exc)
@@ -359,9 +359,5 @@ def store_rendered(config: SinkConfig, rendered: Sequence[Rendered]) -> LoadSumm
 
 def export_json(docs: Sequence[GraphDocument]) -> bytes:
     """Canonical JSON array of documents, UTF-8, stable key order."""
-    return documents_json([document_to_dict(doc) for doc in docs])
-
-
-def documents_json(payload: Sequence[dict[str, Any]]) -> bytes:
-    """``export_json`` of documents given as their ``document_to_dict`` dicts."""
+    payload = [document_to_dict(doc) for doc in docs]
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")

@@ -39,13 +39,13 @@ def workspace(tmp_path, monkeypatch) -> Path:
     return tmp_path
 
 
-def run_extract(*extra: str) -> int:
+def run_extract(*extra: str, forks: bool = False) -> int:
     argv = [
         "extract", "--experiment", "demo",
         "--backend", "replay-fixture", "--fixture", str(REPLAY_FIXTURE),
     ]
     argv.extend(extra)
-    return main(argv)
+    return main(argv, forks=forks)
 
 
 class TestExtract:
@@ -702,7 +702,10 @@ class TestOutputsUnchanged:
 
 
 class TestFanOut:
-    """Several backlogs over forked workers give what one process gives."""
+    """Several backlogs over forked workers give what one process gives.
+
+    Only the process entry forks, so these tests call ``main`` with
+    ``forks=True``, as ``console_main`` does."""
 
     @staticmethod
     def write_corpus(directory: Path) -> None:
@@ -728,11 +731,11 @@ class TestFanOut:
         monkeypatch.chdir(root)
         caplog.clear()
         out_dir = root / "extracted-user-stories" / "demo"
-        codes = [run_extract()]
+        codes = [run_extract(forks=True)]
         # A flawed document: its story lost its entities.
         self.edit_extraction(out_dir / "b.json", 0, Entity=None, Targets=[])
-        codes.append(main(["evaluate", "--experiment", "demo"]))
-        codes.append(main(["load", "--experiment", "demo", "--dry-run"]))
+        codes.append(main(["evaluate", "--experiment", "demo"], forks=True))
+        codes.append(main(["load", "--experiment", "demo", "--dry-run"], forks=True))
         outputs = {
             str(path.relative_to(root)): path.read_bytes()
             for path in sorted(root.rglob("*.*")) if path.name != "manifest.json"
@@ -740,7 +743,7 @@ class TestFanOut:
         # An id the sink refuses, in the last extraction file.
         (out_dir / "graph.cypher").unlink()
         self.edit_extraction(out_dir / "e.json", -1, Persona=["x" * 5000])
-        codes.append(main(["load", "--experiment", "demo", "--dry-run"]))
+        codes.append(main(["load", "--experiment", "demo", "--dry-run"], forks=True))
         assert not (out_dir / "graph.cypher").exists()
         messages = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
         return codes, outputs, messages, capsys.readouterr().out
@@ -772,45 +775,71 @@ class TestFanOut:
     STORE_LOAD = """
 import os, sys
 from storygraph import fanout
-from storygraph.cli import main
+from storygraph.cli import console_main
 forks = []
 fork = os.fork
 os.fork = lambda: forks.append(1) or fork()
-fanout._usable_cores = lambda: int(sys.argv[2])
-code = main(["load", "--experiment", "demo", "--uri", sys.argv[1]])
+fanout._usable_cores = lambda: 3
+sys.argv = ["storygraph", "load", "--experiment", "demo", "--uri", sys.argv[1]]
+code = console_main()
 print("forks:", len(forks))
 sys.exit(code)
 """
 
-    def test_store_load_writes_and_sends_what_one_process_does(
-        self, workspace, graph_store, stub_server
-    ):
+    def test_store_load_stays_in_one_process(self, workspace, graph_store, stub_server):
         for name in ("b", "c", "d"):
             shutil.copy(SAMPLE_BACKLOG, workspace / "pos_baseline" / f"{name}.json")
         assert run_extract() == EXIT_OK
-        runs = {}
-        for workers in (1, 3):
-            graph_store.nodes.clear()
-            graph_store.rels.clear()
-            stub_server.requests.clear()
-            # Its own process: the stub server's thread keeps this one from forking.
-            done = subprocess.run(
-                [sys.executable, "-c", self.STORE_LOAD, stub_server.url, str(workers)],
-                cwd=workspace,
-                env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            *out, forks = done.stdout.splitlines()
-            graph = (workspace / "extracted-user-stories" / "demo" / "graph.json").read_bytes()
-            runs[workers] = forks, (out, done.stderr, graph, list(stub_server.requests))
-        assert runs[1][0] == "forks: 0" and runs[3][0] == "forks: 2"
-        assert runs[1][1] == runs[3][1]
-        assert runs[3][1][0] == [
+        # Its own process: the stub server's thread would keep this one from forking.
+        done = subprocess.run(
+            [sys.executable, "-c", self.STORE_LOAD, stub_server.url],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines() == [
             "loaded 12 documents: 19 nodes created, 57 nodes matched, "
-            "24 relationships created, 0 documents failed"
+            "24 relationships created, 0 documents failed",
+            "forks: 0",
         ]
+        graph = workspace / "extracted-user-stories" / "demo" / "graph.json"
+        assert len(json.loads(graph.read_text())) == 12
+
+    def test_main_called_in_process_keeps_every_stage_in_it(self, workspace, monkeypatch):
+        # A tracer or test that runs the commands in its own process sees all their work.
+        for name in ("b", "c", "d"):
+            shutil.copy(SAMPLE_BACKLOG, workspace / "pos_baseline" / f"{name}.json")
+        monkeypatch.setattr(fanout, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a stage forked"))
+        assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+        assert main(["load", "--experiment", "rb", "--dry-run"]) == EXIT_OK
+
+    def test_embeddings_api_is_asked_from_one_process(self, workspace, monkeypatch, tmp_path):
+        from storygraph.evaluation import HttpEmbedder
+
+        for name in ("b", "c", "d"):
+            shutil.copy(SAMPLE_BACKLOG, workspace / "pos_baseline" / f"{name}.json")
+        assert run_extract() == EXIT_OK
+        callers = tmp_path / "callers.txt"
+
+        def embed(_embedder, tokens):
+            # Appended to a file, so that a request from a worker would show.
+            with callers.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return [[1.0, float(len(token))] for token in tokens]
+
+        monkeypatch.setattr(HttpEmbedder, "embed", embed)
+        monkeypatch.setattr(fanout, "_usable_cores", lambda: 3)
+        code = main(["evaluate", "--experiment", "demo",
+                     "--embeddings-endpoint", "http://127.0.0.1:9/v1/embeddings"], forks=True)
+        assert code == EXIT_OK
+        pids = callers.read_text().split()
+        assert pids and set(pids) == {str(os.getpid())}
+        report = json.loads((workspace / "evaluation" / "demo" / "report.json").read_text())
+        assert len(report["backlogs"]) == 4
 
 
 class TestAtomicOutputs:

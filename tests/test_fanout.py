@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PKG_ROOT
 from storygraph import fanout
 from storygraph.errors import BacklogParseError, ResponseParseError, StoryGraphError
 from storygraph.fanout import fan_out
@@ -130,3 +135,81 @@ def test_runs_inline_while_another_thread_is_alive(cores):
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+# A caller with one worker, run in its own process: each worker item is
+# appended to the file named by argv[1], then sleeps for argv[2] seconds;
+# the caller's own share sleeps a minute.
+CALLER = """
+import os, sys, time
+from storygraph import fanout
+
+fanout._usable_cores = lambda: 2
+caller = os.getpid()
+log, pause = sys.argv[1], float(sys.argv[2])
+
+def work(item):
+    if os.getpid() == caller:
+        time.sleep(60)
+    else:
+        with open(log, "a") as fh:
+            fh.write(f"{item} {os.getpid()}\\n")
+        time.sleep(pause)
+    return item
+
+fanout.fan_out(work, range(40))
+"""
+
+
+def start_caller(tmp_path, pause: float) -> tuple[subprocess.Popen, Path, int]:
+    """The caller's process, the worker's item log and the worker's pid."""
+    log = tmp_path / "items.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CALLER, str(log), str(pause)],
+        env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+    )
+    deadline = time.monotonic() + 30
+    while not log.exists() or not log.read_text().endswith("\n"):
+        assert time.monotonic() < deadline and proc.poll() is None
+        time.sleep(0.02)
+    return proc, log, int(log.read_text().split()[1])
+
+
+def gone(pid: int) -> bool:
+    """Whether the process has exited (an unreaped orphan counts as gone)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_sigterm_to_the_caller_leaves_no_worker(tmp_path):
+    proc, _log, worker = start_caller(tmp_path, pause=60)
+    try:
+        proc.send_signal(signal.SIGTERM)
+        # The caller still ends as SIGTERM ends it, with its worker reaped.
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        assert gone(worker)
+    finally:
+        proc.kill()
+        if not gone(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_worker_of_a_killed_caller_stops_before_its_next_item(tmp_path):
+    proc, log, worker = start_caller(tmp_path, pause=1)
+    try:
+        proc.kill()
+        proc.wait(timeout=30)
+        begun = len(log.read_text().splitlines())
+        deadline = time.monotonic() + 30
+        while not gone(worker):
+            assert time.monotonic() < deadline, "the worker outlived its caller"
+            time.sleep(0.05)
+        # It finished the item in hand when the caller died and began no other.
+        assert len(log.read_text().splitlines()) == begun
+    finally:
+        if not gone(worker):
+            os.kill(worker, signal.SIGKILL)
