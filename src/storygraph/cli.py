@@ -50,7 +50,9 @@ from .transform import components_to_story, story_document
 if TYPE_CHECKING:
     from .sink import Rendered
 
-log = logging.getLogger(__name__)
+# Named, not ``__name__``: under ``python -m storygraph.cli`` this module
+# runs as ``__main__``, and its lines would miss the ``storygraph`` logger.
+log = logging.getLogger("storygraph.cli")
 
 EXIT_OK = 0
 EXIT_NO_INPUT = 2

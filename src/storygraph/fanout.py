@@ -14,9 +14,11 @@ item, a platform without ``os.fork`` and a caller that asks for no fork.
 Either way the results, the log records and the first exception come out
 as from a plain loop.
 
-No worker outlives its caller's work: the caller kills and reaps them on
-every path it leaves by, a SIGTERM that would otherwise end it at once
-included, and a worker whose caller is gone stops before its next item.
+No worker outlives its caller: the caller kills and reaps them on every
+path it leaves by, and each worker ends as soon as the caller's process is
+gone, however it ended.  For that the caller holds the only write end of a
+lifeline pipe, which the kernel closes with the process; a thread in each
+worker waits on the read end, and end of file ends the worker.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import pickle
 import signal
 import threading
-from typing import BinaryIO, Callable, Iterable, NoReturn, Sequence, TypeVar
+from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
 
 from .errors import StoryGraphError
 
@@ -59,23 +61,24 @@ def _results_file() -> BinaryIO:
     return tempfile.TemporaryFile()
 
 
-def _work(
-    fn: Callable, share: Sequence, out: BinaryIO, caller: int, mask: Iterable[int]
-) -> NoReturn:
+def _outlive_no_caller(lifeline: int) -> NoReturn:
+    os.read(lifeline, 1)  # end of file: the caller's process is gone
+    os._exit(1)
+
+
+def _work(fn: Callable, share: Sequence, out: BinaryIO, lifeline: int, held: int) -> NoReturn:
     """A worker's life: one pickled (ok, result or exception, log records)
-    message per item, up to the first failure or until the caller is gone;
-    then ``os._exit``, so no exit handler or buffered stream of the caller
-    runs a second time.  SIGTERM, blocked across the fork, gets its default
-    action back before the caller's signal ``mask`` is restored."""
+    message per item, up to the first failure; then ``os._exit``, so no exit
+    handler or buffered stream of the caller runs a second time.  With its
+    copy of the caller's ``held`` write end closed, a thread reading
+    ``lifeline`` ends the worker once the caller's process is gone."""
     status = 1
     try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(held)
+        threading.Thread(target=_outlive_no_caller, args=(lifeline,), daemon=True).start()
         records: list[logging.LogRecord] = []
         logging.Logger.callHandlers = lambda _logger, record: records.append(_plain(record))
         for item in share:
-            if os.getppid() != caller:  # nobody is left to read the results
-                break
             try:
                 ok, value = True, fn(item)
             except Exception as exc:  # sent to the caller, which raises it
@@ -102,52 +105,20 @@ def fan_out(
     false every item runs in the calling process.
     """
     workers = min(_usable_cores(), len(items)) if fork else 1
-    if (
-        workers < 2
-        or not hasattr(os, "fork")
-        or threading.active_count() > 1
-        or threading.current_thread() is not threading.main_thread()
-    ):
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(item) for item in items]
     bounds = [len(items) * k // workers for k in range(workers + 1)]
     children: list[tuple[int, BinaryIO, Sequence[Item]]] = []
     running: set[int] = set()
-
-    def stop_workers() -> None:
-        while running:
-            pid = running.pop()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped a moment ago
-                pass
-
-    def terminated(signum: int, _frame: object) -> None:
-        # SIGTERM's default action ends the caller without its ``finally``:
-        # stop the workers first, then take that action.
-        stop_workers()
-        signal.signal(signum, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
-
-    # A caller that handles SIGTERM itself unwinds through the ``finally``.
-    own_handler = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-    if own_handler:
-        signal.signal(signal.SIGTERM, terminated)
-    caller = os.getpid()
+    lifeline, held = os.pipe()
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             out = _results_file()
-            # Blocked until the pid is in ``running``: a SIGTERM in between
-            # would leave this worker out, or run ``terminated`` in it.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(fn, items[start:stop], out, caller, mask)
-                running.add(pid)
-                children.append((pid, out, items[start:stop]))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, items[start:stop], out, lifeline, held)
+            running.add(pid)
+            children.append((pid, out, items[start:stop]))
         results = [fn(item) for item in items[: bounds[1]]]
         for pid, out, share in children:
             os.waitpid(pid, 0)
@@ -167,8 +138,13 @@ def fan_out(
                 results.append(value)
         return results
     finally:
-        if own_handler:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        stop_workers()
+        for pid in running:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped a moment ago
+                pass
         for _pid, out, _share in children:
             out.close()
+        os.close(lifeline)
+        os.close(held)

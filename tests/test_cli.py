@@ -952,6 +952,19 @@ print("numpy" in sys.modules)
         (backlog,) = report["backlogs"]
         assert backlog["stories_evaluated"] == 3
 
+    def test_module_entry_logs_under_the_package_logger(self, workspace):
+        done = subprocess.run(
+            [sys.executable, "-m", "storygraph.cli",
+             "extract", "--experiment", "rb", "--backend", "rule-based"],
+            cwd=workspace,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        lines = done.stderr.splitlines()
+        assert lines and all(line.startswith("INFO storygraph.cli: ") for line in lines), lines
+
     # ``python -m storygraph.cli ARGS``, reporting the exit code, whether
     # the heap got frozen, and the modules the run added to the interpreter.
     ENTRY = """

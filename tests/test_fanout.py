@@ -183,14 +183,21 @@ def gone(pid: int) -> bool:
         return True
 
 
+def wait_until_gone(pid: int, seconds: float) -> None:
+    deadline = time.monotonic() + seconds
+    while not gone(pid):
+        assert time.monotonic() < deadline, "the worker outlived its caller"
+        time.sleep(0.02)
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_sigterm_to_the_caller_leaves_no_worker(tmp_path):
     proc, _log, worker = start_caller(tmp_path, pause=60)
     try:
         proc.send_signal(signal.SIGTERM)
-        # The caller still ends as SIGTERM ends it, with its worker reaped.
+        # The caller still ends as SIGTERM ends it; its worker ends just after.
         assert proc.wait(timeout=30) == -signal.SIGTERM
-        assert gone(worker)
+        wait_until_gone(worker, 5)
     finally:
         proc.kill()
         if not gone(worker):
@@ -198,18 +205,24 @@ def test_sigterm_to_the_caller_leaves_no_worker(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_worker_of_a_killed_caller_stops_before_its_next_item(tmp_path):
-    proc, log, worker = start_caller(tmp_path, pause=1)
+def test_worker_of_a_killed_caller_stops_inside_its_item(tmp_path):
+    proc, log, worker = start_caller(tmp_path, pause=60)
     try:
         proc.kill()
         proc.wait(timeout=30)
-        begun = len(log.read_text().splitlines())
-        deadline = time.monotonic() + 30
-        while not gone(worker):
-            assert time.monotonic() < deadline, "the worker outlived its caller"
-            time.sleep(0.05)
-        # It finished the item in hand when the caller died and began no other.
-        assert len(log.read_text().splitlines()) == begun
+        begun = log.read_text()
+        # It stops well before the minute its item sleeps, and begins no other.
+        wait_until_gone(worker, 5)
+        assert log.read_text() == begun
     finally:
         if not gone(worker):
             os.kill(worker, signal.SIGKILL)
+
+
+def test_results_come_back_through_temporary_files_without_memfd(cores, monkeypatch):
+    cores(3)
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    results = fan_out(lambda item: (item, os.getpid()), range(7))
+    assert [item for item, _pid in results] == list(range(7))
+    assert len({pid for _item, pid in results}) == 3
+    assert_no_child_left()
