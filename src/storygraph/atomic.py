@@ -1,4 +1,4 @@
-"""Whole-file output writes.
+"""Whole-file output writes, and the text of the JSON output files.
 
 Each output goes to a temporary file in its own directory and is then
 renamed over the target, so a run that stops midway leaves the previous
@@ -7,8 +7,16 @@ file or the new one, never a truncated one.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+from typing import Any
+
+
+def json_text(value: Any) -> str:
+    """The byte-stable text of a JSON output file: two-space indent, non-ASCII
+    text as itself, and a final newline."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

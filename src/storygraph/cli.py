@@ -24,9 +24,10 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 # Each command imports its own stage inside its function, so a process
 # loads only the stage it runs: ``--help`` imports no stage at all.
-from .atomic import write_atomic
+from .atomic import json_text, write_atomic
 from .corpus import (
     AnnotatedStory,
+    Backlog,
     clean_story_text,
     decode_json,
     drop_invalid_stories,
@@ -138,13 +139,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     def extract_backlog(path: Path) -> tuple[int, int, DropCounts] | None:
         """Extract one backlog file and write its extraction file; returns its
         story, failure and drop counts, or None when it cannot be loaded."""
-        try:
-            backlog = load_backlog(path)
-        except (OSError, BacklogParseError, BacklogSchemaError) as exc:
-            log.warning("skipping backlog %s: %s", path.name, exc)
+        backlog = _read_backlog(path, f"backlog {path.name}")
+        if backlog is None:
             return None
-        backlog, _skipped = drop_invalid_stories(backlog)
-
         drops = DropCounts()
         texts = [clean_story_text(story) for story in backlog.stories]
         results = extract_many(config, texts, backend=backend, drops=drops)
@@ -160,7 +157,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 entries.append(story_to_dict(extracted))
 
         out_path = out_dir / f"{backlog.name}.json"
-        write_atomic(out_path, json.dumps(entries, indent=2, ensure_ascii=False) + "\n")
+        write_atomic(out_path, json_text(entries))
         log.info("wrote %s (%d stories)", out_path, len(entries))
         return len(backlog.stories), failed, drops
 
@@ -184,6 +181,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
     log.info("extracted %d stories (%d failed)", total, failed)
     return EXIT_OK
+
+
+def _read_backlog(path: Path, label: str) -> Backlog | None:
+    """A ground-truth backlog without its invalid stories; None, with one
+    warning that names ``label``, when the file cannot be loaded."""
+    try:
+        backlog = load_backlog(path)
+    except (OSError, BacklogParseError, BacklogSchemaError) as exc:
+        log.warning("skipping %s: %s", label, exc)
+        return None
+    return drop_invalid_stories(backlog)[0]
 
 
 def _error_entry(story: AnnotatedStory, message: str) -> dict[str, Any]:
@@ -259,12 +267,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     def evaluate_shared(name: str) -> BacklogReport | None:
         """Score one backlog's extraction file; None when either file cannot be read."""
-        try:
-            backlog = load_backlog(baseline_files[name])
-        except (OSError, BacklogParseError, BacklogSchemaError) as exc:
-            log.warning("skipping baseline %s: %s", name, exc)
+        backlog = _read_backlog(baseline_files[name], f"baseline {name}")
+        if backlog is None:
             return None
-        backlog, _skipped = drop_invalid_stories(backlog)
         extracted = _read_extractions(extracted_files[name])
         if extracted is None:
             return None

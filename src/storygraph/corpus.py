@@ -12,7 +12,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 from .errors import BacklogParseError, BacklogSchemaError
 
@@ -187,17 +187,14 @@ def story_to_dict(story: AnnotatedStory) -> dict[str, Any]:
     }
 
 
-def decode_json(data: bytes | str) -> Any:
-    """The JSON value of a story file's bytes.
+def decode_json(data: bytes) -> Any:
+    """The JSON value of a story file's bytes; it takes bytes only.
 
     Bytes that are not UTF-8, not JSON, or that escape a lone surrogate
     (such as ``"\\ud800"``, text no output file could hold) raise
     BacklogParseError carrying the byte offset of the failure; so does a
     value nested deeper than the decoder can follow, without an offset.
-    Text given as ``str`` is read as its UTF-8 bytes.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -224,15 +221,15 @@ def decode_json(data: bytes | str) -> Any:
     return payload
 
 
-def parse_backlog_file(raw: bytes | BinaryIO, name: str = "") -> Backlog:
-    """Parse a backlog from raw JSON bytes.
+def parse_backlog_file(raw: bytes, name: str = "") -> Backlog:
+    """Parse a backlog from a story file's raw JSON bytes (bytes only).
 
     Bytes that ``decode_json`` refuses raise BacklogParseError carrying the
     byte offset of the failure; structural problems raise
     BacklogSchemaError.  An empty array is rejected: a backlog without
     stories is useless downstream.
     """
-    payload = decode_json(raw.read() if hasattr(raw, "read") else raw)
+    payload = decode_json(raw)
     if not isinstance(payload, list):
         raise BacklogSchemaError("expected a JSON array of stories")
     if not payload:
@@ -244,8 +241,7 @@ def parse_backlog_file(raw: bytes | BinaryIO, name: str = "") -> Backlog:
 
 def load_backlog(path: str | Path) -> Backlog:
     path = Path(path)
-    with path.open("rb") as fh:
-        return parse_backlog_file(fh, name=path.stem)
+    return parse_backlog_file(path.read_bytes(), name=path.stem)
 
 
 def validate_story(story: AnnotatedStory) -> list[str]:

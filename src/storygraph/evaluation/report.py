@@ -14,20 +14,22 @@ truth scores 1.0 against itself.
 ``evaluate_backlog`` is the one scoring entry point; a story scored alone is
 a backlog of one.  Each story gives a ``Scores`` tuple per (kind, mode)
 cell, None when the cell is undefined, and a backlog row is the mean of its
-defined cells, added left to right.
+defined cells, added left to right.  A backlog's rows are one list, the
+node-kind rows then the relation rows; the writers split them by kind:
+``report.json`` keeps the relations apart, and ``report.csv`` holds the
+node kinds only.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ..atomic import write_atomic
+from ..atomic import json_text, write_atomic
 from ..corpus import AnnotatedStory, Backlog
 from ..model import NodeKind, RelKind
 from ..transform import story_elements
@@ -178,9 +180,11 @@ def _mean_row(
 
 @dataclass
 class BacklogReport:
+    """One backlog's scores.  ``rows`` holds one row per scored (kind, mode)
+    key in report order: the node-kind rows, then the relation rows."""
+
     backlog: str
     rows: list[ReportRow] = field(default_factory=list)
-    relation_rows: list[ReportRow] = field(default_factory=list)
     stories_evaluated: int = 0
     stories_skipped: int = 0
     omitted: list[str] = field(default_factory=list)
@@ -225,15 +229,13 @@ def evaluate_backlog(
                 defined[key].append(cell)
 
     # The mean row of each key with a defined cell; the others as omitted.
-    rows = [
-        _mean_row(backlog.name, key, scored, len(scored), undefined[key])
-        for key, scored in defined.items()
-        if scored
-    ]
     return BacklogReport(
         backlog=backlog.name,
-        rows=[row for row in rows if row.kind in KIND_ORDER],
-        relation_rows=[row for row in rows if row.kind not in KIND_ORDER],
+        rows=[
+            _mean_row(backlog.name, key, scored, len(scored), undefined[key])
+            for key, scored in defined.items()
+            if scored
+        ],
         stories_evaluated=evaluated,
         stories_skipped=skipped,
         omitted=["/".join(key) for key, scored in defined.items() if not scored],
@@ -250,7 +252,7 @@ class ExperimentReport:
         """Macro average across backlogs per (kind, mode), in first-seen order."""
         grouped: dict[tuple[str, str], list[ReportRow]] = {}
         for report in self.backlogs:
-            for row in report.rows + report.relation_rows:
+            for row in report.rows:
                 grouped.setdefault((row.kind, row.mode), []).append(row)
         return [
             _mean_row(
@@ -262,11 +264,6 @@ class ExperimentReport:
             )
             for key, rows in grouped.items()
         ]
-
-
-def _row_dict(row: ReportRow) -> dict:
-    # The field order of ReportRow is the key order of the report.
-    return dict(vars(row))
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -282,13 +279,14 @@ def report_to_dict(report: ExperimentReport) -> dict:
                 "backlog": b.backlog,
                 "stories_evaluated": b.stories_evaluated,
                 "stories_skipped": b.stories_skipped,
-                "rows": [_row_dict(row) for row in b.rows],
-                "relations": [_row_dict(row) for row in b.relation_rows],
+                # The field order of ReportRow is the key order of the report.
+                "rows": [dict(vars(row)) for row in b.rows if row.kind in KIND_ORDER],
+                "relations": [dict(vars(row)) for row in b.rows if row.kind not in KIND_ORDER],
                 "omitted": list(b.omitted),
             }
             for b in report.backlogs
         ],
-        "averages": [_row_dict(row) for row in report.average_rows()],
+        "averages": [dict(vars(row)) for row in report.average_rows()],
     }
 
 
@@ -305,12 +303,10 @@ def report_to_csv(report: ExperimentReport) -> str:
         # The field order of ReportRow is the column order.
         writer.writerow(f"{v:.6f}" if isinstance(v, float) else v for v in vars(row).values())
 
-    for backlog_report in report.backlogs:
-        for row in backlog_report.rows:
-            emit(row)
-    for row in report.average_rows():
-        if row.kind in KIND_ORDER:
-            emit(row)
+    for rows in [b.rows for b in report.backlogs] + [report.average_rows()]:
+        for row in rows:
+            if row.kind in KIND_ORDER:
+                emit(row)
     return buffer.getvalue()
 
 
@@ -319,9 +315,7 @@ def write_report_files(report: ExperimentReport, out_dir: str | Path) -> tuple[P
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
-    write_atomic(
-        json_path, json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
-    )
+    write_atomic(json_path, json_text(report_to_dict(report)))
     write_atomic(csv_path, report_to_csv(report))
     return json_path, csv_path
 

@@ -113,10 +113,6 @@ class OntologyViolation:
         return self.message
 
 
-def _violation(message: str, severity: str = "error") -> OntologyViolation:
-    return OntologyViolation(message=message, severity=severity)
-
-
 def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
     """Check a document against the user-story ontology.
 
@@ -131,31 +127,31 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
 
     n_userstory = len(by_kind[NodeKind.USERSTORY])
     if n_userstory != 1:
-        violations.append(_violation(f"userstory cardinality {n_userstory} != 1"))
+        violations.append(OntologyViolation(f"userstory cardinality {n_userstory} != 1"))
 
     n_persona = len(by_kind[NodeKind.PERSONA])
     if n_persona == 0:
-        violations.append(_violation("persona cardinality 0 != 1"))
+        violations.append(OntologyViolation("persona cardinality 0 != 1"))
     elif n_persona > 1:
         violations.append(
-            _violation(f"persona cardinality {n_persona} > 1", severity="warning")
+            OntologyViolation(f"persona cardinality {n_persona} > 1", severity="warning")
         )
 
     if not by_kind[NodeKind.ACTION]:
-        violations.append(_violation("action cardinality 0 < 1"))
+        violations.append(OntologyViolation("action cardinality 0 < 1"))
     if not by_kind[NodeKind.ENTITY]:
-        violations.append(_violation("entity cardinality 0 < 1"))
+        violations.append(OntologyViolation("entity cardinality 0 < 1"))
 
     n_benefit = len(by_kind[NodeKind.BENEFIT])
     if n_benefit > 1:
-        violations.append(_violation(f"benefit cardinality {n_benefit} > 1"))
+        violations.append(OntologyViolation(f"benefit cardinality {n_benefit} > 1"))
 
     story_node = by_kind[NodeKind.USERSTORY][0] if n_userstory == 1 else None
     # Identical text needs no normalizing to match.
     if story_node is not None and doc.source_text and story_node.id != doc.source_text:
         if story_node.key()[1] != normalize_id(doc.source_text):
             violations.append(
-                _violation("userstory node id does not match the source text")
+                OntologyViolation("userstory node id does not match the source text")
             )
 
     node_keys = {node.key() for node in doc.nodes}
@@ -163,9 +159,7 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
     for node in doc.nodes:
         key = node.key()
         if key in seen_keys:
-            violations.append(
-                _violation(f"duplicate {node.kind.value} node '{node.id}'")
-            )
+            violations.append(OntologyViolation(f"duplicate {node.kind.value} node '{node.id}'"))
         seen_keys.add(key)
 
     n_triggers = 0
@@ -175,7 +169,7 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
         expected_src, expected_tgt = REL_ENDPOINT_KINDS[rel.kind]
         if rel.source.kind is not expected_src or rel.target.kind is not expected_tgt:
             violations.append(
-                _violation(
+                OntologyViolation(
                     f"{rel.kind.value} endpoint kinds "
                     f"{rel.source.kind.value}->{rel.target.kind.value} violate "
                     f"{expected_src.value}->{expected_tgt.value}"
@@ -184,14 +178,14 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
         for endpoint in (rel.source, rel.target):
             if endpoint.key() not in node_keys:
                 violations.append(
-                    _violation(
+                    OntologyViolation(
                         f"{rel.kind.value} endpoint '{endpoint.id}' "
                         "is not among the document nodes"
                     )
                 )
 
     if n_triggers != 1:
-        violations.append(_violation(f"triggers cardinality {n_triggers} != 1"))
+        violations.append(OntologyViolation(f"triggers cardinality {n_triggers} != 1"))
 
     # Ownership coverage: with a unique story node present, every satellite
     # must hang off it by exactly one HAS_* edge.
@@ -207,7 +201,7 @@ def validate_ontology(doc: GraphDocument) -> list[OntologyViolation]:
             count = inbound.get(node.key(), 0)
             if count != 1:
                 violations.append(
-                    _violation(
+                    OntologyViolation(
                         f"{node.kind.value} node '{node.id}' has {count} "
                         "ownership edges != 1"
                     )

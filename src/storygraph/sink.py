@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .atomic import json_text
 from .errors import SinkError, check_url, redact_url
 from .http import TransportError, post_json
 from .model import GraphDocument, NodeKind, RelKind, document_to_dict
@@ -65,7 +66,6 @@ class SinkConfig:
 class CypherStatement:
     text: str
     params: dict[str, Any] = field(default_factory=dict)
-    is_node: bool = False
 
 
 def _check_label(label: str) -> str:
@@ -107,9 +107,7 @@ def to_cypher(doc: GraphDocument) -> list[CypherStatement]:
                 f"node id exceeds {_MAX_ID_LENGTH} characters "
                 f"({len(node.id)}): {node.id[:60]!r}..."
             )
-        statements.append(
-            CypherStatement(text=_node_template(node.kind), params={"id": node.id}, is_node=True)
-        )
+        statements.append(CypherStatement(text=_node_template(node.kind), params={"id": node.id}))
 
     for rel in doc.relationships:
         source, target = rel.source, rel.target
@@ -141,30 +139,27 @@ def render(docs: Iterable[GraphDocument]) -> list[Rendered]:
     return [(doc, to_cypher(doc)) for doc in docs]
 
 
-def _script_format(text: str) -> tuple[str, list[str]]:
+@cache
+def _script_format(text: str) -> tuple[str, tuple[str, ...]]:
     """A statement text as a ``%`` format of its fixed text, plus the names of
     its ``$name`` parameters in order."""
     pieces = _PARAM.split(text)
     fixed = [piece.replace("%", "%%") for piece in pieces[0::2]]
-    return "%s".join(fixed) + ";", pieces[1::2]
+    return "%s".join(fixed) + ";", tuple(pieces[1::2])
 
 
 def rendered_script(rendered: Iterable[Rendered]) -> str:
     """Offline replay script with parameters inlined as escaped literals.
 
     Each distinct statement text is split into fixed text and ``$name``
-    slots once.  Literals are then formatted into the slots in one pass, so
-    a value that itself contains ``$name`` is never substituted again.
+    slots once per process (``_script_format`` is cached, as the templates
+    are).  Literals are then formatted into the slots in one pass, so a
+    value that itself contains ``$name`` is never substituted again.
     """
-    formats: dict[str, tuple[str, list[str]]] = {}
     lines = []
     for _doc, statements in rendered:
         for statement in statements:
-            text = statement.text
-            split = formats.get(text)
-            if split is None:
-                split = formats[text] = _script_format(text)
-            line, names = split
+            line, names = _script_format(statement.text)
             params = statement.params
             lines.append(line % tuple([_cypher_literal(params[name]) for name in names]))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -322,7 +317,8 @@ def _commit_batch(
         return False
     summary.nodes_created += nodes_created
     summary.rels_created += rels_created
-    summary.nodes_matched += sum(1 for s in statements if s.is_node) - nodes_created
+    # to_cypher writes each node with exactly one statement.
+    summary.nodes_matched += sum(len(doc.nodes) for doc, _ in batch) - nodes_created
     summary.documents_loaded += len(batch)
     return True
 
@@ -359,5 +355,4 @@ def store_rendered(config: SinkConfig, rendered: Sequence[Rendered]) -> LoadSumm
 
 def export_json(docs: Sequence[GraphDocument]) -> bytes:
     """Canonical JSON array of documents, UTF-8, stable key order."""
-    payload = [document_to_dict(doc) for doc in docs]
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return json_text([document_to_dict(doc) for doc in docs]).encode("utf-8")

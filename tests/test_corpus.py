@@ -179,11 +179,6 @@ class TestParse:
             story.benefit, story.contains,
         ) == ([], [], [], [], None, [])
 
-    def test_accepts_file_object(self):
-        with open(SAMPLE_BACKLOG, "rb") as fh:
-            backlog = parse_backlog_file(fh, name="sample")
-        assert len(backlog.stories) == 3
-
 
 class TestCleanText:
     @pytest.mark.parametrize("raw,expected", [

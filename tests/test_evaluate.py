@@ -64,7 +64,7 @@ def story_cells(story: AnnotatedStory, extracted: AnnotatedStory, **options) -> 
     )
     cells: dict = {
         (row.kind, row.mode): (row.precision, row.recall, row.f_measure)
-        for row in report.rows + report.relation_rows
+        for row in report.rows
     }
     cells.update((tuple(item.split("/")), None) for item in report.omitted)
     return cells
@@ -177,7 +177,7 @@ class TestEvaluateBacklog:
         report = evaluate_backlog(sample_backlog, extractions)
         assert report.stories_evaluated == 3
         assert report.stories_skipped == 0
-        for row in report.rows + report.relation_rows:
+        for row in report.rows:
             assert math.isclose(row.f_measure, 1.0, abs_tol=TOL), (row.kind, row.mode)
 
     def test_missing_extraction_counts_skipped(self, sample_backlog, caplog):
@@ -414,21 +414,20 @@ def oracle_report(backlog, extractions, options) -> BacklogReport:
                  for mode in [m.value for m in MODES_FOR_KIND[kind]] + [BERTSCORE_MODE]]
     relation_keys = [(label, mode.value) for label in ("TRIGGERS", "TARGETS")
                      for mode in ComparisonMode]
-    for keys, target in ((node_keys, report.rows), (relation_keys, report.relation_rows)):
-        for kind, mode in keys:
-            rows = cells.get((kind, mode), [])
-            defined = [row for row in rows if row is not None]
-            if not defined:
-                report.omitted.append(f"{kind}/{mode}")
-                continue
-            target.append(ReportRow(
-                backlog=backlog.name, kind=kind, mode=mode,
-                precision=oracle_mean([p for p, _r, _f in defined]),
-                recall=oracle_mean([r for _p, r, _f in defined]),
-                f_measure=oracle_mean([f for _p, _r, f in defined]),
-                stories_counted=len(defined),
-                stories_undefined=len(rows) - len(defined),
-            ))
+    for kind, mode in node_keys + relation_keys:
+        rows = cells.get((kind, mode), [])
+        defined = [row for row in rows if row is not None]
+        if not defined:
+            report.omitted.append(f"{kind}/{mode}")
+            continue
+        report.rows.append(ReportRow(
+            backlog=backlog.name, kind=kind, mode=mode,
+            precision=oracle_mean([p for p, _r, _f in defined]),
+            recall=oracle_mean([r for _p, r, _f in defined]),
+            f_measure=oracle_mean([f for _p, _r, f in defined]),
+            stories_counted=len(defined),
+            stories_undefined=len(rows) - len(defined),
+        ))
     return report
 
 
@@ -439,6 +438,38 @@ def test_backlog_report_equals_cell_by_cell_oracle(backlog_and_extractions, opti
     backlog, extractions = backlog_and_extractions
     report = evaluate_backlog(backlog, extractions, options=options)
     assert report == oracle_report(backlog, extractions, options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(oracle_backlogs(), min_size=1, max_size=3))
+def test_csv_holds_exactly_the_node_rows_of_the_json(drawn):
+    """report.csv holds report.json's node-kind rows, each backlog's in turn
+    and then the averages, with equal values at six decimals; report.json
+    keeps each backlog's relation rows apart from its node rows."""
+    report = ExperimentReport(experiment="drawn", backlogs=[
+        evaluate_backlog(Backlog(name=f"b{i}", stories=backlog.stories), extractions)
+        for i, (backlog, extractions) in enumerate(drawn)
+    ])
+    data = report_to_dict(report)
+    for backlog in data["backlogs"]:
+        assert all(row["kind"] in KIND_ORDER for row in backlog["rows"])
+        assert all(row["kind"] in ("TRIGGERS", "TARGETS") for row in backlog["relations"])
+    json_rows = [
+        row
+        for rows in [b["rows"] + b["relations"] for b in data["backlogs"]] + [data["averages"]]
+        for row in rows
+        if row["kind"] in KIND_ORDER
+    ]
+    csv_rows = list(csv.DictReader(io.StringIO(report_to_csv(report))))
+    assert not {"TRIGGERS", "TARGETS"} & {row["kind"] for row in csv_rows}
+    assert len(csv_rows) == len(json_rows)
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert list(csv_row) == list(json_row) == list(CSV_COLUMNS)
+        for column, value in json_row.items():
+            if isinstance(value, float):
+                assert math.isclose(float(csv_row[column]), value, abs_tol=5e-7), column
+            else:
+                assert csv_row[column] == str(value), column
 
 
 def test_story_rows_equal_backlog_of_one(sample_backlog):
@@ -523,5 +554,5 @@ def test_valid_ground_truth_scores_one_against_itself(stories, options):
     extractions = backlog.stories
     report = evaluate_backlog(backlog, extractions, options=options)
     assert report.stories_evaluated == len(backlog.stories)
-    for row in report.rows + report.relation_rows:
+    for row in report.rows:
         assert (row.precision, row.recall, row.f_measure) == (1.0, 1.0, 1.0), (row.kind, row.mode)

@@ -89,11 +89,11 @@ class TestToCypher:
     def test_statement_count(self, sync_doc):
         statements = to_cypher(sync_doc)
         assert len(statements) == 18
-        assert sum(1 for s in statements if s.is_node) == 8
+        assert sum(1 for s in statements if s.text.startswith("MERGE (n:")) == 8
 
     def test_nodes_before_relationships(self, sync_doc):
         statements = to_cypher(sync_doc)
-        flags = [s.is_node for s in statements]
+        flags = [s.text.startswith("MERGE (n:") for s in statements]
         assert flags == sorted(flags, reverse=True)
 
     def test_node_statement_shape(self, sync_doc):
@@ -206,7 +206,7 @@ def oracle_statements(doc: GraphDocument) -> list[CypherStatement]:
     statements = []
     for node in doc.nodes:
         text = f"MERGE (n:{node.kind.value} {{id: $id}})"
-        statements.append(CypherStatement(text=text, params={"id": node.id}, is_node=True))
+        statements.append(CypherStatement(text=text, params={"id": node.id}))
     for rel in doc.relationships:
         text = (
             f"MATCH (a:{rel.source.kind.value} {{id: $source_id}}) "
@@ -553,4 +553,3 @@ class TestConfig:
 def test_statement_dataclass_defaults():
     statement = CypherStatement(text="RETURN 1")
     assert statement.params == {}
-    assert statement.is_node is False
