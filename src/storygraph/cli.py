@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 # Each command imports its own stage inside its function, so a process
 # loads only the stage it runs: ``--help`` imports no stage at all.
@@ -74,9 +74,8 @@ class _FileGraphs(NamedTuple):
     documents: int
     # (file name, pid, findings) of each document that breaks the ontology.
     flawed: list[tuple[str, str, list[OntologyViolation]]]
-    # The file's share of graph.cypher, or the error of an id the sink refuses.
+    # The file's share of graph.cypher.
     script: str
-    refused: SinkError | None = None
     # For a store load: the documents with the statements that write them.
     rendered: list[Rendered] | None = None
 
@@ -124,6 +123,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         return EXIT_BACKEND
 
     out_dir = Path(args.output_root) / args.experiment
+    if out_dir.resolve() == input_dir.resolve():
+        raise StoryGraphError(f"output directory {out_dir} is the input directory")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # The manifest goes first so even an interrupted run is attributable.
@@ -150,7 +151,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         for story, result in zip(backlog.stories, results):
             if isinstance(result, StoryGraphError):
                 log.warning("story %s failed: %s", story.pid, result)
-                entries.append(_error_entry(story, str(result)))
+                bare = AnnotatedStory(pid=story.pid, text=story.text)
+                entries.append(story_to_dict(bare) | {"Error": str(result)})
                 failed += 1
             else:
                 extracted = components_to_story(story.pid, story.text, result)
@@ -192,10 +194,6 @@ def _read_backlog(path: Path, label: str) -> Backlog | None:
         log.warning("skipping %s: %s", label, exc)
         return None
     return drop_invalid_stories(backlog)[0]
-
-
-def _error_entry(story: AnnotatedStory, message: str) -> dict[str, Any]:
-    return story_to_dict(AnnotatedStory(pid=story.pid, text=story.text)) | {"Error": message}
 
 
 def _read_extractions(path: Path) -> tuple[list[AnnotatedStory], int] | None:
@@ -336,11 +334,10 @@ def cmd_load(args: argparse.Namespace) -> int:
             if findings := validate_ontology(doc):
                 flawed.append((path.name, story.pid, findings))
             docs.append(doc)
-        try:
-            # Rendered once: the script and the store write the same statements.
-            rendered = render(docs)
-        except SinkError as exc:
-            return _FileGraphs(len(docs), flawed, "", refused=exc)
+        # Rendered once: the script and the store write the same statements.
+        # An id the sink refuses raises here and stops the load, through
+        # fan_out and main, with nothing written or sent.
+        rendered = render(docs)
         return _FileGraphs(
             len(docs), flawed, rendered_script(rendered),
             rendered=None if args.dry_run else rendered,
@@ -363,10 +360,6 @@ def cmd_load(args: argparse.Namespace) -> int:
             log.info("%s: story %s: %s", name, pid, "; ".join(map(str, findings)))
         if len(flawed) > _FLAWED_STORIES_LOGGED:
             log.info("and %d more", len(flawed) - _FLAWED_STORIES_LOGGED)
-    # An id the sink refuses stops the load with nothing written or sent.
-    for graph in graphs:
-        if graph.refused is not None:
-            raise graph.refused
 
     cypher_path = extracted_dir / "graph.cypher"
     write_atomic(cypher_path, "".join(graph.script for graph in graphs))

@@ -192,8 +192,9 @@ def decode_json(data: bytes) -> Any:
 
     Bytes that are not UTF-8, not JSON, or that escape a lone surrogate
     (such as ``"\\ud800"``, text no output file could hold) raise
-    BacklogParseError carrying the byte offset of the failure; so does a
-    value nested deeper than the decoder can follow, without an offset.
+    BacklogParseError carrying the byte offset of the failure; so do, without
+    an offset, a value nested deeper than the decoder can follow and an
+    integer longer than the interpreter's digit limit (4,300 by default).
     """
     try:
         text = data.decode("utf-8")
@@ -210,6 +211,8 @@ def decode_json(data: bytes) -> Any:
         ) from exc
     except RecursionError as exc:
         raise BacklogParseError("JSON value nested too deeply") from exc
+    except ValueError as exc:  # the only other ValueError: an over-long integer
+        raise BacklogParseError("JSON integer has too many digits") from exc
     # Most files hold no backslash at all, and it is found at memchr speed.
     if "\\" in text and _MAYBE_SURROGATE.search(text):
         for match in _SURROGATE.finditer(text):

@@ -255,6 +255,23 @@ class TestExtract:
         (bad / "broken.json").write_text("{nope")
         assert run_extract("--input", "bad") == EXIT_NO_INPUT
 
+    @pytest.mark.parametrize("output_root", [".", "absolute"])
+    def test_output_directory_that_is_the_input_is_refused(self, workspace, caplog, output_root):
+        """It rewrote the ground truth with the extraction and wrote a manifest beside it, exit 0."""
+        baseline = workspace / "pos_baseline"
+        before = (baseline / "sample.json").read_bytes()
+        root = str(workspace) if output_root == "absolute" else output_root
+        code = main(["extract", "--experiment", "pos_baseline", "--output-root", root,
+                     "--backend", "rule-based"])
+        assert code == 1
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert error.getMessage() == (
+            f"output directory {Path(root) / 'pos_baseline'} is the input directory"
+        )
+        assert error.exc_info is None
+        assert [path.name for path in baseline.iterdir()] == ["sample.json"]
+        assert (baseline / "sample.json").read_bytes() == before
+
     def test_non_utf8_backlog_skipped_with_a_warning(self, workspace, caplog):
         (workspace / "pos_baseline" / "latin.json").write_bytes(b"\xff[")
         with caplog.at_level("WARNING"):
@@ -726,7 +743,8 @@ class TestFanOut:
         entries[index].update(fields)
         path.write_text(json.dumps(entries))
 
-    def run(self, root: Path, monkeypatch, caplog, capsys) -> tuple:
+    def pipeline(self, root: Path, monkeypatch, caplog) -> list[int]:
+        """Extract, evaluate and load the corpus in ``root``; returns the exit codes."""
         self.write_corpus(root / "pos_baseline")
         monkeypatch.chdir(root)
         caplog.clear()
@@ -736,15 +754,25 @@ class TestFanOut:
         self.edit_extraction(out_dir / "b.json", 0, Entity=None, Targets=[])
         codes.append(main(["evaluate", "--experiment", "demo"], forks=True))
         codes.append(main(["load", "--experiment", "demo", "--dry-run"], forks=True))
+        return codes
+
+    def refuse(self, out_dir: Path, name: str) -> int:
+        """Gives a story of extraction file ``name`` an id the sink refuses and
+        loads again; returns the exit code."""
+        (out_dir / "graph.cypher").unlink()
+        self.edit_extraction(out_dir / f"{name}.json", 0, Persona=["x" * 5000])
+        code = main(["load", "--experiment", "demo", "--dry-run"], forks=True)
+        assert not (out_dir / "graph.cypher").exists()
+        return code
+
+    def run(self, root: Path, monkeypatch, caplog, capsys) -> tuple:
+        codes = self.pipeline(root, monkeypatch, caplog)
         outputs = {
             str(path.relative_to(root)): path.read_bytes()
             for path in sorted(root.rglob("*.*")) if path.name != "manifest.json"
         }
         # An id the sink refuses, in the last extraction file.
-        (out_dir / "graph.cypher").unlink()
-        self.edit_extraction(out_dir / "e.json", -1, Persona=["x" * 5000])
-        codes.append(main(["load", "--experiment", "demo", "--dry-run"], forks=True))
-        assert not (out_dir / "graph.cypher").exists()
+        codes.append(self.refuse(root / "extracted-user-stories" / "demo", "e"))
         messages = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
         return codes, outputs, messages, capsys.readouterr().out
 
@@ -771,6 +799,42 @@ class TestFanOut:
                      "skipping story #S98#", "1 of 12 documents carry ontology violations",
                      "node id exceeds 4000 characters"):
             assert seen in text, seen
+
+    @pytest.mark.parametrize("refused", ["a", "d", "e"])
+    def test_a_refused_id_stops_the_load_at_its_file(self, refused, tmp_path, monkeypatch, caplog):
+        """The load stops at the refused file, as a plain loop would, however
+        the files are shared out.  With 3 usable cores the caller loads a, one
+        worker b, and another d, then e."""
+        caplog.set_level("INFO")
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(fanout, "_usable_cores", lambda: workers)
+            root = tmp_path / str(workers)
+            assert self.pipeline(root, monkeypatch, caplog) == [EXIT_OK] * 3
+            out_dir = root / "extracted-user-stories" / "demo"
+            # Each file logs one line while it loads: for an entry that is not a story.
+            for path in out_dir.glob("?.json"):
+                path.write_text(json.dumps([*json.loads(path.read_text()), "junk"]))
+            caplog.clear()
+            forks.clear()
+            code = self.refuse(out_dir, refused)
+            lines = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
+            runs[workers] = code, lines, len(forks)
+        (code, lines, forks_one), (code_three, lines_three, forks_three) = runs[1], runs[3]
+        assert (forks_one, forks_three) == (0, 2)
+        assert code == code_three == 1
+        assert lines == lines_three
+        *warnings, (level, _logger, error) = lines
+        # A line from each file up to the refused one, none from a file after
+        # it, and no findings summary of the files before it.
+        assert {warning[0] for warning in warnings} == {"WARNING"}
+        assert [message.split(":")[0] for *_, message in warnings] == [
+            f"{name}.json" for name in "abde" if name <= refused
+        ]
+        assert level == "ERROR" and error.startswith("node id exceeds 4000 characters (5000)")
 
     STORE_LOAD = """
 import os, sys
@@ -1259,6 +1323,58 @@ class TestDeeplyNestedFiles:
             if r.getMessage() == "skipping sample.json: JSON value nested too deeply"
         ]
         assert len(skipped) == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+class TestOverlongIntegers:
+    """``json.loads`` raises a plain ValueError for an integer longer than the
+    interpreter's digit limit (4,300 by default); a story file holding one
+    ended ``extract``, ``evaluate`` and ``load`` in a traceback."""
+
+    WARNING = "skipping {}: JSON integer has too many digits"
+
+    @staticmethod
+    def put_long_integer(path: Path) -> None:
+        """Rewrites a story file with a 5,000-digit integer in its first ``Contains``."""
+        entries = json.loads(path.read_text())
+        entries[0]["Contains"] = ["@"]
+        path.write_text(json.dumps(entries).replace('"@"', "9" * 5000))
+
+    def test_backlog_is_skipped_by_extract_and_evaluate(self, workspace, caplog):
+        long = workspace / "pos_baseline" / "long.json"
+        shutil.copy(SAMPLE_BACKLOG, long)
+        self.put_long_integer(long)
+        with caplog.at_level("WARNING"):
+            assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        assert not (out_dir / "long.json").exists()
+        assert self.WARNING.format("backlog long.json") in [r.getMessage() for r in caplog.records]
+
+        shutil.copy(out_dir / "sample.json", out_dir / "long.json")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_OK
+        report = json.loads((workspace / "evaluation" / "rb" / "report.json").read_text())
+        assert [backlog["backlog"] for backlog in report["backlogs"]] == ["sample"]
+        assert self.WARNING.format("baseline long") in [r.getMessage() for r in caplog.records]
+        assert not [r for r in caplog.records if r.exc_info]
+
+    def test_extraction_file_is_skipped_by_evaluate_and_load(self, workspace, capsys, caplog):
+        assert main(["extract", "--experiment", "rb", "--backend", "rule-based"]) == EXIT_OK
+        out_dir = workspace / "extracted-user-stories" / "rb"
+        shutil.copy(out_dir / "sample.json", out_dir / "good.json")
+        self.put_long_integer(out_dir / "sample.json")
+        with caplog.at_level("WARNING"):
+            # The only extraction with a baseline is refused: nothing to score.
+            assert main(["evaluate", "--experiment", "rb"]) == EXIT_NO_INPUT
+            assert main(["load", "--experiment", "rb", "--dry-run"]) == EXIT_OK
+        assert "dry run: 3 documents" in capsys.readouterr().out
+        skipped = [
+            r.getMessage() for r in caplog.records
+            if r.getMessage() == self.WARNING.format("sample.json")
+        ]
+        assert len(skipped) == 2
+        assert not [r for r in caplog.records if r.exc_info]
 
 
 class TestReservedNames:

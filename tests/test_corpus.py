@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -97,6 +98,16 @@ class TestParse:
         """json.loads let its RecursionError through."""
         with pytest.raises(BacklogParseError, match="nested too deeply"):
             parse_backlog_file(b"[" * 100_000 + b"]" * 100_000)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_over_the_digit_limit_is_a_parse_error(self):
+        """json.loads let the plain ValueError of a 5,000-digit integer through."""
+        raw = json.dumps([minimal_story_dict(Contains=["@"])]).replace('"@"', "9" * 5000)
+        with pytest.raises(BacklogParseError, match="^JSON integer has too many digits$") as exc:
+            parse_backlog_file(raw.encode())
+        assert exc.value.byte_offset is None
 
     def test_missing_key_names_key_and_index(self):
         obj = minimal_story_dict()
