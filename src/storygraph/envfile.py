@@ -20,16 +20,16 @@ def load_env_file(path: str | Path = ".env") -> dict[str, str]:
     """Load variables from a dotenv-style file into os.environ.
 
     Returns the variables actually set.  A missing file is not an error;
-    it simply sets nothing.  A file that cannot be read or is not UTF-8
-    raises ConfigError naming it, and so does a line holding a NUL byte,
-    which no environment variable can hold.
+    it simply sets nothing.  A file that cannot be read or is not UTF-8,
+    after an optional byte-order mark, raises ConfigError naming it, and so
+    does a line holding a NUL byte, which no environment variable can hold.
     """
     path = Path(path)
     applied: dict[str, str] = {}
     if not path.is_file():
         return applied
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read env file {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), 1):

@@ -51,15 +51,17 @@ class SinkError(StoryGraphError):
 def check_url(
     url: str, error: type[Exception], what: str, schemes: tuple[str, ...] = ("http", "https")
 ) -> str:
-    """The scheme of ``url``.  A URL that ``urlsplit`` refuses, or whose
-    scheme is not in ``schemes``, raises ``error`` naming ``what``; the
-    message never holds the URL, so no credential leaks through it."""
+    """The scheme of ``url``.  A URL that ``urlsplit`` refuses, whose scheme
+    is not in ``schemes``, or that names no host raises ``error`` naming
+    ``what``; the message never holds the URL, so no credential leaks."""
     try:
-        scheme = urlsplit(url).scheme
+        parts = urlsplit(url)
     except ValueError as exc:
         raise error(f"{what} is not a valid URL: {exc}") from exc
-    if scheme not in schemes:
+    if (scheme := parts.scheme) not in schemes:
         raise error(f"{what} has unsupported scheme {scheme!r}; expected {', '.join(schemes)}")
+    if not parts.hostname:
+        raise error(f"{what} names no host")
     return scheme
 
 

@@ -1,10 +1,10 @@
 """Chat backends: live HTTP and recorded replay.
 
-Both expose the same two-call surface, one request per prompt chain, and
-return the reply's payload: a ``dict`` for a function call or a structured
-fixture entry, a ``str`` for free text.  The HTTP backend speaks the common
-chat-completions wire shape; when the model supports function calls a single
-tool is attached and its arguments are returned pre-parsed.
+Both expose one call per prompt chain, taking the story text and returning
+the reply's payload: a ``dict`` for a function call or a structured fixture
+entry, a ``str`` for free text.  Only the HTTP backend renders conversations,
+in the common chat-completions wire shape; when the model supports function
+calls a single tool is attached and its arguments are returned pre-parsed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Any
 from ..errors import BackendError, ConfigError, ResponseParseError
 from ..http import TransportError, bearer_headers, post_json
 from .config import ExtractorConfig
+from .prompts import benefit_prompt, main_prompt, render_prompt
 
 log = logging.getLogger(__name__)
 
@@ -73,13 +74,15 @@ _TOOL_SCHEMA = {
 class ChatHttpBackend:
     def __init__(self, config: ExtractorConfig):
         self.config = config
+        # Built here once, not by each pool thread that misses the cache first.
+        self._main = main_prompt(config.supports_function_calls)
+        self._tools = [_TOOL_SCHEMA] if config.supports_function_calls else None
 
-    def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
-        tools = [_TOOL_SCHEMA] if self.config.supports_function_calls else None
-        return self._request(messages, tools)
+    def run_main(self, story_text: str) -> dict | str:
+        return self._request(render_prompt(self._main, story_text), self._tools)
 
-    def run_benefit(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
-        return self._request(messages, None)
+    def run_benefit(self, story_text: str) -> dict | str:
+        return self._request(render_prompt(benefit_prompt(), story_text), None)
 
     def _request(self, messages, tools) -> dict | str:
         body: dict[str, Any] = {
@@ -181,7 +184,7 @@ class ReplayFixtureBackend:
             raise ConfigError(f"replay fixture must be a JSON object: {path}")
         return cls(fixture)
 
-    def _entry(self, story_text: str) -> dict[str, Any]:
+    def _reply(self, story_text: str, key: str) -> dict | str:
         entry = self.fixture.get(story_text)
         if entry is None:
             raise BackendError(f"no fixture entry for story: {story_text[:100]!r}")
@@ -189,10 +192,7 @@ class ReplayFixtureBackend:
             raise BackendError(
                 f"fixture entry is not a JSON object for story: {story_text[:100]!r}"
             )
-        return entry
-
-    def _reply(self, story_text: str, key: str) -> dict | str:
-        value = self._entry(story_text).get(key)
+        value = entry.get(key)
         if value is None:
             return ""
         if isinstance(value, (dict, str)):
@@ -201,8 +201,8 @@ class ReplayFixtureBackend:
         # model would have sent: JSON, not a Python repr.
         return json.dumps(value, ensure_ascii=False)
 
-    def run_main(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
+    def run_main(self, story_text: str) -> dict | str:
         return self._reply(story_text, "main_response")
 
-    def run_benefit(self, story_text: str, messages: list[tuple[str, str]]) -> dict | str:
+    def run_benefit(self, story_text: str) -> dict | str:
         return self._reply(story_text, "benefit_response")

@@ -20,7 +20,6 @@ from .parsing import (
     parse_structured_response,
     parse_unstructured_response,
 )
-from .prompts import benefit_prompt, main_prompt, render_prompt
 from .rule_based import rule_based_extract
 from .types import DropCounts, usable_text
 
@@ -93,17 +92,15 @@ def extract_components(
         return rule_based_extract(story_text)
     drops = drops if drops is not None else DropCounts()
 
-    main_messages = render_prompt(main_prompt(config.supports_function_calls), story_text)
     try:
-        doc = _parse_main_reply(backend.run_main(story_text, main_messages), drops)
+        doc = _parse_main_reply(backend.run_main(story_text), drops)
     except ResponseParseError:
         if not config.retry_parse_errors:
             raise
         log.warning("main response unparseable, re-asking once")
-        doc = _parse_main_reply(backend.run_main(story_text, main_messages), drops)
+        doc = _parse_main_reply(backend.run_main(story_text), drops)
 
-    benefit_messages = render_prompt(benefit_prompt(), story_text)
-    benefit = parse_benefit_response(backend.run_benefit(story_text, benefit_messages))
+    benefit = parse_benefit_response(backend.run_benefit(story_text))
     return _merge_benefit(doc, benefit, drops)
 
 
@@ -116,11 +113,11 @@ def extract_many(
 ) -> list[GraphDocument | StoryGraphError]:
     """Extract a batch, bounding in-flight requests.
 
-    Chat and replay backends run on a pool of ``max_concurrency`` threads;
-    rule-based extraction runs inline.  A caller that extracts several
-    batches passes one ``backend`` to all of them; without one, the config
-    is validated and a backend built from it.  Results line up with the
-    input order.  A story that fails with a toolchain error contributes the
+    The chat backend runs on a pool of ``max_concurrency`` threads; rule-based
+    and replayed stories run inline.  A caller that extracts several batches
+    passes one ``backend`` to all of them; without one, the config is
+    validated and a backend built from it.  Results line up with the input
+    order.  A story that fails with a toolchain error contributes the
     exception instead of a document, so one bad story never sinks the batch.
     """
     if backend is None:
@@ -133,14 +130,12 @@ def extract_many(
         except StoryGraphError as exc:
             return exc, None
 
-    if backend is None:
-        # Rule-based extraction never waits on I/O, so a pool would only add cost.
-        outcomes = [one(text) for text in story_texts]
-    else:
-        # Built here once, not by each pool thread that misses the cache first.
-        main_prompt(config.supports_function_calls)
+    if config.backend == "chat-http":
         with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
             outcomes = list(pool.map(one, story_texts))
+    else:
+        # Rule-based and replayed stories never wait on I/O: a pool would only add cost.
+        outcomes = [one(text) for text in story_texts]
     if drops is not None:
         for _result, local in outcomes:
             if local is not None:

@@ -58,8 +58,17 @@ class SinkConfig:
         return config
 
     def scheme(self) -> str:
-        """The URI's scheme; a URI that is not http, https or Bolt raises SinkError."""
-        return check_url(self.uri, SinkError, "graph store URI", _HTTP_SCHEMES + _BOLT_SCHEMES)
+        """The URI's scheme, checked as check_url does; Bolt also needs the neo4j driver."""
+        scheme = check_url(self.uri, SinkError, "graph store URI", _HTTP_SCHEMES + _BOLT_SCHEMES)
+        if scheme in _BOLT_SCHEMES:
+            try:
+                import neo4j  # noqa: F401
+            except ImportError as exc:
+                raise SinkError(
+                    "bolt:// and neo4j:// URIs need the optional neo4j driver; "
+                    "install it or point the sink at the http endpoint"
+                ) from exc
+        return scheme
 
 
 @dataclass(frozen=True)
@@ -263,13 +272,7 @@ def _reply_counts(raw: bytes) -> tuple[int, int]:
 
 @contextmanager
 def _bolt_commit(config: SinkConfig) -> Iterator[Commit]:
-    try:
-        import neo4j
-    except ImportError as exc:
-        raise SinkError(
-            "bolt:// and neo4j:// URIs need the optional neo4j driver; "
-            "install it or point the sink at the http endpoint"
-        ) from exc
+    import neo4j  # SinkConfig.scheme has checked that it is installed
 
     try:
         driver = neo4j.GraphDatabase.driver(config.uri, auth=(config.user, config.password))

@@ -123,8 +123,8 @@ class TestExtract:
         assert out_path.read_bytes() == first
 
     def test_fixed_parts_built_once_per_run(self, workspace, monkeypatch):
-        """Two backlogs: one fixture read and one few-shot block for the run,
-        not one per backlog and one per story."""
+        """Two backlogs: one fixture read for the run, not one per backlog,
+        and no few-shot block, which only the chat backend sends."""
         from storygraph.extraction import prompts
         from storygraph.extraction.backends import ReplayFixtureBackend
 
@@ -146,7 +146,7 @@ class TestExtract:
         )
         prompts.main_prompt.cache_clear()
         assert run_extract() == EXIT_OK
-        assert calls == {"from_path": 1, "few_shot_records": 1}
+        assert calls == {"from_path": 1}
 
     def test_malformed_reply_fails_only_its_story(self, workspace, tmp_path):
         """A main reply of {"nodes": 5} ended the whole run in a TypeError."""
@@ -310,6 +310,32 @@ class TestExtract:
         assert "unsupported scheme 'ftp'" in error.getMessage()
         assert not (workspace / "extracted-user-stories" / "x").exists()
 
+    def test_endpoint_without_host_exits_3_before_any_request(self, workspace, caplog):
+        """It passed the config check: every story failed after its retries, exit 0."""
+        code = main([
+            "extract", "--experiment", "x", "--backend", "chat-http",
+            "--endpoint", "http://", "--max-retries", "0",
+        ])
+        assert code == EXIT_BACKEND
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "names no host" in error.getMessage()
+        assert not (workspace / "extracted-user-stories" / "x").exists()
+
+    def test_replay_run_renders_no_conversation(self, workspace, monkeypatch):
+        """Only the chat backend sends a conversation, so a replay run needs none."""
+
+        def refuse(*args):
+            raise AssertionError("a replay run rendered a conversation")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("storygraph") and hasattr(module, "render_prompt"):
+                monkeypatch.setattr(module, "render_prompt", refuse)
+        assert run_extract() == EXIT_OK
+        out_path = workspace / "extracted-user-stories" / "demo" / "sample.json"
+        entries = json.loads(out_path.read_text())
+        assert len(entries) == len(json.loads(SAMPLE_BACKLOG.read_text()))
+        assert not any("Error" in entry for entry in entries)
+
     def test_missing_fixture_exits_3(self, workspace):
         code = main(
             ["extract", "--experiment", "x", "--backend", "replay-fixture",
@@ -435,6 +461,19 @@ class TestEvaluate:
         (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
         assert "unsupported scheme 'ftp'" in error.getMessage()
 
+    def test_embeddings_endpoint_without_host_refused_before_any_backlog(
+        self, workspace, monkeypatch, caplog
+    ):
+        """It was refused only at the first request, after a backlog was read."""
+        assert run_extract() == EXIT_OK
+        read = []
+        monkeypatch.setattr(cli, "load_backlog", lambda path: read.append(path))
+        code = main(["evaluate", "--experiment", "demo", "--embeddings-endpoint", "http://"])
+        assert code == 1
+        assert read == []
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "names no host" in error.getMessage()
+
     def test_embeddings_requests_carry_the_chat_token(
         self, workspace, stub_server, monkeypatch, caplog, capsys
     ):
@@ -512,7 +551,7 @@ class TestLoad:
         """Both graph files were written before the URI was checked."""
         assert run_extract() == EXIT_OK
         out_dir = workspace / "extracted-user-stories" / "demo"
-        for uri in ("http://[::1", "ftp://x"):
+        for uri in ("http://[::1", "ftp://x", "http://"):
             assert main(["load", "--experiment", "demo", "--uri", uri]) == EXIT_BACKEND
             assert not (out_dir / "graph.cypher").exists()
             assert not (out_dir / "graph.json").exists()
@@ -520,6 +559,23 @@ class TestLoad:
         monkeypatch.setenv("NEO4J_URI", "ftp://x")
         assert main(["load", "--experiment", "demo", "--dry-run"]) == EXIT_OK
         assert (out_dir / "graph.cypher").exists()
+
+    def test_bolt_uri_without_driver_refused_before_any_file_is_read(
+        self, workspace, monkeypatch, caplog
+    ):
+        """The missing driver was found only after both graph files were written."""
+        assert run_extract() == EXIT_OK
+        monkeypatch.setitem(sys.modules, "neo4j", None)
+        read = []
+        monkeypatch.setattr(cli, "_read_extractions", lambda path: read.append(path))
+        code = main(["load", "--experiment", "demo", "--uri", "bolt://localhost:7687"])
+        assert code == EXIT_BACKEND
+        assert read == []
+        out_dir = workspace / "extracted-user-stories" / "demo"
+        assert not (out_dir / "graph.cypher").exists()
+        assert not (out_dir / "graph.json").exists()
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "neo4j driver" in error.getMessage()
 
     def test_documents_rendered_once(self, workspace, stub_server, monkeypatch):
         import storygraph.sink as sink

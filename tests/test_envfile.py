@@ -75,6 +75,16 @@ def test_not_utf8_raises_config_error_naming_the_file(tmp_path):
         load_env_file(env)
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path, monkeypatch):
+    """The first variable was set as "\\ufeffSG_A", so SG_A was silently lost."""
+    for key in ("SG_A", "SG_B"):
+        monkeypatch.delenv(key, raising=False)
+    env = tmp_path / ".env"
+    env.write_bytes(b"\xef\xbb\xbfSG_A=1\nSG_B=2\n")
+    assert load_env_file(env) == {"SG_A": "1", "SG_B": "2"}
+    assert os.environ["SG_A"] == "1"
+
+
 @pytest.mark.parametrize("line", [b"A=b\x00c\n", b"A\x00B=c\n"], ids=["value", "name"])
 def test_nul_byte_raises_config_error_naming_file_and_line(tmp_path, monkeypatch, line):
     env = tmp_path / "nul.env"

@@ -15,8 +15,11 @@ from storygraph.extraction import (
     ReplayFixtureBackend,
     extract_components,
     extract_many,
+    benefit_prompt,
+    main_prompt,
     make_backend,
     parse_unstructured_response,
+    render_prompt,
 )
 from storygraph.model import NodeKind, RelKind
 
@@ -85,6 +88,30 @@ class TestChatHttp:
         assert [m["role"] for m in messages] == ["system", "user"]
         assert SYNC_TEXT in messages[1]["content"]
         assert messages[1]["content"].startswith("Tip:")
+
+    @pytest.mark.parametrize("function_calls", [False, True])
+    def test_requests_carry_the_catalog_conversations(self, stub_server, function_calls):
+        """What each chain sends is its catalog conversation with the story
+        substituted, the roles in the chat API's names."""
+        stub_server.behaviors.extend([
+            chat_tool_reply(MAIN_PAYLOAD) if function_calls else chat_content_reply("[]"),
+            chat_content_reply("''"),
+        ])
+        config = http_config(stub_server, supports_function_calls=function_calls)
+        extract_components(config, SYNC_TEXT)
+
+        def sent(segments):
+            roles = {"system": "system", "human": "user"}
+            return [
+                {"role": roles[role], "content": text}
+                for role, text in render_prompt(segments, SYNC_TEXT)
+            ]
+
+        main_body, benefit_body = stub_server.requests
+        assert main_body["messages"] == sent(main_prompt(function_calls))
+        assert benefit_body["messages"] == sent(benefit_prompt())
+        assert ("tools" in main_body) is function_calls
+        assert "tools" not in benefit_body
 
     def test_plain_text_path_carries_examples(self, stub_server):
         records = [
@@ -383,10 +410,10 @@ class TestReplayBackend:
              "other": {"main_response": 5}}
         ))
         backend = ReplayFixtureBackend.from_path(path)
-        assert backend.run_main(SYNC_TEXT, []) == {"nodes": []}
-        assert backend.run_benefit(SYNC_TEXT, []) == ""
-        assert backend.run_main("other", []) == "5"
-        assert backend.run_benefit("other", []) == ""
+        assert backend.run_main(SYNC_TEXT) == {"nodes": []}
+        assert backend.run_benefit(SYNC_TEXT) == ""
+        assert backend.run_main("other") == "5"
+        assert backend.run_benefit("other") == ""
 
     def test_record_array_reads_as_its_json_text(self, tmp_path):
         """An array became its Python repr, which no JSON parser reads."""
@@ -407,7 +434,7 @@ class TestReplayBackend:
     def test_missing_entry(self, replay_fixture_path):
         backend = ReplayFixtureBackend.from_path(replay_fixture_path)
         with pytest.raises(BackendError, match="no fixture entry"):
-            backend.run_main("As a stranger, I want to hide.", [])
+            backend.run_main("As a stranger, I want to hide.")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -487,6 +514,18 @@ class TestBatch:
         for good in (results[0], results[2]):
             assert ("user", NodeKind.PERSONA) in {(n.id, n.kind) for n in good.nodes}
 
+    def test_only_the_chat_backend_runs_on_threads(self, replay_fixture_path, monkeypatch):
+        """Rule-based and replayed stories never wait on I/O."""
+        from storygraph.extraction import connector
+
+        monkeypatch.setattr(connector, "ThreadPoolExecutor", None)
+        replay = ExtractorConfig(
+            backend="replay-fixture", fixture_path=str(replay_fixture_path), max_concurrency=4
+        )
+        for config in (ExtractorConfig(max_concurrency=4), replay):
+            results = extract_many(config, [SYNC_TEXT] * 3)
+            assert not any(isinstance(result, Exception) for result in results)
+
     def test_concurrency_is_bounded(self, stub_server):
         stub_server.delay = 0.05
         stub_server.default = chat_tool_reply(MAIN_PAYLOAD)
@@ -516,10 +555,10 @@ class ScriptedBackend:
     def __init__(self, main: list, benefit: list):
         self.main, self.benefit = list(main), list(benefit)
 
-    def run_main(self, story_text, messages):
+    def run_main(self, story_text):
         return self.main.pop(0)
 
-    def run_benefit(self, story_text, messages):
+    def run_benefit(self, story_text):
         return self.benefit.pop(0)
 
 

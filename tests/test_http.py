@@ -30,7 +30,7 @@ def chat(url: str):
         backend="chat-http", endpoint=f"{url}/v1/chat/completions", model_name="m",
         request_timeout=2.0, max_retries=1,
     )
-    return make_backend(config).run_benefit(SYNC_TEXT, [("human", SYNC_TEXT)])
+    return make_backend(config).run_benefit(SYNC_TEXT)
 
 
 def embeddings(url: str):
